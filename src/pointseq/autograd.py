@@ -27,7 +27,6 @@ __all__ = [
     "sigmoid",
     "sqrt",
     "softmax",
-    "max_reduce",
     "pool_rows_max",
     "sum_reduce",
     "mean_reduce",
@@ -243,35 +242,12 @@ def softmax(x, axis=-1) -> Tensor:
     return Tensor(out, (x,), grad_fn)
 
 
-def max_reduce(x):
-    """Columnwise max of a [k, d] matrix.
-
-    Returns ``(values, argmax)`` where ``argmax`` holds the winning row per
-    column (ties go to the lowest row). The gradient routes to the winning
-    entries only.
-    """
-    x = tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"max_reduce expects a 2-d input, got shape {x.shape}")
-    if x.shape[0] < 1:
-        raise ShapeError("max_reduce over an empty set of rows")
-    arg = np.argmax(x.values, axis=0)
-    cols = np.arange(x.shape[1])
-    out = x.values[arg, cols]
-
-    def grad_fn(g):
-        gx = np.zeros_like(x.values)
-        gx[arg, cols] = g
-        return (gx,)
-
-    return Tensor(out, (x,), grad_fn), arg.copy()
-
-
 def pool_rows_max(x, group_size):
     """Max over consecutive row groups of a [m*group_size, d] matrix.
 
-    Equivalent to calling :func:`max_reduce` on each block of ``group_size``
-    rows; returns ``([m, d] values, [m, d] argmax within group)``.
+    Returns ``([m, d] values, [m, d] argmax within group)``; ties go to the
+    lowest row of the group, and the gradient routes to the winning entries
+    only.
     """
     x = tensor(x)
     if x.ndim != 2:

@@ -23,6 +23,7 @@ from .config import (
     dump_run_config,
     load_run_config,
     parse_set_flag,
+    validate_run_config,
 )
 from .data import CLASS_KINDS, SEG_PARTS, load_manifest, synthetic_splits, write_synthetic_dataset
 from .errors import ConfigError, DataError
@@ -102,6 +103,7 @@ class _Dataset:
     test_labels: np.ndarray
     names: tuple[str, ...]
     part_ranges: dict | None
+    files: list  # (path, cloud) per manifest sample; empty for synthetic data
 
 
 def _load_dataset(cfg: RunConfig, task: str) -> _Dataset:
@@ -115,13 +117,27 @@ def _load_dataset(cfg: RunConfig, task: str) -> _Dataset:
         train_clouds, train_labels = manifest.split("train")
         test_clouds, test_labels = manifest.split("test")
         ranges = manifest.part_ranges if task == "segmentation" else None
+        files = [(s.path, s.cloud) for split in manifest.samples.values() for s in split]
         return _Dataset(
-            train_clouds, train_labels, test_clouds, test_labels, manifest.names, ranges
+            train_clouds, train_labels, test_clouds, test_labels, manifest.names, ranges, files
         )
     splits = synthetic_splits(cfg.data, task)
     if task == "classification":
-        return _Dataset(*splits, CLASS_KINDS, None)
-    return _Dataset(*splits, ("composite",), {"composite": SEG_PARTS})
+        return _Dataset(*splits, CLASS_KINDS, None, [])
+    return _Dataset(*splits, ("composite",), {"composite": SEG_PARTS}, [])
+
+
+def _check_cloud_sizes(model_cfg, cfg: RunConfig, ds: _Dataset) -> None:
+    """Every cloud must hold ``m`` centroids and the largest neighborhood."""
+    needs = (("model.m", model_cfg.m), ("model.scales", model_cfg.scales[-1]))
+    for key, need in needs:
+        if not cfg.data.manifest and need > cfg.data.points:
+            raise ConfigError(
+                f"{key} needs {need} points per cloud but data.points is {cfg.data.points}"
+            )
+        for path, cloud in ds.files:
+            if len(cloud) < need:
+                raise DataError(f"{path} has {len(cloud)} points but {key} needs {need}")
 
 
 def _check_dims(model_cfg, ds: _Dataset, task: str) -> None:
@@ -146,6 +162,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     task = cfg.model.task
     ds = _load_dataset(cfg, task)
     _check_dims(cfg.model, ds, task)
+    _check_cloud_sizes(cfg.model, cfg, ds)
     result = train(
         ds.train_clouds, ds.train_labels, ds.test_clouds, ds.test_labels,
         cfg.model, cfg.train, log=print,
@@ -168,6 +185,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     params, model_cfg = load_checkpoint(os.path.join(out, "checkpoint.bin"))
     ds = _load_dataset(cfg, model_cfg.task)
     _check_dims(model_cfg, ds, model_cfg.task)
+    _check_cloud_sizes(model_cfg, cfg, ds)
     if not ds.test_clouds:
         raise DataError("the dataset has no test split to evaluate")
     geoms = [prepare_cloud(c, model_cfg) for c in ds.test_clouds]
@@ -255,12 +273,21 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     values = _axis_values(cfg, args.axis)
     ds = _load_dataset(cfg, task)
     _check_dims(cfg.model, ds, task)
-    rows = []
+    runs = []
     for value in values:
         run_cfg = copy.deepcopy(cfg)
         _apply_axis(run_cfg, args.axis, value)
         if cfg.ablate.epochs > 0:
             run_cfg.train.epochs = cfg.ablate.epochs
+        # every value is checked before the first run starts
+        try:
+            validate_run_config(run_cfg)
+            _check_cloud_sizes(run_cfg.model, run_cfg, ds)
+        except ConfigError as exc:
+            raise ConfigError(f"ablate {args.axis}={value}: {exc}") from None
+        runs.append((value, run_cfg))
+    rows = []
+    for value, run_cfg in runs:
         result = train(
             ds.train_clouds, ds.train_labels, ds.test_clouds, ds.test_labels,
             run_cfg.model, run_cfg.train,

@@ -234,6 +234,11 @@ def validate_run_config(cfg: RunConfig) -> None:
         widths = getattr(mc, name)
         if not widths or any(w < 1 for w in widths):
             raise ConfigError(f"model.{name} must list positive widths")
+    if mc.task == "segmentation" and mc.interp_k > mc.m:
+        raise ConfigError(
+            f"model.interp_k={mc.interp_k} exceeds model.m={mc.m}: "
+            "each point interpolates from that many of the m centroids"
+        )
     if not 0.0 <= mc.dropout < 1.0:
         raise ConfigError(f"model.dropout must be in [0, 1), got {mc.dropout}")
     if mc.bn_eps <= 0.0:

@@ -46,7 +46,6 @@ __all__ = [
     "synthetic_segmentation",
     "synthetic_splits",
     "write_synthetic_dataset",
-    "batch_iterator",
 ]
 
 
@@ -426,16 +425,3 @@ def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> str:
     part_ranges = {"composite": SEG_PARTS} if task == "segmentation" else None
     write_manifest(manifest_path, task, names, records, part_ranges)
     return manifest_path
-
-
-# ---------------------------------------------------------------------------
-# batching
-
-
-def batch_iterator(items, batch_size: int, seed: int, epoch: int = 0):
-    """Deterministically shuffled batches; the short final batch is kept."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be at least 1, got {batch_size}")
-    order = np.random.default_rng([seed, epoch]).permutation(len(items))
-    for start in range(0, len(items), batch_size):
-        yield [items[i] for i in order[start : start + batch_size]]

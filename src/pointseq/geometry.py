@@ -9,8 +9,7 @@ relabeling between duplicate points.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +18,12 @@ __all__ = [
     "Centroids",
     "ScaleSpec",
     "MultiScaleGrouping",
-    "SpatialIndex",
     "normalize_unit_ball",
     "farthest_point_sample",
     "knn_search",
     "brute_force_knn",
     "group_areas",
-    "to_relative",
 ]
-
-_LEAF_SIZE = 16
 
 
 @dataclass(eq=False)
@@ -37,7 +32,6 @@ class PointCloud:
 
     points: np.ndarray
     labels: np.ndarray | None = None
-    _index: "SpatialIndex | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -56,12 +50,6 @@ class PointCloud:
 
     def __len__(self):
         return len(self.points)
-
-    def index(self) -> "SpatialIndex":
-        """The spatial index for this cloud, built on first use."""
-        if self._index is None:
-            self._index = SpatialIndex(self.points)
-        return self._index
 
 
 @dataclass(frozen=True)
@@ -105,10 +93,6 @@ class MultiScaleGrouping:
 
     neighbor_indices: np.ndarray
     scales: ScaleSpec
-
-    def area(self, region, scale) -> np.ndarray:
-        """Indices of the points in area ``(region, scale)``."""
-        return self.neighbor_indices[region, : self.scales.sizes[scale]]
 
 
 def _stable_mean(points):
@@ -170,77 +154,34 @@ def farthest_point_sample(cloud: PointCloud, m: int) -> Centroids:
     return Centroids(chosen, points[chosen].copy())
 
 
-class SpatialIndex:
-    """Static axis-aligned median-split tree over a fixed point set."""
+def knn_search(cloud: PointCloud, queries, k) -> np.ndarray:
+    """Exact k nearest cloud points, ordered as :func:`brute_force_knn` orders them.
 
-    class _Node:
-        __slots__ = ("axis", "split", "left", "right", "indices")
-
-        def __init__(self, axis=None, split=0.0, left=None, right=None, indices=None):
-            self.axis = axis
-            self.split = split
-            self.left = left
-            self.right = right
-            self.indices = indices
-
-    def __init__(self, points):
-        self._points = np.asarray(points, dtype=np.float64)
-        self._root = self._build(np.arange(len(self._points), dtype=np.int64))
-
-    def _build(self, indices):
-        if len(indices) <= _LEAF_SIZE:
-            return self._Node(indices=indices)
-        coords = self._points[indices]
-        axis = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
-        order = indices[np.argsort(coords[:, axis], kind="stable")]
-        mid = len(order) // 2
-        split = float(self._points[order[mid], axis])
-        return self._Node(
-            axis=axis,
-            split=split,
-            left=self._build(order[:mid]),
-            right=self._build(order[mid:]),
-        )
-
-    def query(self, query_point, k) -> np.ndarray:
-        """Indices of the k nearest points, ascending by (distance, coords, index)."""
-        n = len(self._points)
-        if not 1 <= k <= n:
-            raise ValueError(f"cannot search {k} neighbors among {n} points")
-        q = np.asarray(query_point, dtype=np.float64)
-        points = self._points
-        # heap of negated sort keys; its root is the current worst candidate
-        heap: list = []
-
-        def consider(i):
-            p = points[i]
-            dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
-            entry = (-(dx * dx + dy * dy + dz * dz), -p[0], -p[1], -p[2], -i)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
-
-        def visit(node):
-            if node.axis is None:
-                for i in node.indices:
-                    consider(i)
-                return
-            delta = q[node.axis] - node.split
-            near, far = (node.left, node.right) if delta < 0.0 else (node.right, node.left)
-            visit(near)
-            # equal plane distance may still win a tie, so prune strictly
-            if len(heap) < k or delta * delta <= -heap[0][0]:
-                visit(far)
-
-        visit(self._root)
-        ordered = sorted(heap, reverse=True)
-        return np.array([int(-entry[4]) for entry in ordered], dtype=np.int64)
-
-
-def knn_search(cloud: PointCloud, query_point, k) -> np.ndarray:
-    """K nearest cloud points to ``query_point`` via the cloud's spatial index."""
-    return cloud.index().query(query_point, k)
+    ``queries`` is one [3] point, which gives [k] indices, or [q, 3] points,
+    which give [q, k]. A partial selection keeps, per row, every point at or
+    below the k-th distance (more than k only when ties straddle it), and
+    only those candidates are sorted by (distance, x, y, z, index).
+    """
+    points = cloud.points
+    n = len(points)
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot search {k} neighbors among {n} points")
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim not in (1, 2) or q.shape[-1] != 3:
+        raise ValueError(f"queries must have shape [3] or [q, 3], got {q.shape}")
+    rows = q.reshape(-1, 3)
+    d = ((points[None, :, :] - rows[:, None, :]) ** 2).sum(axis=2)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    width = int((d <= kth).sum(axis=1).max())
+    cand = np.argpartition(d, width - 1, axis=1)[:, :width]
+    coords = points[cand]
+    order = np.lexsort(
+        (cand, coords[..., 2], coords[..., 1], coords[..., 0],
+         np.take_along_axis(d, cand, axis=1)),
+        axis=1,
+    )
+    nearest = np.take_along_axis(cand, order[:, :k], axis=1).astype(np.int64)
+    return nearest[0] if q.ndim == 1 else nearest
 
 
 def brute_force_knn(cloud: PointCloud, query_point, k) -> np.ndarray:
@@ -257,15 +198,4 @@ def brute_force_knn(cloud: PointCloud, query_point, k) -> np.ndarray:
 
 def group_areas(cloud: PointCloud, centroids: Centroids, scales: ScaleSpec) -> MultiScaleGrouping:
     """Multi-scale areas around each centroid; scales nest by construction."""
-    largest = scales.sizes[-1]
-    rows = [knn_search(cloud, c, largest) for c in centroids.coords]
-    return MultiScaleGrouping(np.stack(rows), scales)
-
-
-def to_relative(points, centroid) -> np.ndarray:
-    """Coordinates of ``points`` relative to ``centroid``."""
-    points = np.asarray(points, dtype=np.float64)
-    centroid = np.asarray(centroid, dtype=np.float64)
-    if centroid.shape != (3,):
-        raise ValueError(f"centroid must have shape (3,), got {centroid.shape}")
-    return points - centroid
+    return MultiScaleGrouping(knn_search(cloud, centroids.coords, scales.sizes[-1]), scales)

@@ -2,16 +2,15 @@
 encoder with an attention decoder, then global aggregation and task heads.
 
 Every forward function accepts a batch laid out as stacked rows, with regions
-grouped per cloud and area points grouped per region. Single-cloud wrappers
-exist for each public block. Parameters live in a :class:`ModelParams`
-registry keyed by layer name.
+grouped per cloud and area points grouped per region. Parameters live in a
+:class:`ModelParams` registry keyed by layer name.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,22 +25,17 @@ __all__ = [
     "ForwardContext",
     "CloudGeometry",
     "EncoderTrace",
-    "RegionFeature",
     "build_params",
     "prepare_cloud",
-    "area_feature",
     "area_pooled_feature",
     "lstm_step",
     "encode_sequence",
     "attention_scores",
-    "decode_region",
-    "aggregate_global",
     "classify_batch",
     "classify_forward",
     "interpolation_weights",
     "interpolate_features",
     "segment_batch",
-    "segment_forward",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -163,9 +157,9 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
 
     if cfg.aggregator in ("attention_ed", "no_attention", "no_decoder"):
         lstm("encoder", d, h)
-        linear("encoder_out_proj", h, d, bias=False)
         if cfg.aggregator != "no_decoder":
             lstm("decoder", h, h)
+        if cfg.aggregator == "no_attention":
             linear("decoder_out_proj", h, d, bias=False)
         if cfg.aggregator == "attention_ed":
             linear("attn_score", h, h, bias=False)
@@ -264,19 +258,8 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
             f"an area needs at least one relative [k, 3] point row, got {relative_points.shape}"
         )
     feats = _bn_mlp(ag.tensor(relative_points), params, "area_mlp", len(cfg.area_hidden) + 1, ctx)
-    pooled, _ = ag.max_reduce(feats)
-    return pooled
-
-
-def area_feature(relative_points, centroid, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
-    """Feature of one area: shared point MLP, max pool, centroid concat, linear."""
-    ctx = ctx or ForwardContext()
-    pooled = area_pooled_feature(relative_points, params, cfg, ctx)
-    row = ag.reshape(pooled, (1, cfg.feature_dim))
-    centroid = np.asarray(centroid, dtype=np.float64).reshape(1, 3)
-    with_centroid = ag.concat([row, ag.tensor(centroid)], axis=1)
-    out = ag.matmul(with_centroid, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
-    return ag.reshape(out, (cfg.feature_dim,))
+    pooled, _ = ag.pool_rows_max(feats, len(relative_points))
+    return ag.reshape(pooled, (cfg.feature_dim,))
 
 
 def lstm_step(prev_hidden, prev_cell, x, weight, bias):
@@ -307,11 +290,9 @@ def lstm_step(prev_hidden, prev_cell, x, weight, bias):
 
 @dataclass
 class EncoderTrace:
-    """Recurrent encoder states, one entry per step; rows are regions."""
+    """Recurrent encoder hidden states, one entry per step; rows are regions."""
 
     hidden: list
-    cells: list
-    outputs: list
 
     @property
     def steps(self) -> int:
@@ -323,13 +304,10 @@ def _encode_steps(step_inputs, params: ModelParams) -> EncoderTrace:
     state_dim = params["encoder.weight"].shape[1] // 4
     hidden = ag.tensor(np.zeros((rows, state_dim)))
     cell = ag.tensor(np.zeros((rows, state_dim)))
-    trace = EncoderTrace([], [], [])
+    trace = EncoderTrace([])
     for x in step_inputs:
         hidden, cell = lstm_step(hidden, cell, x, params["encoder.weight"], params["encoder.bias"])
         trace.hidden.append(hidden)
-        trace.cells.append(cell)
-        # per-step output projection; downstream blocks read the states instead
-        trace.outputs.append(ag.matmul(hidden, params["encoder_out_proj.weight"]))
     return trace
 
 
@@ -361,17 +339,21 @@ def attention_scores(decoder_hidden, trace: EncoderTrace, score_weight) -> Tenso
     return ag.reshape(alpha, (trace.steps,)) if squeeze else alpha
 
 
+def _decoder_step(trace: EncoderTrace, params: ModelParams) -> Tensor:
+    """The decoder's single step from a zero state, fed the last encoder state."""
+    zeros = ag.tensor(np.zeros(trace.hidden[-1].shape))
+    hidden, _ = lstm_step(zeros, zeros, trace.hidden[-1],
+                          params["decoder.weight"], params["decoder.bias"])
+    return hidden
+
+
 def _decode_regions(trace: EncoderTrace, params: ModelParams):
-    """Batched one-step decoder with content attention over encoder states."""
-    last_hidden = trace.hidden[-1]
-    rows, state_dim = last_hidden.shape
-    zeros = np.zeros((rows, state_dim))
-    dec_hidden, _dec_cell = lstm_step(
-        ag.tensor(zeros), ag.tensor(zeros), last_hidden,
-        params["decoder.weight"], params["decoder.bias"],
-    )
-    # the decoder's direct projection; the attended path below supersedes it
-    ag.matmul(dec_hidden, params["decoder_out_proj.weight"])
+    """Batched one-step decoder with content attention over encoder states.
+
+    Returns the [rows, feature] region features, the [rows, steps] attention
+    weights, and the attended [rows, hidden] context.
+    """
+    dec_hidden = _decoder_step(trace, params)
     alpha = _attention_weights(dec_hidden, trace.hidden, params["attn_score.weight"])
     context = None
     for t, ht in enumerate(trace.hidden):
@@ -381,26 +363,6 @@ def _decode_regions(trace: EncoderTrace, params: ModelParams):
                                  params["attn_combine.weight"]))
     region = ag.matmul(combined, params["region_out_proj.weight"])
     return region, alpha, context
-
-
-@dataclass
-class RegionFeature:
-    """Decoded summary of one region's scale sequence."""
-
-    feature: Tensor
-    attention: Tensor
-    context: Tensor
-
-
-def decode_region(trace: EncoderTrace, params: ModelParams) -> RegionFeature:
-    """Decode one region's trace into its aggregated feature vector."""
-    region, alpha, context = _decode_regions(trace, params)
-    d = region.shape[1]
-    return RegionFeature(
-        feature=ag.reshape(ag.slice_axis(region, 0, 0, 1), (d,)),
-        attention=ag.reshape(ag.slice_axis(alpha, 0, 0, 1), (alpha.shape[1],)),
-        context=ag.reshape(ag.slice_axis(context, 0, 0, 1), (context.shape[1],)),
-    )
 
 
 def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -416,14 +378,8 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
     trace = _encode_steps(sequences, params)
     if cfg.aggregator == "no_decoder":
         return trace.hidden[-1]
-    rows, state_dim = trace.hidden[-1].shape
-    zeros = np.zeros((rows, state_dim))
-    dec_hidden, _ = lstm_step(
-        ag.tensor(zeros), ag.tensor(zeros), trace.hidden[-1],
-        params["decoder.weight"], params["decoder.bias"],
-    )
     if cfg.aggregator == "no_attention":
-        return ag.matmul(dec_hidden, params["decoder_out_proj.weight"])
+        return ag.matmul(_decoder_step(trace, params), params["decoder_out_proj.weight"])
     region, _alpha, _context = _decode_regions(trace, params)
     return region
 
@@ -434,20 +390,6 @@ def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
     x = _bn_mlp(x, params, "agg_mlp", len(cfg.agg_widths), ctx)
     pooled, _ = ag.pool_rows_max(x, cfg.m)
     return pooled
-
-
-def aggregate_global(region_features, centroids, params: ModelParams,
-                     cfg: ModelConfig, ctx=None) -> Tensor:
-    """Pool one cloud's region features (with centroid coords) into one vector."""
-    ctx = ctx or ForwardContext()
-    region_features = ag.tensor(region_features)
-    geom = CloudGeometry(
-        points=np.zeros((1, 3)), labels=None,
-        centroid_coords=np.asarray(centroids, dtype=np.float64),
-        relative=[],
-    )
-    pooled = _global_features(region_features, [geom], params, cfg, ctx)
-    return ag.reshape(pooled, (cfg.global_dim,))
 
 
 def _classifier_head(x, params, cfg, ctx) -> Tensor:
@@ -492,16 +434,15 @@ def interpolation_weights(targets, sources, k: int) -> np.ndarray:
     if not 1 <= k <= s:
         raise ValueError(f"cannot interpolate from {k} of {s} sources")
     d2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
+    exact = d2 < _EXACT_MATCH_DIST * _EXACT_MATCH_DIST
+    snapped = exact.any(axis=1)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # snapped rows get placeholder distances so no division by zero happens
+    inv = 1.0 / np.where(snapped[:, None], 1.0, np.take_along_axis(d2, nearest, axis=1))
     weights = np.zeros((n, s))
-    threshold = _EXACT_MATCH_DIST * _EXACT_MATCH_DIST
-    for i in range(n):
-        exact = np.flatnonzero(d2[i] < threshold)
-        if exact.size:
-            weights[i, exact[0]] = 1.0
-            continue
-        nearest = np.argsort(d2[i], kind="stable")[:k]
-        w = 1.0 / d2[i, nearest]
-        weights[i, nearest] = w / w.sum()
+    np.put_along_axis(weights, nearest, inv / inv.sum(axis=1, keepdims=True), axis=1)
+    weights[snapped] = 0.0
+    weights[snapped, exact[snapped].argmax(axis=1)] = 1.0
     return weights
 
 
@@ -542,12 +483,6 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
     return logits, [len(g.points) for g in geoms]
 
 
-def segment_forward(cloud: PointCloud, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
-    """Per-point part logits for one cloud: [n, num_parts]."""
-    logits, _ = segment_batch([prepare_cloud(cloud, cfg)], params, cfg, ctx)
-    return logits
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 #
@@ -560,7 +495,7 @@ def segment_forward(cloud: PointCloud, params: ModelParams, cfg: ModelConfig, ct
 # running mean and variance.
 
 _MAGIC = b"PSEQCKPT"
-_VERSION = 1
+_VERSION = 2
 
 _TUPLE_FIELDS = {
     "scales", "area_hidden", "agg_widths", "head_widths",

@@ -86,8 +86,11 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
 
 
 def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:
-    """Stepped learning-rate and batch-norm-momentum values for ``epoch``."""
-    steps = epoch // tcfg.decay_every
+    """Stepped learning-rate and batch-norm-momentum values for ``epoch``.
+
+    ``decay_every = 0`` turns both decays off.
+    """
+    steps = epoch // tcfg.decay_every if tcfg.decay_every else 0
     lr = max(tcfg.lr * tcfg.lr_decay**steps, tcfg.lr_floor)
     momentum = max(tcfg.bn_momentum * tcfg.bn_momentum_decay**steps, tcfg.bn_momentum_floor)
     return lr, momentum
@@ -332,13 +335,16 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
     ``coords_per_tensor`` coordinates are probed per tensor; returns the worst
     relative error and a per-tensor breakdown.
 
-    A coordinate whose probe interval straddles a max-pool or relu kink makes
-    the central difference itself invalid, so a failure at ``step`` is retried
-    once at ``step / 10``. A genuine backward error is step-independent and
-    still fails; only kink artifacts pass on retry. When both readings sit
-    below 1e-8 the coordinate counts as a matching zero: batch norm cancels
-    some shift parameters exactly, and the ratio of finite-difference noise
-    to the 1e-6 floor would otherwise dominate the report.
+    A coordinate that fails at ``step`` is probed again at ``step * 10`` and
+    then at ``step / 10``, and keeps its best reading. Each retry answers one
+    artifact of the central difference: on small gradients the roundoff in
+    the loss difference grows as 1/h and passes at the larger step, and a
+    probe interval that straddles a max-pool or relu kink passes at the
+    smaller one. A genuine backward error is step-independent and fails at
+    all three. When both readings of a probe sit below 1e-8 the coordinate
+    counts as a matching zero: batch norm cancels some shift parameters
+    exactly, and the ratio of finite-difference noise to the 1e-6 floor would
+    otherwise dominate the report.
     """
     rng = np.random.default_rng(seed)
     params.zero_grads()
@@ -366,7 +372,7 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
         for i in picks:
             analytic = grad[i]
             rel = np.inf
-            for h in (step, step / 10):
+            for h in (step, step * 10, step / 10):
                 numeric = central_difference(flat, i, h)
                 if abs(analytic) < 1e-8 and abs(numeric) < 1e-8:
                     rel = 0.0

@@ -95,3 +95,25 @@ def knn_exhaustive(points, query, k):
 
     order = sorted(range(len(points)), key=key)
     return np.array(order[:k], dtype=np.int64)
+
+
+def interpolation_weights_loop(targets, sources, k, exact_match_dist=1e-10):
+    """Per-target reference for inverse-square-distance interpolation weights.
+
+    A target within ``exact_match_dist`` of a source copies the first such
+    source; every other target weights its k nearest sources (stable order)
+    by 1/d^2, normalized to sum to one.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    d2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
+    weights = np.zeros((len(targets), len(sources)))
+    for i in range(len(targets)):
+        exact = np.flatnonzero(d2[i] < exact_match_dist * exact_match_dist)
+        if exact.size:
+            weights[i, exact[0]] = 1.0
+            continue
+        nearest = np.argsort(d2[i], kind="stable")[:k]
+        w = 1.0 / d2[i, nearest]
+        weights[i, nearest] = w / w.sum()
+    return weights

@@ -157,7 +157,6 @@ class TestInvarianceSuite:
             params = ModelParams()
             params.add("encoder.weight", rng.normal(size=(in_dim + hidden, 4 * hidden)))
             params.add("encoder.bias", rng.normal(size=(4 * hidden,)))
-            params.add("encoder_out_proj.weight", rng.normal(size=(hidden, hidden)))
             trace = encode_sequence(rng.normal(size=(steps, in_dim)), params)
             score_weight = rng.normal(size=(hidden, hidden)) * rng.uniform(0.1, 5.0)
             alpha = attention_scores(rng.normal(size=hidden), trace, score_weight).values

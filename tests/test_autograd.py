@@ -152,45 +152,51 @@ class TestSoftmax:
         check_op_gradient(lambda t: ag.mul(ag.softmax(t, axis=1), w), [x])
 
 
+def max_over_rows(x):
+    """Columnwise max of a [k, d] matrix: one group of all its rows."""
+    out, arg = ag.pool_rows_max(x, x.shape[0])
+    return ag.reshape(out, (x.shape[1],)), arg[0]
+
+
 class TestMaxReduce:
     def test_columnwise_max_and_argmax(self):
-        out, arg = ag.max_reduce(ag.Tensor([[1.0, 5.0], [3.0, 2.0]]))
+        out, arg = max_over_rows(ag.Tensor([[1.0, 5.0], [3.0, 2.0]]))
         np.testing.assert_array_equal(out.values, [3.0, 5.0])
         np.testing.assert_array_equal(arg, [1, 0])
 
     def test_single_row_identity(self):
-        out, arg = ag.max_reduce(ag.Tensor([[7.0, -1.0, 0.5]]))
+        out, arg = max_over_rows(ag.Tensor([[7.0, -1.0, 0.5]]))
         np.testing.assert_array_equal(out.values, [7.0, -1.0, 0.5])
         np.testing.assert_array_equal(arg, [0, 0, 0])
 
     def test_ties_pick_lowest_row(self):
-        _, arg = ag.max_reduce(ag.Tensor([[2.0], [2.0], [1.0]]))
+        _, arg = max_over_rows(ag.Tensor([[2.0], [2.0], [1.0]]))
         np.testing.assert_array_equal(arg, [0])
 
     def test_gradient_routes_to_argmax_only(self):
         x = ag.Tensor([[1.0, 5.0], [3.0, 2.0]])
-        out, _ = ag.max_reduce(x)
+        out, _ = max_over_rows(x)
         ag.backward(ag.sum_reduce(ag.mul(out, [2.0, 7.0])))
         np.testing.assert_array_equal(x.grad, [[0.0, 7.0], [2.0, 0.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            ag.max_reduce(ag.Tensor(np.zeros((0, 3))))
+            ag.pool_rows_max(ag.Tensor(np.zeros((0, 3))), 0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(400 + seed)
         x = rng.uniform(-1, 1, (5, 4))
-        check_op_gradient(lambda t: ag.max_reduce(t)[0], [x])
+        check_op_gradient(lambda t: max_over_rows(t)[0], [x])
 
     def test_pool_rows_matches_blockwise_max_reduce(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (12, 5))
         pooled, arg = ag.pool_rows_max(ag.Tensor(x), 4)
         for block in range(3):
-            expect, expect_arg = ag.max_reduce(ag.Tensor(x[4 * block : 4 * block + 4]))
-            np.testing.assert_array_equal(pooled.values[block], expect.values)
-            np.testing.assert_array_equal(arg[block], expect_arg)
+            rows = x[4 * block : 4 * block + 4]
+            np.testing.assert_array_equal(pooled.values[block], rows.max(axis=0))
+            np.testing.assert_array_equal(arg[block], rows.argmax(axis=0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pool_rows_gradient(self, seed):
@@ -301,7 +307,7 @@ class TestBackward:
         def network(xt, w1t, w2t, bt):
             hidden = ag.tanh(ag.add(ag.matmul(xt, w1t), bt))
             gated = ag.mul(hidden, ag.sigmoid(hidden))
-            pooled, _ = ag.max_reduce(ag.matmul(gated, w2t))
+            pooled, _ = max_over_rows(ag.matmul(gated, w2t))
             return ag.softmax(pooled)
 
         check_op_gradient(network, [x, w1, w2, bias])

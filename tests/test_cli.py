@@ -1,6 +1,7 @@
 """Command-line behavior: verbs, exit codes, outputs, and reproducibility."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from pointseq.cli import main
 from pointseq.config import AGGREGATORS
 from pointseq.data import load_manifest
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DESK_CLS = ["--config", str(CONFIGS / "desk_classification.ini")]
+DESK_SEG = ["--config", str(CONFIGS / "desk_segmentation.ini")]
 
 TINY_CLS = [
     "--set", "model.num_classes=3",
@@ -103,6 +108,61 @@ class TestTrainCommand:
         assert code == 0
 
 
+    def test_zero_decay_period_keeps_rates_constant(self, tmp_path, capsys):
+        assert _train(tmp_path / "run", ["--set", "train.decay_every=0"]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "run" / "metrics.log").read_text().splitlines()
+        assert {line.split("lr=")[1].split()[0] for line in lines} == {"0.001"}
+
+
+class TestSizeLimits:
+    """Model sizes the data cannot supply fail before any work starts."""
+
+    def test_m_beyond_synthetic_points_exits_2(self, tmp_path, capsys):
+        code = main(["train", *DESK_CLS, "--out", str(tmp_path), "--set", "model.m=100"])
+        assert code == 2
+        assert "model.m needs 100 points per cloud but data.points is 64" in (
+            capsys.readouterr().err
+        )
+
+    def test_largest_scale_beyond_synthetic_points_exits_2(self, tmp_path, capsys):
+        code = main(["train", *DESK_CLS, "--out", str(tmp_path), "--set", "model.scales=4,80"])
+        assert code == 2
+        assert "model.scales needs 80 points per cloud" in capsys.readouterr().err
+
+    def test_interp_k_beyond_m_exits_2(self, tmp_path, capsys):
+        code = main([
+            "train", *DESK_SEG, "--out", str(tmp_path),
+            "--set", "model.m=8", "--set", "model.interp_k=20",
+        ])
+        assert code == 2
+        assert "model.interp_k=20 exceeds model.m=8" in capsys.readouterr().err
+
+    def test_ablate_m_values_checked_before_the_first_run(self, capsys):
+        # the default m_values (128-512) exceed the desk clouds' 64 points
+        assert main(["ablate", "M", *DESK_CLS]) == 2
+        captured = capsys.readouterr()
+        assert "ablate M=128: model.m needs 128 points" in captured.err
+        assert "# M=" not in captured.out
+
+    def test_ablate_t_values_checked_before_the_first_run(self, capsys):
+        code = main(["ablate", "T", *TINY_CLS, "--set", "model.scales=2 4 32",
+                     "--set", "ablate.t_values=1 3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "ablate T=3: model.scales needs 32 points" in captured.err
+        assert "# T=" not in captured.out
+
+    def test_small_manifest_cloud_exits_3_naming_the_file(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), *TINY_CLS]) == 0
+        small = data_dir / "test_cube_000.pts"
+        small.write_text("0 0 0\n1 0 0\n0 1 0\n")
+        code = _train(tmp_path / "run", ["--set", f"data.manifest={data_dir / 'manifest.txt'}"])
+        assert code == 3
+        assert f"{small} has 3 points but model.m needs 4" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def _trained(self, tmp_path, capsys, config=TINY_CLS):
         out = tmp_path / "run"
@@ -171,6 +231,11 @@ class TestGradcheckCommand:
                 assert name not in seen[section]
                 seen[section].add(name)
         assert all(len(names) > 20 for names in seen.values())
+
+    def test_seed_6_passes(self, capsys):
+        # small gradients there once read as failures from finite-difference roundoff
+        assert main(["gradcheck", "--seed", "6"]) == 0
+        assert "tolerance 0.0001: PASS" in capsys.readouterr().out
 
     def test_unreachable_tolerance_fails_with_exit_1(self, capsys):
         assert main(["gradcheck", "--tolerance", "1e-12"]) == 1

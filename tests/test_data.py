@@ -1,15 +1,14 @@
-"""Point-file and manifest IO, synthetic shapes, and batch iteration."""
+"""Point-file and manifest IO, synthetic shapes, and batch slicing."""
 
 import os
 
 import numpy as np
 import pytest
 
-from pointseq.config import DataConfig
+from pointseq.config import DataConfig, load_run_config
 from pointseq.data import (
     CLASS_KINDS,
     SyntheticSpec,
-    batch_iterator,
     composite_two_part,
     cube_surface,
     generate_synthetic,
@@ -26,6 +25,7 @@ from pointseq.data import (
 )
 from pointseq.errors import ConfigError, DataError, ParseError
 from pointseq.geometry import PointCloud
+from pointseq.training import _batches
 
 
 def _write(path, text):
@@ -473,31 +473,19 @@ class TestSyntheticFiles:
 
 
 class TestBatchIterator:
+    # training and evaluation cut each pass into consecutive index batches
     def test_partition_sizes(self):
-        batches = list(batch_iterator(list(range(10)), 4, seed=0))
-        assert [len(b) for b in batches] == [4, 4, 2]
+        assert [len(b) for b in _batches(10, 4)] == [4, 4, 2]
 
     def test_every_item_appears_once(self):
-        batches = list(batch_iterator(list(range(23)), 5, seed=1))
-        flat = sorted(x for b in batches for x in b)
+        flat = [i for b in _batches(23, 5) for i in b]
         assert flat == list(range(23))
 
-    def test_same_seed_same_order(self):
-        a = list(batch_iterator(list(range(12)), 4, seed=2, epoch=3))
-        b = list(batch_iterator(list(range(12)), 4, seed=2, epoch=3))
-        assert a == b
-
-    def test_epoch_changes_order(self):
-        a = [x for b in batch_iterator(list(range(16)), 4, seed=2, epoch=0) for x in b]
-        b = [x for b in batch_iterator(list(range(16)), 4, seed=2, epoch=1) for x in b]
-        assert a != b
-        assert sorted(a) == sorted(b)
-
     def test_large_batch_yields_single_batch(self):
-        batches = list(batch_iterator(list(range(5)), 99, seed=0))
+        batches = list(_batches(5, 99))
         assert len(batches) == 1
-        assert sorted(batches[0]) == list(range(5))
+        assert batches[0].tolist() == list(range(5))
 
     def test_zero_batch_size_rejected(self):
         with pytest.raises(ConfigError, match="at least 1"):
-            list(batch_iterator([1, 2], 0, seed=0))
+            load_run_config(sets=[("train.batch_size", "0")])

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import fps_exhaustive, knn_exhaustive
 from pointseq import geometry as geo
+from pointseq.config import ModelConfig
+from pointseq.model import prepare_cloud
 
 
 def random_cloud(rng, n, duplicates=False):
@@ -157,6 +159,37 @@ class TestKnnSearch:
         np.testing.assert_array_equal(got, geo.brute_force_knn(cloud, q, k))
         np.testing.assert_array_equal(got, knn_exhaustive(cloud.points, q, k))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batched_rows_match_brute_force(self, seed):
+        rng = np.random.default_rng(4500 + seed)
+        n = int(rng.integers(1, 200))
+        if seed % 2:
+            # lattice coordinates: duplicate points and ties at the k-th distance
+            cloud = geo.PointCloud(rng.integers(-2, 3, size=(n, 3)).astype(np.float64))
+            queries = rng.integers(-2, 3, size=(12, 3)).astype(np.float64)
+        else:
+            cloud = random_cloud(rng, n, duplicates=True)
+            queries = rng.uniform(-1.2, 1.2, (12, 3))
+            queries[::4] = cloud.points[rng.integers(0, n, 3)]
+        for k in (1, int(rng.integers(1, n + 1)), n):
+            got = geo.knn_search(cloud, queries, k)
+            assert got.shape == (12, k)
+            for row, q in zip(got, queries):
+                np.testing.assert_array_equal(row, geo.brute_force_knn(cloud, q, k))
+
+    def test_single_query_is_first_batched_row(self):
+        rng = np.random.default_rng(11)
+        cloud = random_cloud(rng, 30)
+        queries = rng.uniform(-1, 1, (3, 3))
+        batched = geo.knn_search(cloud, queries, 5)
+        np.testing.assert_array_equal(geo.knn_search(cloud, queries[0], 5), batched[0])
+        assert geo.knn_search(cloud, queries[0], 5).shape == (5,)
+
+    def test_bad_query_shape_rejected(self):
+        cloud = geo.PointCloud(np.eye(3))
+        with pytest.raises(ValueError):
+            geo.knn_search(cloud, np.zeros((2, 2)), 1)
+
     def test_brute_force_orders_by_distance(self):
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 50)
@@ -172,12 +205,11 @@ class TestGroupAreas:
         cloud = random_cloud(rng, 64)
         centroids = geo.farthest_point_sample(cloud, 6)
         grouping = geo.group_areas(cloud, centroids, geo.ScaleSpec((4, 8, 16)))
-        for j in range(6):
-            small = grouping.area(j, 0)
-            mid = grouping.area(j, 1)
-            large = grouping.area(j, 2)
-            np.testing.assert_array_equal(mid[: len(small)], small)
-            np.testing.assert_array_equal(large[: len(mid)], mid)
+        # each smaller scale's own search equals a prefix of the largest area
+        assert grouping.neighbor_indices.shape == (6, 16)
+        for k in (4, 8):
+            small = geo.knn_search(cloud, centroids.coords, k)
+            np.testing.assert_array_equal(grouping.neighbor_indices[:, :k], small)
 
     def test_eight_point_cloud_against_brute_force(self):
         rng = np.random.default_rng(9)
@@ -187,7 +219,7 @@ class TestGroupAreas:
         for j in range(2):
             for t, k in enumerate((2, 4)):
                 expect = knn_exhaustive(cloud.points, centroids.coords[j], k)
-                np.testing.assert_array_equal(grouping.area(j, t), expect)
+                np.testing.assert_array_equal(grouping.neighbor_indices[j, :k], expect)
 
     def test_scale_exceeding_cloud_rejected(self):
         cloud = geo.PointCloud(np.eye(3))
@@ -201,24 +233,44 @@ class TestGroupAreas:
         centroids = geo.farthest_point_sample(cloud, 3)
         grouping = geo.group_areas(cloud, centroids, geo.ScaleSpec((4, 12)))
         for j in range(3):
-            assert sorted(grouping.area(j, 1).tolist()) == list(range(12))
+            assert sorted(grouping.neighbor_indices[j, :12].tolist()) == list(range(12))
+
+
+def relative_areas(points, m, scales):
+    """Centroids and the [m, k, 3] centroid-relative areas prepare_cloud caches."""
+    geom = prepare_cloud(geo.PointCloud(points), ModelConfig(m=m, scales=scales))
+    return geom.centroid_coords, [
+        rel.reshape(m, k, 3) for rel, k in zip(geom.relative, scales)
+    ]
 
 
 class TestToRelative:
     def test_example(self):
-        out = geo.to_relative(np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(out, [[0.0, 2.0, 3.0]])
+        # (1, 2, 3) lies farthest from the mean, so it is the one centroid
+        points = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        centroids, (area,) = relative_areas(points, 1, (3,))
+        np.testing.assert_array_equal(centroids, [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(area[0], [[0.0, 0.0, 0.0], [-1.0, -2.0, -3.0],
+                                                [2.0, -2.0, -3.0]])
 
     def test_zero_centroid_is_identity(self):
-        points = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(geo.to_relative(points, np.zeros(3)), points)
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.5], [0.5, 1.0, 1.0]])
+        centroids, (area,) = relative_areas(points, 1, (3,))
+        np.testing.assert_array_equal(centroids, np.zeros((1, 3)))
+        cloud = geo.PointCloud(points)
+        np.testing.assert_array_equal(area[0], points[geo.brute_force_knn(cloud, np.zeros(3), 3)])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_exact(self, seed):
         rng = np.random.default_rng(seed)
         points = rng.uniform(-1, 1, (10, 3))
-        c = rng.uniform(-1, 1, 3)
-        np.testing.assert_array_equal(geo.to_relative(points, c) + c, points)
+        centroids, areas = relative_areas(points, 3, (4, 10))
+        cloud = geo.PointCloud(points)
+        for j, c in enumerate(centroids):
+            for area in areas:
+                gathered = points[geo.brute_force_knn(cloud, c, area.shape[1])]
+                np.testing.assert_array_equal(area[j], gathered - c)
+                np.testing.assert_array_equal(area[j] + c, gathered)
 
 
 class TestPermutationInvariance:
@@ -238,9 +290,9 @@ class TestPermutationInvariance:
         group_a = geo.group_areas(base, cent_a, scales)
         group_b = geo.group_areas(shuffled, cent_b, scales)
         for j in range(m):
-            for t in range(len(scales)):
-                coords_a = base.points[group_a.area(j, t)]
-                coords_b = shuffled.points[group_b.area(j, t)]
+            for k in scales.sizes:
+                coords_a = base.points[group_a.neighbor_indices[j, :k]]
+                coords_b = shuffled.points[group_b.neighbor_indices[j, :k]]
                 np.testing.assert_array_equal(coords_a, coords_b)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -1,5 +1,6 @@
 """Oracle and invariance tests for the network blocks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,14 +15,12 @@ from pointseq.model import (
     EncoderTrace,
     ForwardContext,
     ModelParams,
-    aggregate_global,
-    area_feature,
+    _decode_regions,
     area_pooled_feature,
     attention_scores,
     build_params,
     classify_batch,
     classify_forward,
-    decode_region,
     encode_sequence,
     interpolate_features,
     interpolation_weights,
@@ -30,8 +29,9 @@ from pointseq.model import (
     prepare_cloud,
     save_checkpoint,
     segment_batch,
-    segment_forward,
 )
+
+from helpers import interpolation_weights_loop
 
 
 def tiny_cls_config(**overrides):
@@ -95,8 +95,9 @@ class TestBuildParams:
             "max_pool": set(),
         }
         absent = {
-            "no_attention": {"attn_score.weight"},
-            "no_decoder": {"decoder.weight", "attn_score.weight"},
+            "attention_ed": {"encoder_out_proj.weight", "decoder_out_proj.weight"},
+            "no_attention": {"attn_score.weight", "encoder_out_proj.weight"},
+            "no_decoder": {"decoder.weight", "attn_score.weight", "decoder_out_proj.weight"},
             "concat": {"encoder.weight"},
             "max_pool": {"encoder.weight", "concat_proj.weight"},
         }
@@ -215,17 +216,7 @@ class TestEncodeSequence:
         for t in range(2):
             h_t, c_t = lstm_step(h, c, seq[t : t + 1], p["encoder.weight"], p["encoder.bias"])
             assert_allclose(trace.hidden[t].values, h_t.values, rtol=1e-15)
-            assert_allclose(trace.cells[t].values, c_t.values, rtol=1e-15)
             h, c = h_t.values, c_t.values
-
-    def test_records_projected_outputs(self):
-        cfg = tiny_cls_config()
-        p = build_params(cfg, np.random.default_rng(11))
-        seq = np.random.default_rng(12).normal(size=(3, cfg.feature_dim))
-        trace = encode_sequence(seq, p)
-        for t in range(3):
-            want = trace.hidden[t].values @ p["encoder_out_proj.weight"].values
-            assert_allclose(trace.outputs[t].values, want, rtol=1e-15)
 
     def test_rejects_flat_input(self):
         p = build_params(tiny_cls_config(), np.random.default_rng(0))
@@ -239,7 +230,6 @@ class TestAttention:
         # to the decoder state's coordinates: alpha = softmax([ln 3, 0])
         trace = EncoderTrace(
             hidden=[ag.tensor([[1.0, 0.0]]), ag.tensor([[0.0, 1.0]])],
-            cells=[], outputs=[],
         )
         alpha = attention_scores(np.array([math.log(3.0), 0.0]), trace, np.eye(2))
         assert_allclose(alpha.values, [0.75, 0.25], rtol=1e-14)
@@ -251,7 +241,6 @@ class TestAttention:
             h = int(rng.integers(1, 6))
             trace = EncoderTrace(
                 hidden=[ag.tensor(rng.normal(size=(1, h))) for _ in range(steps)],
-                cells=[], outputs=[],
             )
             alpha = attention_scores(rng.normal(size=h), trace, rng.normal(size=(h, h)))
             assert np.all(alpha.values >= 0)
@@ -259,12 +248,12 @@ class TestAttention:
 
     def test_uniform_when_states_identical(self):
         state = np.random.default_rng(3).normal(size=(1, 4))
-        trace = EncoderTrace(hidden=[ag.tensor(state)] * 3, cells=[], outputs=[])
+        trace = EncoderTrace(hidden=[ag.tensor(state)] * 3)
         alpha = attention_scores(np.ones(4), trace, np.eye(4))
         assert_allclose(alpha.values, np.full(3, 1 / 3), rtol=1e-14)
 
     def test_single_step_collapses_to_one(self):
-        trace = EncoderTrace(hidden=[ag.tensor([[0.3, -2.0]])], cells=[], outputs=[])
+        trace = EncoderTrace(hidden=[ag.tensor([[0.3, -2.0]])])
         alpha = attention_scores(np.array([5.0, 1.0]), trace, np.eye(2))
         assert_array_equal(alpha.values, [1.0])
 
@@ -272,7 +261,6 @@ class TestAttention:
         rng = np.random.default_rng(4)
         trace = EncoderTrace(
             hidden=[ag.tensor(rng.normal(size=(1, 3))) for _ in range(4)],
-            cells=[], outputs=[],
         )
         alpha = attention_scores(rng.normal(size=3), trace, np.zeros((3, 3)))
         assert_allclose(alpha.values, np.full(4, 0.25), rtol=1e-15)
@@ -283,8 +271,7 @@ class TestAttention:
         states = [rng.normal(size=(1, 3)) for _ in range(3)]
         w = rng.normal(size=(3, 3))
         for s in (0.5, 2.0, 7.0):
-            trace = EncoderTrace(hidden=[ag.tensor(s * x) for x in states],
-                                 cells=[], outputs=[])
+            trace = EncoderTrace(hidden=[ag.tensor(s * x) for x in states])
             alpha = attention_scores(h.ravel(), trace, w)
             scores = np.array([((h @ w) @ (s * x).T).item() for x in states])
             e = np.exp(scores - scores.max())
@@ -296,38 +283,55 @@ class TestDecodeRegion:
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(31))
         seq = np.random.default_rng(32).normal(size=(2, cfg.feature_dim))
-        region = decode_region(encode_sequence(seq, p), p)
-        assert region.feature.shape == (cfg.feature_dim,)
-        assert region.attention.shape == (2,)
-        assert region.context.shape == (cfg.hidden_dim,)
-        assert_allclose(region.attention.values.sum(), 1.0, atol=1e-12)
+        region, alpha, context = _decode_regions(encode_sequence(seq, p), p)
+        assert region.shape == (1, cfg.feature_dim)
+        assert alpha.shape == (1, 2)
+        assert context.shape == (1, cfg.hidden_dim)
+        assert_allclose(alpha.values.sum(), 1.0, atol=1e-12)
 
     def test_context_is_attention_average_of_states(self):
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(33))
         seq = np.random.default_rng(34).normal(size=(3, cfg.feature_dim))
         trace = encode_sequence(seq, p)
-        region = decode_region(trace, p)
+        _, alpha, context = _decode_regions(trace, p)
         states = np.concatenate([h.values for h in trace.hidden], axis=0)
-        assert_allclose(region.context.values, region.attention.values @ states,
-                        rtol=1e-12, atol=1e-14)
+        assert_allclose(context.values, alpha.values @ states, rtol=1e-12, atol=1e-14)
 
     def test_single_step_context_equals_first_state(self):
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(35))
         seq = np.random.default_rng(36).normal(size=(1, cfg.feature_dim))
         trace = encode_sequence(seq, p)
-        region = decode_region(trace, p)
-        assert_array_equal(region.attention.values, [1.0])
-        assert_array_equal(region.context.values, trace.hidden[0].values[0])
+        _, alpha, context = _decode_regions(trace, p)
+        assert_array_equal(alpha.values, [[1.0]])
+        assert_array_equal(context.values, trace.hidden[0].values)
 
     def test_zero_output_projection_zeroes_feature(self):
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(37))
         p["region_out_proj.weight"].values[...] = 0.0
         seq = np.random.default_rng(38).normal(size=(2, cfg.feature_dim))
-        region = decode_region(encode_sequence(seq, p), p)
-        assert_array_equal(region.feature.values, np.zeros(cfg.feature_dim))
+        region, _, _ = _decode_regions(encode_sequence(seq, p), p)
+        assert_array_equal(region.values, np.zeros((1, cfg.feature_dim)))
+
+    def test_decoder_steps_once_per_forward(self, monkeypatch):
+        # encoder steps plus one decoder step; no second, discarded decoder step
+        import pointseq.model as model
+
+        calls = []
+        real = model.lstm_step
+
+        def counting_step(prev_hidden, prev_cell, x, weight, bias):
+            calls.append(weight)
+            return real(prev_hidden, prev_cell, x, weight, bias)
+
+        monkeypatch.setattr(model, "lstm_step", counting_step)
+        cfg = tiny_cls_config()
+        p = build_params(cfg, np.random.default_rng(39))
+        geom = prepare_cloud(PointCloud(np.random.default_rng(40).normal(size=(16, 3))), cfg)
+        classify_batch([geom], p, cfg)
+        assert [w is p["decoder.weight"] for w in calls] == [False, False, True]
 
 
 class TestAreaFeature:
@@ -358,18 +362,19 @@ class TestAreaFeature:
         p = build_params(cfg, np.random.default_rng(43))
         rng = np.random.default_rng(44)
         pts = rng.normal(size=(8, 3))
-        centroid = rng.normal(size=3)
-        base = area_feature(pts, centroid, p, cfg).values
+        base = area_pooled_feature(pts, p, cfg).values
         for _ in range(5):
             perm = rng.permutation(8)
-            assert_array_equal(area_feature(pts[perm], centroid, p, cfg).values, base)
+            assert_array_equal(area_pooled_feature(pts[perm], p, cfg).values, base)
 
     def test_centroid_shifts_feature(self):
+        # same centroid-relative areas, different centroid coordinates
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(45))
-        pts = np.random.default_rng(46).normal(size=(4, 3))
-        a = area_feature(pts, np.zeros(3), p, cfg).values
-        b = area_feature(pts, np.ones(3), p, cfg).values
+        geom = prepare_cloud(PointCloud(np.random.default_rng(46).normal(size=(16, 3))), cfg)
+        moved = dataclasses.replace(geom, centroid_coords=geom.centroid_coords + 1.0)
+        a = classify_batch([geom], p, cfg).values
+        b = classify_batch([moved], p, cfg).values
         assert not np.array_equal(a, b)
 
     def test_single_point_pool_is_identity(self):
@@ -475,6 +480,23 @@ class TestInterpolation:
         assert_array_equal(geom.interp_weights.sum(axis=1), np.ones(12))
         assert_array_equal((geom.interp_weights == 1.0).sum(axis=1), np.ones(12))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_target_loop_exactly(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        n_sources = int(rng.integers(1, 40))
+        k = int(rng.integers(1, n_sources + 1))
+        if seed % 2:
+            # lattice points force distance ties and duplicate sources
+            sources = rng.integers(-2, 3, size=(n_sources, 3)).astype(np.float64)
+            targets = rng.integers(-2, 3, size=(50, 3)).astype(np.float64)
+        else:
+            sources = rng.normal(size=(n_sources, 3))
+            targets = rng.normal(size=(50, 3))
+            targets[::3] = sources[rng.integers(n_sources, size=len(targets[::3]))]
+            targets[1] = sources[0] + 1e-11  # within the exact-match distance
+        got = interpolation_weights(targets, sources, k)
+        assert_array_equal(got, interpolation_weights_loop(targets, sources, k))
+
     def test_feature_carry_differentiable(self):
         rng = np.random.default_rng(53)
         t = rng.normal(size=(5, 3))
@@ -488,23 +510,31 @@ class TestInterpolation:
 
 class TestAggregateGlobal:
     def test_shape(self):
+        # one global vector per cloud: changing cloud 1 leaves cloud 0 alone
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(61))
         rng = np.random.default_rng(62)
-        g = aggregate_global(rng.normal(size=(cfg.m, cfg.feature_dim)),
-                             rng.normal(size=(cfg.m, 3)), p, cfg)
-        assert g.shape == (cfg.global_dim,)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(16, 3))), cfg) for _ in range(3)]
+        logits = classify_batch(geoms[:2], p, cfg)
+        assert logits.shape == (2, cfg.num_classes)
+        other = classify_batch([geoms[0], geoms[2]], p, cfg)
+        assert_allclose(other.values[0], logits.values[0], rtol=1e-12, atol=1e-12)
+        assert not np.array_equal(other.values[1], logits.values[1])
 
     def test_region_order_irrelevant(self):
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(63))
         rng = np.random.default_rng(64)
-        feats = rng.normal(size=(cfg.m, cfg.feature_dim))
-        cents = rng.normal(size=(cfg.m, 3))
-        base = aggregate_global(feats, cents, p, cfg).values
+        geom = prepare_cloud(PointCloud(rng.normal(size=(16, 3))), cfg)
+        base = classify_batch([geom], p, cfg).values
         for _ in range(5):
             perm = rng.permutation(cfg.m)
-            assert_array_equal(aggregate_global(feats[perm], cents[perm], p, cfg).values, base)
+            relative = [r.reshape(cfg.m, k, 3)[perm].reshape(-1, 3)
+                        for r, k in zip(geom.relative, cfg.scales)]
+            shuffled = dataclasses.replace(
+                geom, centroid_coords=geom.centroid_coords[perm], relative=relative
+            )
+            assert_array_equal(classify_batch([shuffled], p, cfg).values, base)
 
 
 class TestClassifyForward:
@@ -554,24 +584,29 @@ class TestClassifyForward:
             assert grads > 0
 
 
+def _segment_one(cloud, params, cfg):
+    logits, _ = segment_batch([prepare_cloud(cloud, cfg)], params, cfg)
+    return logits
+
+
 class TestSegmentForward:
     def test_shape_and_determinism(self):
         cfg = tiny_seg_config()
         p = build_params(cfg, np.random.default_rng(81))
         cloud = PointCloud(np.random.default_rng(82).normal(size=(16, 3)))
-        a = segment_forward(cloud, p, cfg)
+        a = _segment_one(cloud, p, cfg)
         assert a.shape == (16, cfg.num_parts)
-        assert_array_equal(a.values, segment_forward(cloud, p, cfg).values)
+        assert_array_equal(a.values, _segment_one(cloud, p, cfg).values)
 
     def test_point_permutation_equivariance(self):
         cfg = tiny_seg_config()
         p = build_params(cfg, np.random.default_rng(83))
         rng = np.random.default_rng(84)
         pts = rng.normal(size=(20, 3))
-        base = segment_forward(PointCloud(pts), p, cfg).values
+        base = _segment_one(PointCloud(pts), p, cfg).values
         for _ in range(5):
             perm = rng.permutation(20)
-            got = segment_forward(PointCloud(pts[perm]), p, cfg).values
+            got = _segment_one(PointCloud(pts[perm]), p, cfg).values
             assert_array_equal(got, base[perm])
 
     def test_batch_row_counts(self):

@@ -123,6 +123,11 @@ class TestSchedules:
         assert apply_schedules(tcfg, 4)[0] == 0.01
         assert apply_schedules(tcfg, 5)[0] == 0.005
 
+    def test_zero_period_turns_decay_off(self):
+        tcfg = TrainConfig(decay_every=0)
+        assert apply_schedules(tcfg, 0) == (0.001, 0.5)
+        assert apply_schedules(tcfg, 500) == (0.001, 0.5)
+
 
 class TestClassificationMetrics:
     def test_frozen_two_class_example(self):
@@ -292,6 +297,24 @@ class TestGradientCheck:
 
         worst, _ = gradient_check(p, loss_fn, coords_per_tensor=2)
         assert worst > 1e-2
+
+    @pytest.mark.parametrize("op", ["sigmoid", "softmax"])
+    def test_detects_small_planted_backward_error(self, monkeypatch, op):
+        # a 0.1% error in one op's backward must stay visible above 1e-4,
+        # whatever the retries at other step sizes find
+        real = getattr(ag, op)
+
+        def faulty(*args, **kwargs):
+            out = real(*args, **kwargs)
+            grad_fn = out.grad_fn
+            out.grad_fn = lambda g: tuple(
+                None if gi is None else gi * 1.001 for gi in grad_fn(g)
+            )
+            return out
+
+        monkeypatch.setattr(ag, op, faulty)
+        worst, _ = classification_gradient_check(coords_per_tensor=4)
+        assert worst > 1e-4
 
     def test_zero_parameter_model_gives_empty_report(self):
         worst, report = gradient_check(ModelParams(), lambda: ag.tensor(1.5))
