@@ -18,18 +18,14 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "sub",
     "mul",
-    "div",
     "maximum",
     "relu",
     "tanh",
     "sigmoid",
-    "sqrt",
     "softmax",
     "pool_rows_max",
     "sum_reduce",
-    "mean_reduce",
     "concat",
     "slice_axis",
     "reshape",
@@ -83,12 +79,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -96,9 +86,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def tensor(values) -> Tensor:
@@ -138,22 +125,8 @@ def add(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
-
-
 def mul(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def div(a, b) -> Tensor:
-    return _binary(
-        a,
-        b,
-        lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-    )
 
 
 def maximum(a, b) -> Tensor:
@@ -215,17 +188,6 @@ def sigmoid(x) -> Tensor:
     return Tensor(out, (x,), grad_fn)
 
 
-def sqrt(x) -> Tensor:
-    """Elementwise square root; inputs must be strictly positive."""
-    x = tensor(x)
-    out = np.sqrt(x.values)
-
-    def grad_fn(g):
-        return (g * 0.5 / out,)
-
-    return Tensor(out, (x,), grad_fn)
-
-
 def softmax(x, axis=-1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max is subtracted first)."""
     x = tensor(x)
@@ -276,21 +238,6 @@ def sum_reduce(x, axis=None, keepdims=False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
-
-    return Tensor(out, (x,), grad_fn)
-
-
-def mean_reduce(x, axis=None, keepdims=False) -> Tensor:
-    x = tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    if count == 0:
-        raise ShapeError("mean over an empty axis")
-    out = x.values.mean(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
 
     return Tensor(out, (x,), grad_fn)
 
@@ -429,22 +376,45 @@ def batch_norm(x, state, training=False, momentum=0.5) -> Tensor:
     Training mode normalizes by the current batch moments and folds them into
     the running statistics with weight ``momentum``; eval mode normalizes by
     the stored running statistics. A constant batch normalizes to the shift
-    parameter exactly.
+    parameter exactly. One graph node with parents ``(x, gamma, beta)``; the
+    backward is the closed form of Ioffe & Szegedy (arXiv 1502.03167).
     """
     x = tensor(x)
     if x.ndim != 2 or x.shape[1] != state.dim:
         raise ShapeError(f"batch_norm expects [n, {state.dim}] input, got shape {x.shape}")
+    gamma, beta = state.gamma, state.beta
     if training:
-        mean = mean_reduce(x, axis=0, keepdims=True)
-        centered = sub(x, mean)
-        var = mean_reduce(mul(centered, centered), axis=0, keepdims=True)
-        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean.values[0]
-        state.running_var = (1.0 - momentum) * state.running_var + momentum * var.values[0]
-        normalized = div(centered, sqrt(add(var, state.eps)))
+        mean = x.values.mean(axis=0)
+        normalized = x.values - mean
+        var = (normalized * normalized).mean(axis=0)
+        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
+        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+        std = np.sqrt(var + state.eps)
+        normalized /= std
+        inv_std = 1.0 / std
     else:
-        scale = 1.0 / np.sqrt(state.running_var + state.eps)
-        normalized = mul(sub(x, state.running_mean), scale)
-    return add(mul(normalized, state.gamma), state.beta)
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        normalized = x.values - state.running_mean
+        normalized *= inv_std
+    out = normalized * gamma.values
+    out += beta.values
+    gain = gamma.values * inv_std
+    n = len(normalized)
+
+    def grad_fn(g):
+        dgamma = (g * normalized).sum(axis=0)
+        dbeta = g.sum(axis=0)
+        if training:
+            # the batch moments depend on x as well: remove the gradient's
+            # column mean and its component along the normalized column
+            dx = g - dbeta / n
+            dx -= normalized * (dgamma / n)
+            dx *= gain
+        else:
+            dx = g * gain
+        return dx, dgamma, dbeta
+
+    return Tensor(out, (x, gamma, beta), grad_fn)
 
 
 def _topo_order(root):

@@ -3,8 +3,9 @@
 Every command echoes its effective configuration (defaults, then the config
 file, then ``--set`` overrides) before doing any work, so a run can be
 reproduced bit-exactly from its own log. Exit codes: 0 success, 2 for
-configuration errors, 3 for data or IO errors; gradcheck exits 1 when the
-measured gradient error exceeds the tolerance.
+configuration errors (a training run whose loss or gradients turn non-finite
+included), 3 for data or IO errors; gradcheck exits 1 when the measured
+gradient error exceeds the tolerance.
 """
 
 from __future__ import annotations

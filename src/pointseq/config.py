@@ -106,13 +106,7 @@ class RunConfig:
     ablate: AblateConfig = field(default_factory=AblateConfig)
 
 
-_SECTIONS = {
-    "model": "model",
-    "train": "train",
-    "data": "data",
-    "run": "run",
-    "ablate": "ablate",
-}
+_SECTIONS = ("model", "train", "data", "run", "ablate")
 
 
 def _parse_scalar(raw: str, kind, where: str):
@@ -135,8 +129,6 @@ def _assign(obj, key: str, raw: str, where: str):
         elem = float if key == "lr_values" else int
         parts = [p for p in raw.replace(",", " ").split() if p]
         value = tuple(_parse_scalar(p, elem, where) for p in parts)
-    elif isinstance(current, bool):
-        value = raw.strip().lower() in ("1", "true", "yes", "on")
     elif isinstance(current, int):
         value = _parse_scalar(raw, int, where)
     elif isinstance(current, float):

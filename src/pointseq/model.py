@@ -136,15 +136,13 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
         if bias:
             p.add(f"{name}.bias", np.zeros(fan_out))
 
-    def bn_layer(prefix, i, fan_in, width):
-        # batch norm supplies the shift, so these layers carry no bias
-        linear(f"{prefix}.{i}", fan_in, width, bias=False)
-        p.add_batch_norm(f"{prefix}.{i}", width, cfg.bn_eps)
-
     def mlp(prefix, in_dim, widths):
         for i, width in enumerate(widths):
-            bn_layer(prefix, i, in_dim, width)
+            # batch norm supplies the shift, so these layers carry no bias
+            linear(f"{prefix}.{i}", in_dim, width, bias=False)
+            p.add_batch_norm(f"{prefix}.{i}", width, cfg.bn_eps)
             in_dim = width
+        return in_dim
 
     def lstm(name, in_dim, state_dim):
         p.add(f"{name}.weight", _uniform(rng, (state_dim + in_dim, 4 * state_dim), state_dim + in_dim))
@@ -171,20 +169,13 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
     mlp("agg_mlp", cfg.region_dim + 3, cfg.agg_widths)
 
     if cfg.task == "classification":
-        width = cfg.global_dim
-        for i, w in enumerate(cfg.head_widths):
-            bn_layer("head", i, width, w)
-            width = w
-        linear("head.out", width, cfg.num_classes)
+        linear("head.out", mlp("head", cfg.global_dim, cfg.head_widths), cfg.num_classes)
     else:
         mlp("seg_point_mlp", 3, (cfg.seg_point_width,))
         mlp("seg_prop1", cfg.global_dim + cfg.region_dim, cfg.seg_prop1_widths)
-        mlp("seg_prop2", cfg.seg_prop1_widths[-1] + cfg.seg_point_width, cfg.seg_prop2_widths)
-        width = cfg.seg_prop2_widths[-1]
-        for i, w in enumerate(cfg.seg_head_widths):
-            bn_layer("seg_head", i, width, w)
-            width = w
-        linear("seg_head.out", width, cfg.num_parts)
+        width = mlp("seg_prop2", cfg.seg_prop1_widths[-1] + cfg.seg_point_width,
+                    cfg.seg_prop2_widths)
+        linear("seg_head.out", mlp("seg_head", width, cfg.seg_head_widths), cfg.num_parts)
     return p
 
 
@@ -214,13 +205,16 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
     return CloudGeometry(cloud.points, cloud.labels, centroids.coords, relative, interp)
 
 
-def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardContext):
+def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardContext,
+            dropout: float = 0.0):
+    """``n_layers`` of matmul, batch norm, relu and dropout (none at ratio 0)."""
     for i in range(n_layers):
         x = ag.matmul(x, params[f"{prefix}.{i}.weight"])
         x = ag.batch_norm(
             x, params.batch_norms[f"{prefix}.{i}"], training=ctx.training, momentum=ctx.bn_momentum
         )
         x = ag.relu(x)
+        x = ag.dropout(x, dropout, training=ctx.training, rng=ctx.rng)
     return x
 
 
@@ -269,11 +263,6 @@ def lstm_step(prev_hidden, prev_cell, x, weight, bias):
     the input row is concatenated after the previous hidden state.
     """
     prev_hidden, prev_cell, x = ag.tensor(prev_hidden), ag.tensor(prev_cell), ag.tensor(x)
-    squeeze = prev_hidden.ndim == 1
-    if squeeze:
-        prev_hidden = ag.reshape(prev_hidden, (1, -1))
-        prev_cell = ag.reshape(prev_cell, (1, -1))
-        x = ag.reshape(x, (1, -1))
     state_dim = prev_hidden.shape[1]
     z = ag.matmul(ag.concat([prev_hidden, x], axis=1), weight) + bias
     gate_in = ag.sigmoid(ag.slice_axis(z, 1, 0, state_dim))
@@ -282,9 +271,6 @@ def lstm_step(prev_hidden, prev_cell, x, weight, bias):
     candidate = ag.tanh(ag.slice_axis(z, 1, 3 * state_dim, 4 * state_dim))
     cell = gate_forget * prev_cell + gate_in * candidate
     hidden = gate_out * ag.tanh(cell)
-    if squeeze:
-        hidden = ag.reshape(hidden, (state_dim,))
-        cell = ag.reshape(cell, (state_dim,))
     return hidden, cell
 
 
@@ -320,23 +306,17 @@ def encode_sequence(sequence, params: ModelParams) -> EncoderTrace:
     return _encode_steps(steps, params)
 
 
-def _attention_weights(decoder_hidden, encoder_hidden, score_weight) -> Tensor:
+def attention_scores(decoder_hidden, trace: EncoderTrace, score_weight) -> Tensor:
+    """Attention over encoder steps: softmax of bilinear alignment scores.
+
+    ``decoder_hidden`` is [rows, hidden]; the result is [rows, steps].
+    """
     projected = ag.matmul(decoder_hidden, score_weight)
     scores = ag.concat(
-        [ag.sum_reduce(ag.mul(projected, ht), axis=1, keepdims=True) for ht in encoder_hidden],
+        [ag.sum_reduce(ag.mul(projected, ht), axis=1, keepdims=True) for ht in trace.hidden],
         axis=1,
     )
     return ag.softmax(scores, axis=1)
-
-
-def attention_scores(decoder_hidden, trace: EncoderTrace, score_weight) -> Tensor:
-    """Attention over encoder steps: softmax of bilinear alignment scores."""
-    decoder_hidden = ag.tensor(decoder_hidden)
-    squeeze = decoder_hidden.ndim == 1
-    if squeeze:
-        decoder_hidden = ag.reshape(decoder_hidden, (1, -1))
-    alpha = _attention_weights(decoder_hidden, trace.hidden, ag.tensor(score_weight))
-    return ag.reshape(alpha, (trace.steps,)) if squeeze else alpha
 
 
 def _decoder_step(trace: EncoderTrace, params: ModelParams) -> Tensor:
@@ -354,7 +334,7 @@ def _decode_regions(trace: EncoderTrace, params: ModelParams):
     weights, and the attended [rows, hidden] context.
     """
     dec_hidden = _decoder_step(trace, params)
-    alpha = _attention_weights(dec_hidden, trace.hidden, params["attn_score.weight"])
+    alpha = attention_scores(dec_hidden, trace, params["attn_score.weight"])
     context = None
     for t, ht in enumerate(trace.hidden):
         term = ag.mul(ag.slice_axis(alpha, 1, t, t + 1), ht)
@@ -392,16 +372,6 @@ def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
     return pooled
 
 
-def _classifier_head(x, params, cfg, ctx) -> Tensor:
-    for i in range(len(cfg.head_widths)):
-        x = ag.matmul(x, params[f"head.{i}.weight"])
-        x = ag.batch_norm(x, params.batch_norms[f"head.{i}"],
-                          training=ctx.training, momentum=ctx.bn_momentum)
-        x = ag.relu(x)
-        x = ag.dropout(x, cfg.dropout, training=ctx.training, rng=ctx.rng)
-    return ag.matmul(x, params["head.out.weight"]) + params["head.out.bias"]
-
-
 def _trunk(geoms, params, cfg, ctx):
     sequences = _area_sequences(geoms, params, cfg, ctx)
     regions = _region_features(sequences, params, cfg)
@@ -413,7 +383,8 @@ def classify_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None) -> Te
     """Class logits for a batch of prepared clouds: [batch, num_classes]."""
     ctx = ctx or ForwardContext()
     _, globals_ = _trunk(geoms, params, cfg, ctx)
-    return _classifier_head(globals_, params, cfg, ctx)
+    x = _bn_mlp(globals_, params, "head", len(cfg.head_widths), ctx, cfg.dropout)
+    return ag.matmul(x, params["head.out.weight"]) + params["head.out.bias"]
 
 
 def classify_forward(cloud: PointCloud, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
@@ -473,12 +444,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
     skip = _bn_mlp(points, params, "seg_point_mlp", 1, ctx)
     x = ag.concat([up, skip], axis=1)
     x = _bn_mlp(x, params, "seg_prop2", len(cfg.seg_prop2_widths), ctx)
-    for i in range(len(cfg.seg_head_widths)):
-        x = ag.matmul(x, params[f"seg_head.{i}.weight"])
-        x = ag.batch_norm(x, params.batch_norms[f"seg_head.{i}"],
-                          training=ctx.training, momentum=ctx.bn_momentum)
-        x = ag.relu(x)
-        x = ag.dropout(x, cfg.dropout, training=ctx.training, rng=ctx.rng)
+    x = _bn_mlp(x, params, "seg_head", len(cfg.seg_head_widths), ctx, cfg.dropout)
     logits = ag.matmul(x, params["seg_head.out.weight"]) + params["seg_head.out.bias"]
     return logits, [len(g.points) for g in geoms]
 

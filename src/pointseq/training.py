@@ -155,9 +155,9 @@ def evaluate_classification(geoms, labels, params: ModelParams, cfg: ModelConfig
     pred = np.empty(len(geoms), dtype=np.int64)
     for idx in _batches(len(geoms), batch_size):
         logits = classify_batch([geoms[i] for i in idx], params, cfg, ctx)
-        loss = cross_entropy_loss(logits, labels[idx])
-        total_loss += float(loss.values) * len(idx)
+        total_loss += float(cross_entropy_loss(logits, labels[idx]).values) * len(idx)
         pred[idx] = np.argmax(logits.values, axis=1)
+        del logits  # free this batch's graph before the next one is built
     instance, class_avg = classification_metrics(pred, labels, cfg.num_classes)
     return {"loss": total_loss / len(geoms), "instance_acc": instance, "class_acc": class_avg}
 
@@ -187,18 +187,17 @@ def evaluate_segmentation(geoms, params: ModelParams, cfg: ModelConfig,
         batch = [geoms[i] for i in idx]
         logits, counts = segment_batch(batch, params, cfg, ctx)
         labels = np.concatenate([g.labels for g in batch])
-        loss = cross_entropy_loss(logits, labels)
-        total_loss += float(loss.values) * len(labels)
+        total_loss += float(cross_entropy_loss(logits, labels).values) * len(labels)
         total_points += len(labels)
         offset = 0
         for g, i, n in zip(batch, idx, counts):
-            rows = logits.values[offset : offset + n]
-            offset += n
             part_range = None if part_ranges is None else part_ranges[i]
-            pred = predict_parts(rows, part_range)
+            pred = predict_parts(logits.values[offset : offset + n], part_range)
+            offset += n
             correct += int(np.sum(pred == g.labels))
             parts = range(cfg.num_parts) if part_range is None else range(*part_range)
             ious.append(shape_miou(pred, g.labels, parts))
+        del logits  # free this batch's graph before the next one is built
     result = {
         "loss": total_loss / total_points,
         "point_acc": correct / total_points,
@@ -229,6 +228,28 @@ def _format_line(epoch: int, stats: dict) -> str:
     parts = [f"epoch={epoch}"]
     parts += [f"{k}={v:.12g}" for k, v in stats.items()]
     return " ".join(parts)
+
+
+def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: ForwardContext,
+                adam: AdamState, lr: float, where: str) -> float:
+    """Forward, backward and one Adam update for one batch; returns its loss.
+
+    The step's graph is unreachable once this returns. A non-finite loss or
+    parameter gradient raises a ConfigError before any parameter moves.
+    ``labels`` are per-cloud class ids; segmentation reads the clouds' own.
+    """
+    if cfg.task == "classification":
+        loss = cross_entropy_loss(classify_batch(geoms, params, cfg, ctx), labels)
+    else:
+        logits, _ = segment_batch(geoms, params, cfg, ctx)
+        loss = cross_entropy_loss(logits, np.concatenate([g.labels for g in geoms]))
+    params.zero_grads()
+    ag.backward(loss)
+    if not (np.isfinite(loss.values) and all(np.isfinite(t.grad).all() for _, t in params.items())):
+        raise ConfigError(f"training diverged at {where}: the loss or a parameter gradient "
+                          "is not finite; lower train.lr")
+    adam_step(params, adam, lr)
+    return float(loss.values)
 
 
 def train(train_clouds, train_labels, test_clouds, test_labels,
@@ -262,23 +283,15 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
         order = rng.permutation(len(train_geoms))
         epoch_loss = 0.0
         denom = 0
-        for idx in _batches(len(order), tcfg.batch_size):
+        for b, idx in enumerate(_batches(len(order), tcfg.batch_size)):
             batch = order[idx]
             ctx = ForwardContext(training=True, rng=rng, bn_momentum=bn_momentum)
             geoms = [train_geoms[i] for i in batch]
-            if classification:
-                logits = classify_batch(geoms, params, cfg, ctx)
-                loss = cross_entropy_loss(logits, train_labels[batch])
-                weight = len(batch)
-            else:
-                logits, _ = segment_batch(geoms, params, cfg, ctx)
-                labels = np.concatenate([g.labels for g in geoms])
-                loss = cross_entropy_loss(logits, labels)
-                weight = len(labels)
-            params.zero_grads()
-            ag.backward(loss)
-            adam_step(params, adam, lr)
-            epoch_loss += float(loss.values) * weight
+            labels = train_labels[batch] if classification else None
+            where = f"epoch {epoch}, batch {b} (train.lr={tcfg.lr!r})"
+            loss = _train_step(geoms, labels, params, cfg, ctx, adam, lr, where)
+            weight = len(batch) if classification else sum(len(g.points) for g in geoms)
+            epoch_loss += loss * weight
             denom += weight
 
         if classification:

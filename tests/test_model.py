@@ -149,10 +149,10 @@ class TestLstmStep:
         c_want = sig(z[1]) * c_prev + sig(z[0]) * math.tanh(z[3])
         h_want = sig(z[2]) * math.tanh(c_want)
 
-        h, c = lstm_step(np.array([h_prev]), np.array([c_prev]), np.array([x]),
+        h, c = lstm_step(np.array([[h_prev]]), np.array([[c_prev]]), np.array([[x]]),
                          ag.tensor(w), ag.tensor(b))
-        assert_allclose(h.values, [h_want], rtol=1e-15)
-        assert_allclose(c.values, [c_want], rtol=1e-15)
+        assert_allclose(h.values, [[h_want]], rtol=1e-15)
+        assert_allclose(c.values, [[c_want]], rtol=1e-15)
 
     def test_zero_parameters_give_zero_state(self):
         w = ag.tensor(np.zeros((6, 8)))
@@ -192,15 +192,6 @@ class TestLstmStep:
             assert_allclose(h_all.values[i], h_i.values[0], rtol=1e-13, atol=1e-15)
             assert_allclose(c_all.values[i], c_i.values[0], rtol=1e-13, atol=1e-15)
 
-    def test_one_dimensional_state_round_trip(self):
-        rng = np.random.default_rng(9)
-        w = ag.tensor(rng.normal(size=(7, 12)))
-        b = ag.tensor(rng.normal(size=12))
-        h, c = lstm_step(rng.normal(size=3), rng.normal(size=3),
-                         rng.normal(size=4), w, b)
-        assert h.shape == (3,)
-        assert c.shape == (3,)
-
 
 class TestEncodeSequence:
     def test_matches_manual_unroll(self):
@@ -231,8 +222,8 @@ class TestAttention:
         trace = EncoderTrace(
             hidden=[ag.tensor([[1.0, 0.0]]), ag.tensor([[0.0, 1.0]])],
         )
-        alpha = attention_scores(np.array([math.log(3.0), 0.0]), trace, np.eye(2))
-        assert_allclose(alpha.values, [0.75, 0.25], rtol=1e-14)
+        alpha = attention_scores(np.array([[math.log(3.0), 0.0]]), trace, np.eye(2))
+        assert_allclose(alpha.values, [[0.75, 0.25]], rtol=1e-14)
 
     def test_weights_form_distribution(self):
         rng = np.random.default_rng(21)
@@ -242,28 +233,28 @@ class TestAttention:
             trace = EncoderTrace(
                 hidden=[ag.tensor(rng.normal(size=(1, h))) for _ in range(steps)],
             )
-            alpha = attention_scores(rng.normal(size=h), trace, rng.normal(size=(h, h)))
+            alpha = attention_scores(rng.normal(size=(1, h)), trace, rng.normal(size=(h, h)))
             assert np.all(alpha.values >= 0)
             assert_allclose(alpha.values.sum(), 1.0, atol=1e-12)
 
     def test_uniform_when_states_identical(self):
         state = np.random.default_rng(3).normal(size=(1, 4))
         trace = EncoderTrace(hidden=[ag.tensor(state)] * 3)
-        alpha = attention_scores(np.ones(4), trace, np.eye(4))
-        assert_allclose(alpha.values, np.full(3, 1 / 3), rtol=1e-14)
+        alpha = attention_scores(np.ones((1, 4)), trace, np.eye(4))
+        assert_allclose(alpha.values, np.full((1, 3), 1 / 3), rtol=1e-14)
 
     def test_single_step_collapses_to_one(self):
         trace = EncoderTrace(hidden=[ag.tensor([[0.3, -2.0]])])
-        alpha = attention_scores(np.array([5.0, 1.0]), trace, np.eye(2))
-        assert_array_equal(alpha.values, [1.0])
+        alpha = attention_scores(np.array([[5.0, 1.0]]), trace, np.eye(2))
+        assert_array_equal(alpha.values, [[1.0]])
 
     def test_zero_score_weight_gives_uniform(self):
         rng = np.random.default_rng(4)
         trace = EncoderTrace(
             hidden=[ag.tensor(rng.normal(size=(1, 3))) for _ in range(4)],
         )
-        alpha = attention_scores(rng.normal(size=3), trace, np.zeros((3, 3)))
-        assert_allclose(alpha.values, np.full(4, 0.25), rtol=1e-15)
+        alpha = attention_scores(rng.normal(size=(1, 3)), trace, np.zeros((3, 3)))
+        assert_allclose(alpha.values, np.full((1, 4), 0.25), rtol=1e-15)
 
     def test_scaled_states_match_direct_softmax(self):
         rng = np.random.default_rng(5)
@@ -272,10 +263,10 @@ class TestAttention:
         w = rng.normal(size=(3, 3))
         for s in (0.5, 2.0, 7.0):
             trace = EncoderTrace(hidden=[ag.tensor(s * x) for x in states])
-            alpha = attention_scores(h.ravel(), trace, w)
+            alpha = attention_scores(h, trace, w)
             scores = np.array([((h @ w) @ (s * x).T).item() for x in states])
             e = np.exp(scores - scores.max())
-            assert_allclose(alpha.values, e / e.sum(), rtol=1e-12)
+            assert_allclose(alpha.values, [e / e.sum()], rtol=1e-12)
 
 
 class TestDecodeRegion:

@@ -1,10 +1,13 @@
 """Optimizer, schedule, metric, and training-loop tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pointseq import autograd as ag
+from pointseq import training
 from pointseq.autograd import Tensor
 from pointseq.config import ModelConfig, TrainConfig
 from pointseq.errors import ConfigError, DataError
@@ -401,6 +404,48 @@ class TestTrain:
         assert len(r.history) == 2
         assert "train_miou=" in r.log_lines[0]
         assert 0.0 <= r.history[-1]["test_miou"] <= 1.0
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_no_graph_outlives_its_batch(self, task, monkeypatch):
+        # every array a forward computed is unreachable once the next forward
+        # begins: training steps and evaluation batches alike
+        live = []
+
+        def interior_values(root):
+            seen, stack, found = set(), [root], []
+            while stack:
+                node = stack.pop()
+                if id(node) in seen or not node.parents:
+                    continue
+                seen.add(id(node))
+                found.append(node.values)
+                stack.extend(node.parents)
+            return found
+
+        def tracked(forward):
+            def wrapper(geoms, params, cfg, ctx=None):
+                assert all(ref() is None for ref in live), "the previous batch's graph is alive"
+                out = forward(geoms, params, cfg, ctx)
+                logits = out[0] if isinstance(out, tuple) else out
+                live[:] = [weakref.ref(v) for v in interior_values(logits)]
+                return out
+            return wrapper
+
+        monkeypatch.setattr(training, "classify_batch", tracked(training.classify_batch))
+        monkeypatch.setattr(training, "segment_batch", tracked(training.segment_batch))
+        rng = np.random.default_rng(44)
+        tcfg = TrainConfig(lr=0.005, batch_size=2, epochs=2, seed=5)
+        if task == "classification":
+            clouds, labels = two_class_clouds(4, 24, rng)
+            train(clouds, labels, clouds[:3], labels[:3], tiny_cfg(), tcfg)
+        else:
+            cfg = tiny_cfg(task="segmentation", num_parts=2, seg_point_width=8,
+                           seg_prop1_widths=(16, 8), seg_prop2_widths=(16, 8),
+                           seg_head_widths=(8,))
+            clouds = [PointCloud(pts, labels=(pts[:, 2] > 0).astype(int))
+                      for pts in rng.normal(size=(4, 16, 3))]
+            train(clouds, None, clouds[:3], None, cfg, tcfg)
+        assert live
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError):
