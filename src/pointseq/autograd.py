@@ -25,6 +25,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "pool_rows_max",
+    "pool_prefix_max",
     "sum_reduce",
     "concat",
     "slice_axis",
@@ -204,30 +205,65 @@ def softmax(x, axis=-1) -> Tensor:
     return Tensor(out, (x,), grad_fn)
 
 
-def pool_rows_max(x, group_size):
-    """Max over consecutive row groups of a [m*group_size, d] matrix.
+def pool_rows_max(x, group_size) -> Tensor:
+    """Max over consecutive row groups of a [m*group_size, d] matrix: [m, d].
 
-    Returns ``([m, d] values, [m, d] argmax within group)``; ties go to the
-    lowest row of the group, and the gradient routes to the winning entries
-    only.
+    The gradient routes to the winning entries only; ties go to the lowest
+    row of the group.
+    """
+    return pool_prefix_max(x, group_size, (group_size,))
+
+
+def pool_prefix_max(x, group_size, prefixes) -> Tensor:
+    """Max over the first ``k`` rows of each row group, for every ``k`` in ``prefixes``.
+
+    ``x`` is [m*group_size, d] and ``prefixes`` strictly increase up to
+    ``group_size``. The result stacks one [m, d] block per prefix, in
+    ``prefixes`` order: [len(prefixes)*m, d]. Each row is read once: prefix t
+    extends prefix t-1's max by rows [k_{t-1}, k_t), and a later row wins only
+    when strictly greater, so ties go to the lowest row as in
+    :func:`pool_rows_max`, and the gradient routes the same way.
     """
     x = tensor(x)
     if x.ndim != 2:
-        raise ShapeError(f"pool_rows_max expects a 2-d input, got shape {x.shape}")
+        raise ShapeError(f"row pooling expects a 2-d input, got shape {x.shape}")
     rows, d = x.shape
     if group_size < 1 or rows % group_size != 0:
         raise ShapeError(f"cannot pool {rows} rows in groups of {group_size}")
+    bounds = (0, *prefixes)
+    steps = list(zip(bounds, bounds[1:]))
+    if not steps or any(b <= a for a, b in steps) or bounds[-1] > group_size:
+        raise ShapeError(f"prefixes {tuple(prefixes)} must strictly increase within "
+                         f"groups of {group_size}")
     m = rows // group_size
     blocks = x.values.reshape(m, group_size, d)
-    arg = np.argmax(blocks, axis=1)
-    out = np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :]
+    out = np.empty((len(prefixes), m, d))
+    for t, (lo, hi) in enumerate(steps):
+        np.max(blocks[:, lo:hi], axis=1, out=out[t])
+        if t:
+            np.maximum(out[t - 1], out[t], out=out[t])
 
     def grad_fn(g):
+        g = g.reshape(out.shape)
         gx = np.zeros((m, group_size, d))
-        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
+        # walk the prefixes from the longest down: ``carry`` is the gradient
+        # owed to prefix t's running max, which either rows [k_{t-1}, k_t) or
+        # the shorter prefix won
+        carry = g[-1]
+        for t in range(len(steps) - 1, -1, -1):
+            lo, hi = steps[t]
+            if t:
+                took = out[t] > out[t - 1]
+                won = np.where(took, carry, 0.0)
+                carry = np.where(took, 0.0, carry)
+                carry += g[t - 1]
+            else:
+                won = carry
+            arg = np.argmax(blocks[:, lo:hi], axis=1)
+            np.put_along_axis(gx[:, lo:hi], arg[:, None, :], won[:, None, :], axis=1)
         return (gx.reshape(rows, d),)
 
-    return Tensor(out, (x,), grad_fn), arg.copy()
+    return Tensor(out.reshape(len(prefixes) * m, d), (x,), grad_fn)
 
 
 def sum_reduce(x, axis=None, keepdims=False) -> Tensor:
@@ -370,7 +406,7 @@ class BatchNormState:
         self.running_var = np.ones(dim)
 
 
-def batch_norm(x, state, training=False, momentum=0.5) -> Tensor:
+def batch_norm(x, state, training=False, momentum=0.5, weights=None) -> Tensor:
     """Normalize the rows of ``x`` per feature column.
 
     Training mode normalizes by the current batch moments and folds them into
@@ -378,40 +414,61 @@ def batch_norm(x, state, training=False, momentum=0.5) -> Tensor:
     the stored running statistics. A constant batch normalizes to the shift
     parameter exactly. One graph node with parents ``(x, gamma, beta)``; the
     backward is the closed form of Ioffe & Szegedy (arXiv 1502.03167).
+
+    ``weights`` (one non-negative count per row) makes training mode treat
+    row j as ``weights[j]`` identical rows: the moments are weighted means
+    over ``W = sum(weights)`` rows, so statistics, outputs and gradients equal
+    those of the batch with every row repeated that many times. Eval mode
+    ignores them.
     """
     x = tensor(x)
     if x.ndim != 2 or x.shape[1] != state.dim:
         raise ShapeError(f"batch_norm expects [n, {state.dim}] input, got shape {x.shape}")
+    if weights is not None and np.shape(weights) != (x.shape[0],):
+        raise ShapeError(f"batch_norm weights of shape {np.shape(weights)} do not match "
+                         f"{x.shape[0]} rows")
     gamma, beta = state.gamma, state.beta
     if training:
-        mean = x.values.mean(axis=0)
-        normalized = x.values - mean
-        var = (normalized * normalized).mean(axis=0)
+        if weights is None:
+            total = len(x.values)
+            mean = x.values.mean(axis=0)
+            normalized = x.values - mean
+            var = (normalized * normalized).mean(axis=0)
+        else:
+            total = weights.sum()
+            mean = (weights @ x.values) / total
+            normalized = x.values - mean
+            var = (weights @ (normalized * normalized)) / total
         state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
         state.running_var = (1.0 - momentum) * state.running_var + momentum * var
         std = np.sqrt(var + state.eps)
         normalized /= std
         inv_std = 1.0 / std
+        out = normalized * gamma.values
+        out += beta.values
+        gain = gamma.values * inv_std
     else:
+        # one scale and one shift; x-hat is only needed if backward runs
+        running_mean = state.running_mean
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        normalized = x.values - state.running_mean
-        normalized *= inv_std
-    out = normalized * gamma.values
-    out += beta.values
-    gain = gamma.values * inv_std
-    n = len(normalized)
+        gain = gamma.values * inv_std
+        out = x.values * gain
+        out += beta.values - running_mean * gain
 
     def grad_fn(g):
-        dgamma = (g * normalized).sum(axis=0)
         dbeta = g.sum(axis=0)
-        if training:
-            # the batch moments depend on x as well: remove the gradient's
-            # column mean and its component along the normalized column
-            dx = g - dbeta / n
-            dx -= normalized * (dgamma / n)
-            dx *= gain
-        else:
-            dx = g * gain
+        if not training:
+            dgamma = (g * ((x.values - running_mean) * inv_std)).sum(axis=0)
+            return g * gain, dgamma, dbeta
+        dgamma = (g * normalized).sum(axis=0)
+        # the batch moments depend on x as well: remove the gradient's
+        # (weighted) column mean and its component along the normalized column
+        dx = normalized * (dgamma / total)
+        dx += dbeta / total
+        if weights is not None:
+            dx *= weights[:, None]
+        np.subtract(g, dx, out=dx)
+        dx *= gain
         return dx, dgamma, dbeta
 
     return Tensor(out, (x, gamma, beta), grad_fn)
@@ -439,10 +496,13 @@ def _topo_order(root):
 
 
 def backward(loss) -> None:
-    """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
+    """Accumulate d(loss)/d(tensor) into ``.grad`` of every leaf reachable
+    from ``loss`` (every tensor without a ``grad_fn``, parameters included).
 
     ``loss`` must be a scalar. Gradients add into any existing ``.grad``
-    buffers, so repeated calls without zeroing accumulate.
+    buffers, so repeated calls without zeroing accumulate. Intermediate nodes
+    keep ``.grad`` unset: each one's gradient is dropped as soon as its
+    ``grad_fn`` has used it.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -450,19 +510,32 @@ def backward(loss) -> None:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
     grads = {id(loss): np.ones_like(loss.values)}
+    # ids whose buffer this walk allocated; any other gradient may be shared
+    # (``add`` hands one array to both parents), so it is never added into
+    owned = set()
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node.grad_fn is None:
+        if node.grad_fn is None:
+            continue
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
         for parent, pg in zip(node.parents, node.grad_fn(g)):
             if pg is None:
                 continue
-            acc = grads.get(id(parent))
+            key = id(parent)
+            acc = grads.get(key)
             if acc is None:
-                grads[id(parent)] = np.array(pg)
-            else:
+                grads[key] = pg
+            elif key in owned:
                 acc += pg
+            else:
+                grads[key] = acc + pg
+                owned.add(key)
     for node in order:
         g = grads.get(id(node))
-        if g is not None:
-            node.grad = g if node.grad is None else node.grad + g
+        if g is None:
+            continue
+        if node.grad is not None:
+            node.grad = node.grad + g
+        else:
+            node.grad = g if id(node) in owned else np.array(g)

@@ -206,13 +206,16 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
 
 
 def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardContext,
-            dropout: float = 0.0):
-    """``n_layers`` of matmul, batch norm, relu and dropout (none at ratio 0)."""
+            dropout: float = 0.0, weights=None):
+    """``n_layers`` of matmul, batch norm, relu and dropout (none at ratio 0).
+
+    ``weights`` are per-row multiplicities for the batch norms (see
+    :func:`autograd.batch_norm`).
+    """
     for i in range(n_layers):
         x = ag.matmul(x, params[f"{prefix}.{i}.weight"])
-        x = ag.batch_norm(
-            x, params.batch_norms[f"{prefix}.{i}"], training=ctx.training, momentum=ctx.bn_momentum
-        )
+        x = ag.batch_norm(x, params.batch_norms[f"{prefix}.{i}"], training=ctx.training,
+                          momentum=ctx.bn_momentum, weights=weights)
         x = ag.relu(x)
         x = ag.dropout(x, dropout, training=ctx.training, rng=ctx.rng)
     return x
@@ -221,26 +224,24 @@ def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardCont
 def _area_sequences(geoms, params, cfg, ctx):
     """Per-scale region features for a batch: a list of [b*m, d] tensors.
 
-    All scales' area points go through the shared point MLP in one stack, a
-    per-area max pool collapses each neighborhood, and a linear layer folds
-    the centroid coordinates back in.
+    The scales are nested (each smaller area is a prefix of the largest), so
+    only the largest area's points go through the shared point MLP. Its batch
+    norms count row j once per scale whose area holds it, which gives the
+    statistics of stacking every scale's copy; a prefix max pool then
+    collapses each scale's neighborhood, and a linear layer folds the
+    centroid coordinates back in.
     """
-    stacked = ag.tensor(np.concatenate(
-        [g.relative[t] for t in range(cfg.num_scales) for g in geoms], axis=0
-    ))
-    feats = _bn_mlp(stacked, params, "area_mlp", len(cfg.area_hidden) + 1, ctx)
-    centroids = ag.tensor(np.concatenate([g.centroid_coords for g in geoms], axis=0))
-    rows_per_scale = [len(geoms) * cfg.m * k for k in cfg.scales]
-    out = []
-    offset = 0
-    for t, k in enumerate(cfg.scales):
-        block = ag.slice_axis(feats, 0, offset, offset + rows_per_scale[t])
-        offset += rows_per_scale[t]
-        pooled, _ = ag.pool_rows_max(block, k)
-        with_centroid = ag.concat([pooled, centroids], axis=1)
-        s_t = ag.matmul(with_centroid, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
-        out.append(s_t)
-    return out
+    largest = cfg.scales[-1]
+    regions = len(geoms) * cfg.m
+    points = ag.tensor(np.concatenate([g.relative[-1] for g in geoms], axis=0))
+    multiplicity = (np.arange(largest)[:, None] < np.asarray(cfg.scales)).sum(axis=1)
+    weights = np.tile(multiplicity.astype(np.float64), regions)
+    feats = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx, weights=weights)
+    pooled = ag.pool_prefix_max(feats, largest, cfg.scales)
+    centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
+    x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)
+    x = ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
+    return [ag.slice_axis(x, 0, t * regions, (t + 1) * regions) for t in range(cfg.num_scales)]
 
 
 def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
@@ -252,7 +253,7 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
             f"an area needs at least one relative [k, 3] point row, got {relative_points.shape}"
         )
     feats = _bn_mlp(ag.tensor(relative_points), params, "area_mlp", len(cfg.area_hidden) + 1, ctx)
-    pooled, _ = ag.pool_rows_max(feats, len(relative_points))
+    pooled = ag.pool_rows_max(feats, len(relative_points))
     return ag.reshape(pooled, (cfg.feature_dim,))
 
 
@@ -368,8 +369,7 @@ def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
     centroids = ag.tensor(np.concatenate([g.centroid_coords for g in geoms], axis=0))
     x = ag.concat([region_feats, centroids], axis=1)
     x = _bn_mlp(x, params, "agg_mlp", len(cfg.agg_widths), ctx)
-    pooled, _ = ag.pool_rows_max(x, cfg.m)
-    return pooled
+    return ag.pool_rows_max(x, cfg.m)
 
 
 def _trunk(geoms, params, cfg, ctx):

@@ -238,13 +238,16 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
     parameter gradient raises a ConfigError before any parameter moves.
     ``labels`` are per-cloud class ids; segmentation reads the clouds' own.
     """
-    if cfg.task == "classification":
-        loss = cross_entropy_loss(classify_batch(geoms, params, cfg, ctx), labels)
-    else:
-        logits, _ = segment_batch(geoms, params, cfg, ctx)
-        loss = cross_entropy_loss(logits, np.concatenate([g.labels for g in geoms]))
-    params.zero_grads()
-    ag.backward(loss)
+    # a diverging step overflows long before its loss is checked; the check
+    # below reports it, so NumPy's floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.task == "classification":
+            loss = cross_entropy_loss(classify_batch(geoms, params, cfg, ctx), labels)
+        else:
+            logits, _ = segment_batch(geoms, params, cfg, ctx)
+            loss = cross_entropy_loss(logits, np.concatenate([g.labels for g in geoms]))
+        params.zero_grads()
+        ag.backward(loss)
     if not (np.isfinite(loss.values) and all(np.isfinite(t.grad).all() for _, t in params.items())):
         raise ConfigError(f"training diverged at {where}: the loss or a parameter gradient "
                           "is not finite; lower train.lr")

@@ -117,3 +117,30 @@ def interpolation_weights_loop(targets, sources, k, exact_match_dist=1e-10):
         w = 1.0 / d2[i, nearest]
         weights[i, nearest] = w / w.sum()
     return weights
+
+
+def area_sequences_per_scale(geoms, params, cfg, ctx):
+    """Reference area block: every scale's copy of its area points.
+
+    Stacks each scale's relative points (scale-major, then cloud, region and
+    point) through the shared point MLP with plain batch norms, then max-pools
+    and projects each scale's block on its own. Returns the per-scale list of
+    [b*m, d] tensors that the forward feeds to the aggregator.
+    """
+    from pointseq import model
+
+    stacked = ag.tensor(np.concatenate(
+        [g.relative[t] for t in range(cfg.num_scales) for g in geoms], axis=0
+    ))
+    feats = model._bn_mlp(stacked, params, "area_mlp", len(cfg.area_hidden) + 1, ctx)
+    centroids = ag.tensor(np.concatenate([g.centroid_coords for g in geoms], axis=0))
+    out = []
+    offset = 0
+    for k in cfg.scales:
+        rows = len(geoms) * cfg.m * k
+        pooled = ag.pool_rows_max(ag.slice_axis(feats, 0, offset, offset + rows), k)
+        offset += rows
+        with_centroid = ag.concat([pooled, centroids], axis=1)
+        out.append(ag.matmul(with_centroid, params["centroid_proj.weight"])
+                   + params["centroid_proj.bias"])
+    return out

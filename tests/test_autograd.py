@@ -145,28 +145,37 @@ class TestSoftmax:
 
 def max_over_rows(x):
     """Columnwise max of a [k, d] matrix: one group of all its rows."""
-    out, arg = ag.pool_rows_max(x, x.shape[0])
-    return ag.reshape(out, (x.shape[1],)), arg[0]
+    return ag.reshape(ag.pool_rows_max(x, x.shape[0]), (x.shape[1],))
+
+
+def routed_rows(x, group_size):
+    """Per group and column, the row a unit output gradient reaches: [m, d]."""
+    x = ag.Tensor(x)
+    ag.backward(ag.sum_reduce(ag.pool_rows_max(x, group_size)))
+    grad = x.grad.reshape(-1, group_size, x.shape[1])
+    assert np.all(grad.sum(axis=1) == 1.0), "each output must route to exactly one row"
+    return grad.argmax(axis=1)
 
 
 class TestMaxReduce:
     def test_columnwise_max_and_argmax(self):
-        out, arg = max_over_rows(ag.Tensor([[1.0, 5.0], [3.0, 2.0]]))
+        x = [[1.0, 5.0], [3.0, 2.0]]
+        out = max_over_rows(ag.Tensor(x))
         np.testing.assert_array_equal(out.values, [3.0, 5.0])
-        np.testing.assert_array_equal(arg, [1, 0])
+        np.testing.assert_array_equal(routed_rows(x, 2), [[1, 0]])
 
     def test_single_row_identity(self):
-        out, arg = max_over_rows(ag.Tensor([[7.0, -1.0, 0.5]]))
+        x = [[7.0, -1.0, 0.5]]
+        out = max_over_rows(ag.Tensor(x))
         np.testing.assert_array_equal(out.values, [7.0, -1.0, 0.5])
-        np.testing.assert_array_equal(arg, [0, 0, 0])
+        np.testing.assert_array_equal(routed_rows(x, 1), [[0, 0, 0]])
 
     def test_ties_pick_lowest_row(self):
-        _, arg = max_over_rows(ag.Tensor([[2.0], [2.0], [1.0]]))
-        np.testing.assert_array_equal(arg, [0])
+        np.testing.assert_array_equal(routed_rows([[2.0], [2.0], [1.0]], 3), [[0]])
 
     def test_gradient_routes_to_argmax_only(self):
         x = ag.Tensor([[1.0, 5.0], [3.0, 2.0]])
-        out, _ = max_over_rows(x)
+        out = max_over_rows(x)
         ag.backward(ag.sum_reduce(ag.mul(out, [2.0, 7.0])))
         np.testing.assert_array_equal(x.grad, [[0.0, 7.0], [2.0, 0.0]])
 
@@ -178,26 +187,71 @@ class TestMaxReduce:
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(400 + seed)
         x = rng.uniform(-1, 1, (5, 4))
-        check_op_gradient(lambda t: max_over_rows(t)[0], [x])
+        check_op_gradient(max_over_rows, [x])
 
     def test_pool_rows_matches_blockwise_max_reduce(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (12, 5))
-        pooled, arg = ag.pool_rows_max(ag.Tensor(x), 4)
+        pooled = ag.pool_rows_max(ag.Tensor(x), 4)
+        routed = routed_rows(x, 4)
         for block in range(3):
             rows = x[4 * block : 4 * block + 4]
             np.testing.assert_array_equal(pooled.values[block], rows.max(axis=0))
-            np.testing.assert_array_equal(arg[block], rows.argmax(axis=0))
+            np.testing.assert_array_equal(routed[block], rows.argmax(axis=0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pool_rows_gradient(self, seed):
         rng = np.random.default_rng(500 + seed)
         x = rng.uniform(-1, 1, (8, 3))
-        check_op_gradient(lambda t: ag.pool_rows_max(t, 2)[0], [x])
+        check_op_gradient(lambda t: ag.pool_rows_max(t, 2), [x])
 
     def test_pool_rows_rejects_ragged_groups(self):
         with pytest.raises(ShapeError):
             ag.pool_rows_max(ag.Tensor(np.ones((7, 2))), 2)
+
+
+class TestPrefixMaxPool:
+    PREFIXES = (1, 3, 4)
+
+    def test_each_block_is_the_max_over_its_prefix(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, (12, 5))
+        out = ag.pool_prefix_max(ag.Tensor(x), 4, self.PREFIXES)
+        blocks = x.reshape(3, 4, 5)
+        expected = np.concatenate([blocks[:, :k].max(axis=1) for k in self.PREFIXES])
+        np.testing.assert_array_equal(out.values, expected)
+
+    def test_gradient_routes_like_one_pool_per_prefix(self):
+        # integer-valued rows force ties within and across prefix segments
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 3, (12, 5)).astype(float)
+        g = rng.uniform(-1, 1, (9, 5))
+        prefix = ag.Tensor(x)
+        ag.backward(ag.sum_reduce(ag.mul(ag.pool_prefix_max(prefix, 4, self.PREFIXES), g)))
+        expected = np.zeros((3, 4, 5))
+        for t, k in enumerate(self.PREFIXES):
+            head = ag.Tensor(x.reshape(3, 4, 5)[:, :k].reshape(3 * k, 5))
+            ag.backward(ag.sum_reduce(ag.mul(ag.pool_rows_max(head, k), g[3 * t : 3 * t + 3])))
+            expected[:, :k] += head.grad.reshape(3, k, 5)
+        np.testing.assert_array_equal(prefix.grad, expected.reshape(12, 5))
+
+    def test_ties_go_to_the_lowest_row(self):
+        x = ag.Tensor([[2.0], [1.0], [2.0], [2.0]])
+        ag.backward(ag.sum_reduce(ag.pool_prefix_max(x, 4, (1, 2, 4))))
+        np.testing.assert_array_equal(x.grad, [[3.0], [0.0], [0.0], [0.0]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        x = rng.uniform(-1, 1, (12, 3))
+        # weight the outputs so every prefix contributes its own gradient
+        w = rng.uniform(-1, 1, (9, 3))
+        check_op_gradient(lambda t: ag.mul(ag.pool_prefix_max(t, 4, self.PREFIXES), w), [x])
+
+    @pytest.mark.parametrize("prefixes", [(), (2, 2), (3, 5), (0, 2)])
+    def test_bad_prefixes_rejected(self, prefixes):
+        with pytest.raises(ShapeError):
+            ag.pool_prefix_max(ag.Tensor(np.ones((8, 2))), 4, prefixes)
 
 
 class TestConcatAndSlicing:
@@ -261,6 +315,29 @@ class TestBackward:
         ag.backward(ag.sum_reduce(ag.mul(x, x)))
         np.testing.assert_allclose(x.grad, [4.0])
 
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_shared_gradient_lands_unaliased(self, shared_first):
+        # add hands one gradient array to both parents; a then receives a
+        # second gradient, which must not be added into b's copy
+        a = ag.Tensor([[1.0, 2.0]])
+        b = ag.Tensor([[3.0, 4.0]])
+        through_add = ag.sum_reduce(ag.mul(ag.add(a, b), [[2.0, 5.0]]))
+        direct = ag.sum_reduce(ag.mul(a, [[10.0, 20.0]]))
+        pair = (through_add, direct) if shared_first else (direct, through_add)
+        ag.backward(ag.add(*pair))
+        np.testing.assert_array_equal(a.grad, [[12.0, 25.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0, 5.0]])
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_only_leaves_keep_gradients(self):
+        x = ag.Tensor([[0.5, -0.3]])
+        hidden = ag.tanh(x)
+        loss = ag.sum_reduce(ag.mul(hidden, hidden))
+        ag.backward(loss)
+        assert hidden.grad is None
+        assert loss.grad is None
+        np.testing.assert_allclose(x.grad, 2 * np.tanh(x.values) * (1 - np.tanh(x.values) ** 2))
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ShapeError):
             ag.backward(ag.Tensor([1.0, 2.0]))
@@ -298,7 +375,7 @@ class TestBackward:
         def network(xt, w1t, w2t, bt):
             hidden = ag.tanh(ag.add(ag.matmul(xt, w1t), bt))
             gated = ag.mul(hidden, ag.sigmoid(hidden))
-            pooled, _ = max_over_rows(ag.matmul(gated, w2t))
+            pooled = max_over_rows(ag.matmul(gated, w2t))
             return ag.softmax(pooled)
 
         check_op_gradient(network, [x, w1, w2, bias])
@@ -343,6 +420,32 @@ class TestDropout:
         check_op_gradient(apply, [x_arr])
 
 
+BN_CASES = [(seed, 6, None) for seed in range(5)] + [(5, 1, None), (6, 6, 1e3)]
+BN_CASE_IDS = [*map(str, range(5)), "one_row", "far_mean"]
+
+
+def _bn_gradient_case(seed, rows, center, training, weights=None):
+    """(build, arrays) for check_op_gradient over batch norm's x, gamma and beta."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (rows, 3))
+    if center is not None:
+        x[:, 0] = center + 1e-2 * x[:, 0]
+    gamma = rng.uniform(0.5, 1.5, 3)
+    beta = rng.uniform(-1, 1, 3)
+    # weight the outputs; a plain sum has an identically-zero input gradient
+    w = rng.uniform(-1, 1, (rows, 3))
+
+    def apply(xt, gt, bt):
+        state = ag.BatchNormState(3)
+        state.gamma = gt
+        state.beta = bt
+        state.running_mean[:] = 0.25
+        state.running_var[:] = 0.8
+        return ag.mul(ag.batch_norm(xt, state, training=training, weights=weights), w)
+
+    return apply, [x, gamma, beta]
+
+
 class TestBatchNorm:
     def test_two_sample_batch_normalizes_to_unit(self):
         state = ag.BatchNormState(1)
@@ -382,30 +485,49 @@ class TestBatchNorm:
     # beyond the random batches: a one-row training batch, and a column whose
     # mean sits far from zero next to its spread, where cancellation would show
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize(
-        "seed,rows,center",
-        [(seed, 6, None) for seed in range(5)] + [(5, 1, None), (6, 6, 1e3)],
-        ids=[*map(str, range(5)), "one_row", "far_mean"],
-    )
+    @pytest.mark.parametrize("seed,rows,center", BN_CASES, ids=BN_CASE_IDS)
     def test_gradients_including_scale_and_shift(self, training, seed, rows, center):
-        rng = np.random.default_rng(800 + seed)
-        x = rng.uniform(-1, 1, (rows, 3))
-        if center is not None:
-            x[:, 0] = center + 1e-2 * x[:, 0]
-        gamma = rng.uniform(0.5, 1.5, 3)
-        beta = rng.uniform(-1, 1, 3)
-        # weight the outputs; a plain sum has an identically-zero input gradient
-        w = rng.uniform(-1, 1, (rows, 3))
+        check_op_gradient(*_bn_gradient_case(800 + seed, rows, center, training))
 
-        def apply(xt, gt, bt):
+    @pytest.mark.parametrize("seed,rows,center", BN_CASES, ids=BN_CASE_IDS)
+    def test_weighted_gradients_including_scale_and_shift(self, seed, rows, center):
+        rng = np.random.default_rng(850 + seed)
+        # uneven integer multiplicities, as the nested area scales give
+        weights = np.array([3.0]) if rows == 1 else rng.permutation(np.arange(rows) % 3 + 1.0)
+        check_op_gradient(*_bn_gradient_case(850 + seed, rows, center, True, weights))
+
+    def test_weights_act_as_repeated_rows(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, (5, 3))
+        weights = np.array([1.0, 3.0, 2.0, 1.0, 4.0])
+        g = rng.uniform(-1, 1, (5, 3))
+        repeats = weights.astype(int)
+
+        def run(rows, row_weights, out_grad):
             state = ag.BatchNormState(3)
-            state.gamma = gt
-            state.beta = bt
-            state.running_mean[:] = 0.25
-            state.running_var[:] = 0.8
-            return ag.mul(ag.batch_norm(xt, state, training=training), w)
+            state.gamma.values[:] = [0.5, 1.0, 2.0]
+            xt = ag.Tensor(rows)
+            out = ag.batch_norm(xt, state, training=True, weights=row_weights)
+            ag.backward(ag.sum_reduce(ag.mul(out, out_grad)))
+            return out.values, xt.grad, state
 
-        check_op_gradient(apply, [x, gamma, beta])
+        out_w, dx_w, state_w = run(x, weights, g)
+        # each copy takes an equal share of its row's output gradient
+        out_r, dx_r, state_r = run(np.repeat(x, repeats, axis=0), None,
+                                   np.repeat(g / weights[:, None], repeats, axis=0))
+        starts = np.concatenate([[0], np.cumsum(repeats)[:-1]])
+        close = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out_w, out_r[starts], **close)
+        np.testing.assert_allclose(dx_w, np.add.reduceat(dx_r, starts, axis=0), **close)
+        np.testing.assert_allclose(state_w.running_mean, state_r.running_mean, **close)
+        np.testing.assert_allclose(state_w.running_var, state_r.running_var, **close)
+        np.testing.assert_allclose(state_w.gamma.grad, state_r.gamma.grad, **close)
+        np.testing.assert_allclose(state_w.beta.grad, state_r.beta.grad, **close)
+
+    def test_weights_must_match_rows(self):
+        with pytest.raises(ShapeError):
+            ag.batch_norm(ag.Tensor(np.ones((3, 2))), ag.BatchNormState(2), training=True,
+                          weights=np.ones(2))
 
 
 class TestCrossEntropy:

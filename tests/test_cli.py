@@ -1,6 +1,7 @@
 """Command-line behavior: verbs, exit codes, outputs, and reproducibility."""
 
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,9 +117,13 @@ class TestTrainCommand:
 
     def test_non_finite_training_exits_2_without_checkpoint(self, tmp_path, capsys):
         run = tmp_path / "run"
-        code = _train(run, ["--set", "train.lr=1e200", "--set", "train.epochs=2"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _train(run, ["--set", "train.lr=1e200", "--set", "train.epochs=2"])
         err = capsys.readouterr().err
         assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
         assert "training diverged at epoch 0, batch 1" in err
         assert "train.lr=1e+200" in err
         assert not (run / "checkpoint.bin").exists()

@@ -31,7 +31,8 @@ from pointseq.model import (
     segment_batch,
 )
 
-from helpers import interpolation_weights_loop
+from helpers import area_sequences_per_scale, interpolation_weights_loop
+from pointseq import model
 
 
 def tiny_cls_config(**overrides):
@@ -405,6 +406,58 @@ class TestAreaFeature:
             moved = (pts + shift) - (centroid + shift)
             got = area_pooled_feature(moved, p, cfg).values
             assert_allclose(got, base, atol=1e-9)
+
+
+class TestNestedAreaPass:
+    """The one pass over each region's largest area against the per-scale stack."""
+
+    @staticmethod
+    def _run(monkeypatch, area_fn, cfg, clouds, training):
+        params = build_params(cfg, np.random.default_rng(0))
+        geoms = [prepare_cloud(c, cfg) for c in clouds]
+        sequences = []
+
+        def recorded(*args):
+            sequences.extend(area_fn(*args))
+            return sequences
+
+        monkeypatch.setattr(model, "_area_sequences", recorded)
+        ctx = ForwardContext(training=training, rng=np.random.default_rng(5))
+        if cfg.task == "classification":
+            logits = classify_batch(geoms, params, cfg, ctx)
+            labels = np.arange(len(geoms)) % cfg.num_classes
+        else:
+            logits, _ = segment_batch(geoms, params, cfg, ctx)
+            labels = np.concatenate([g.labels for g in geoms])
+        params.zero_grads()
+        ag.backward(ag.cross_entropy_mean(logits, labels))
+        tensors = {f"sequence.{t}": s.values for t, s in enumerate(sequences)}
+        tensors["logits"] = logits.values
+        tensors.update({f"{name}.grad": t.grad for name, t in params.items()})
+        for name, state in params.batch_norms.items():
+            tensors[f"{name}.running_mean"] = state.running_mean
+            tensors[f"{name}.running_var"] = state.running_var
+        return tensors
+
+    @pytest.mark.parametrize("scales", [(4,), (2, 4), (4, 8, 16)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_matches_per_scale_stack(self, monkeypatch, task, training, scales):
+        make = tiny_cls_config if task == "classification" else tiny_seg_config
+        cfg = make(scales=scales)
+        rng = np.random.default_rng(11)
+        clouds = [PointCloud(rng.normal(size=(20, 3)), labels=rng.integers(0, 4, size=20))
+                  for _ in range(3)]
+        got = self._run(monkeypatch, model._area_sequences, cfg, clouds, training)
+        want = self._run(monkeypatch, area_sequences_per_scale, cfg, clouds, training)
+        assert got.keys() == want.keys()
+        for name, ref in want.items():
+            # agg_mlp.1.beta's gradient is zero in exact arithmetic in training
+            # mode (the batch norm after the global pool centres its columns),
+            # so both sides hold only ~1e-16 rounding noise there
+            scale = np.abs(ref).max()
+            atol = 1e-12 * scale if scale > 1e-14 else 1e-14
+            assert_allclose(got[name], ref, rtol=0, atol=atol, err_msg=name)
 
 
 class TestInterpolation:
