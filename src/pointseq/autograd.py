@@ -8,6 +8,8 @@ cross-checks them against central finite differences.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
@@ -15,36 +17,56 @@ from .errors import ConfigError, DataError, ShapeError
 __all__ = [
     "Tensor",
     "tensor",
+    "no_grad",
     "backward",
     "matmul",
     "add",
     "mul",
     "maximum",
-    "relu",
     "tanh",
     "sigmoid",
     "softmax",
-    "pool_rows_max",
-    "pool_prefix_max",
     "sum_reduce",
     "concat",
     "slice_axis",
     "reshape",
     "repeat_rows",
-    "dropout",
     "cross_entropy_mean",
     "BatchNormState",
-    "batch_norm",
+    "bn_mlp",
 ]
+
+
+# False inside a ``no_grad`` block: ops then record no graph edges
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Run the block without building a graph.
+
+    Tensors made inside have no parents and no ``grad_fn``, so an op's
+    backward closure, and every array only it held, is freed as soon as the
+    op returns; :func:`bn_mlp` does not even compute what its backward would
+    need. The previous mode comes back when the block exits, also by an
+    exception.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
     """A float64 array plus the graph edge that produced it.
 
     ``parents`` and ``grad_fn`` record the producing operation; leaves have
-    neither. ``grad_fn(out_grad)`` returns one gradient array (or None) per
-    parent. The graph is acyclic by construction, since edges only ever point
-    at tensors that already exist.
+    neither, and neither does any tensor made under :func:`no_grad`.
+    ``grad_fn(out_grad)`` returns one gradient array (or None) per parent.
+    The graph is acyclic by construction, since edges only ever point at
+    tensors that already exist.
     """
 
     __slots__ = ("values", "grad", "parents", "grad_fn", "trainable")
@@ -52,8 +74,8 @@ class Tensor:
     def __init__(self, values, parents=(), grad_fn=None, trainable=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        self.parents = tuple(parents)
-        self.grad_fn = grad_fn
+        self.parents = tuple(parents) if _recording else ()
+        self.grad_fn = grad_fn if _recording else None
         self.trainable = trainable
 
     @property
@@ -67,9 +89,6 @@ class Tensor:
     @property
     def size(self):
         return self.values.size
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.values)
 
     def __repr__(self):
         kind = "param" if self.trainable else ("leaf" if not self.parents else "node")
@@ -153,17 +172,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, (a, b), grad_fn)
 
 
-def relu(x) -> Tensor:
-    x = tensor(x)
-    out = np.maximum(x.values, 0.0)
-
-    # subgradient at 0 is taken as 0
-    def grad_fn(g):
-        return (g * (x.values > 0.0),)
-
-    return Tensor(out, (x,), grad_fn)
-
-
 def tanh(x) -> Tensor:
     x = tensor(x)
     out = np.tanh(x.values)
@@ -203,67 +211,6 @@ def softmax(x, axis=-1) -> Tensor:
         return (out * (g - inner),)
 
     return Tensor(out, (x,), grad_fn)
-
-
-def pool_rows_max(x, group_size) -> Tensor:
-    """Max over consecutive row groups of a [m*group_size, d] matrix: [m, d].
-
-    The gradient routes to the winning entries only; ties go to the lowest
-    row of the group.
-    """
-    return pool_prefix_max(x, group_size, (group_size,))
-
-
-def pool_prefix_max(x, group_size, prefixes) -> Tensor:
-    """Max over the first ``k`` rows of each row group, for every ``k`` in ``prefixes``.
-
-    ``x`` is [m*group_size, d] and ``prefixes`` strictly increase up to
-    ``group_size``. The result stacks one [m, d] block per prefix, in
-    ``prefixes`` order: [len(prefixes)*m, d]. Each row is read once: prefix t
-    extends prefix t-1's max by rows [k_{t-1}, k_t), and a later row wins only
-    when strictly greater, so ties go to the lowest row as in
-    :func:`pool_rows_max`, and the gradient routes the same way.
-    """
-    x = tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"row pooling expects a 2-d input, got shape {x.shape}")
-    rows, d = x.shape
-    if group_size < 1 or rows % group_size != 0:
-        raise ShapeError(f"cannot pool {rows} rows in groups of {group_size}")
-    bounds = (0, *prefixes)
-    steps = list(zip(bounds, bounds[1:]))
-    if not steps or any(b <= a for a, b in steps) or bounds[-1] > group_size:
-        raise ShapeError(f"prefixes {tuple(prefixes)} must strictly increase within "
-                         f"groups of {group_size}")
-    m = rows // group_size
-    blocks = x.values.reshape(m, group_size, d)
-    out = np.empty((len(prefixes), m, d))
-    for t, (lo, hi) in enumerate(steps):
-        np.max(blocks[:, lo:hi], axis=1, out=out[t])
-        if t:
-            np.maximum(out[t - 1], out[t], out=out[t])
-
-    def grad_fn(g):
-        g = g.reshape(out.shape)
-        gx = np.zeros((m, group_size, d))
-        # walk the prefixes from the longest down: ``carry`` is the gradient
-        # owed to prefix t's running max, which either rows [k_{t-1}, k_t) or
-        # the shorter prefix won
-        carry = g[-1]
-        for t in range(len(steps) - 1, -1, -1):
-            lo, hi = steps[t]
-            if t:
-                took = out[t] > out[t - 1]
-                won = np.where(took, carry, 0.0)
-                carry = np.where(took, 0.0, carry)
-                carry += g[t - 1]
-            else:
-                won = carry
-            arg = np.argmax(blocks[:, lo:hi], axis=1)
-            np.put_along_axis(gx[:, lo:hi], arg[:, None, :], won[:, None, :], axis=1)
-        return (gx.reshape(rows, d),)
-
-    return Tensor(out.reshape(len(prefixes) * m, d), (x,), grad_fn)
 
 
 def sum_reduce(x, axis=None, keepdims=False) -> Tensor:
@@ -338,28 +285,6 @@ def repeat_rows(x, times) -> Tensor:
     return Tensor(out, (x,), grad_fn)
 
 
-def dropout(x, ratio, training=False, rng=None) -> Tensor:
-    """Inverted dropout: scaling by 1/(1-ratio) keeps the expectation.
-
-    Identity when not training or when ratio is 0. The mask is drawn from
-    ``rng``, so a fixed generator state fixes the mask.
-    """
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigError(f"dropout ratio must be in [0, 1), got {ratio}")
-    x = tensor(x)
-    if not training or ratio == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    mask = (rng.random(x.shape) >= ratio) / (1.0 - ratio)
-    out = x.values * mask
-
-    def grad_fn(g):
-        return (g * mask,)
-
-    return Tensor(out, (x,), grad_fn)
-
-
 def cross_entropy_mean(logits, targets) -> Tensor:
     """Mean of -log softmax(logits)[target] over the rows of ``logits``."""
     logits = tensor(logits)
@@ -406,72 +331,203 @@ class BatchNormState:
         self.running_var = np.ones(dim)
 
 
-def batch_norm(x, state, training=False, momentum=0.5, weights=None) -> Tensor:
-    """Normalize the rows of ``x`` per feature column.
+def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, rng=None,
+           pool=None) -> Tensor:
+    """A stack of dense layers as one graph node.
 
-    Training mode normalizes by the current batch moments and folds them into
-    the running statistics with weight ``momentum``; eval mode normalizes by
-    the stored running statistics. A constant batch normalizes to the shift
-    parameter exactly. One graph node with parents ``(x, gamma, beta)``; the
-    backward is the closed form of Ioffe & Szegedy (arXiv 1502.03167).
+    Each ``(weight, state)`` pair in ``layers`` is a layer: a matmul by
+    ``weight``, batch norm with the :class:`BatchNormState` ``state``, relu
+    (subgradient 0 at 0), and in training mode at a positive ``dropout``
+    ratio, inverted dropout: a mask drawn from ``rng`` and scaled by
+    1/(1-ratio), so a fixed generator state fixes the mask.
 
-    ``weights`` (one non-negative count per row) makes training mode treat
-    row j as ``weights[j]`` identical rows: the moments are weighted means
-    over ``W = sum(weights)`` rows, so statistics, outputs and gradients equal
-    those of the batch with every row repeated that many times. Eval mode
-    ignores them.
+    Batch norm follows Ioffe & Szegedy (arXiv 1502.03167). Training mode
+    normalizes by the batch moments and folds them into the running
+    statistics with weight ``momentum``; eval mode uses the running
+    statistics. A constant batch normalizes to the shift parameter exactly.
+    ``weights`` (one non-negative count per row) make training mode treat
+    row j as ``weights[j]`` identical rows, so moments, outputs and gradients
+    equal those of the batch with every row repeated; eval mode ignores them.
+
+    ``pool=(group, prefixes)`` max-pools the last layer's output over groups
+    of ``group`` consecutive rows: for each ``k`` in ``prefixes`` (strictly
+    increasing, at most ``group``), the max over every group's first ``k``
+    rows. The result stacks one [rows/group, d] block per prefix, in order.
+    Prefix t extends prefix t-1's max by rows [k_{t-1}, k_t), and a later
+    row wins only when strictly greater, so ties go to the lowest row.
+
+    Per layer the node keeps only the normalized activations (the matmul
+    output in eval mode), the batch-norm affine and the dropout mask; with a
+    pool it keeps the winning row of every output, not the last activations.
+    The backward recomputes each layer's output from those in one
+    elementwise pass and never repeats a matmul: the activation
+    recomputation of Chen et al. (arXiv 1604.06174). Parents are ``x``, then
+    each layer's weight, gamma and beta. Under :func:`no_grad` nothing is kept.
     """
     x = tensor(x)
-    if x.ndim != 2 or x.shape[1] != state.dim:
-        raise ShapeError(f"batch_norm expects [n, {state.dim}] input, got shape {x.shape}")
-    if weights is not None and np.shape(weights) != (x.shape[0],):
-        raise ShapeError(f"batch_norm weights of shape {np.shape(weights)} do not match "
-                         f"{x.shape[0]} rows")
-    gamma, beta = state.gamma, state.beta
-    if training:
-        if weights is None:
-            total = len(x.values)
-            mean = x.values.mean(axis=0)
-            normalized = x.values - mean
-            var = (normalized * normalized).mean(axis=0)
+    if x.ndim != 2:
+        raise ShapeError(f"a dense stack expects a 2-d input, got shape {x.shape}")
+    if not layers:
+        raise ShapeError("a dense stack needs at least one layer")
+    rows, width = x.shape
+    for weight, state in layers:
+        if weight.ndim != 2 or weight.shape != (width, state.dim):
+            raise ShapeError(f"layer weight of shape {weight.shape} does not map width "
+                             f"{width} to batch norm width {state.dim}")
+        width = state.dim
+    if weights is not None and np.shape(weights) != (rows,):
+        raise ShapeError(f"batch norm weights of shape {np.shape(weights)} do not match "
+                         f"{rows} rows")
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError(f"dropout ratio must be in [0, 1), got {dropout}")
+    drop = training and dropout > 0.0
+    if drop and rng is None:
+        raise ValueError("dropout in training mode needs an rng")
+    if pool is not None:
+        group, prefixes = pool
+        if group < 1 or rows % group != 0:
+            raise ShapeError(f"cannot pool {rows} rows in groups of {group}")
+        # prefix t extends prefix t-1's max by rows [k_{t-1}, k_t)
+        bounds = (0, *prefixes)
+        steps = list(zip(bounds, bounds[1:]))
+        if not steps or any(b <= a for a, b in steps) or bounds[-1] > group:
+            raise ShapeError(f"prefixes {tuple(prefixes)} must strictly increase within "
+                             f"groups of {group}")
+
+    keep = _recording
+    total = rows if weights is None else weights.sum()
+    # per layer: (x-hat or z, scale, shift, gain, inv_std, running mean, mask);
+    # the layer's relu input is x-hat * scale + shift in either mode
+    saved = []
+    a = x.values
+    for weight, state in layers:
+        z = a @ weight.values
+        center = None
+        if training:
+            if weights is None:
+                mean = z.mean(axis=0)
+                z -= mean
+                var = (z * z).mean(axis=0)
+            else:
+                mean = (weights @ z) / total
+                z -= mean
+                var = (weights @ (z * z)) / total
+            state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
+            state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+            std = np.sqrt(var + state.eps)
+            z /= std
+            inv_std = 1.0 / std
+            gain = state.gamma.values * inv_std
+            scale, shift = state.gamma.values.copy(), state.beta.values.copy()
         else:
-            total = weights.sum()
-            mean = (weights @ x.values) / total
-            normalized = x.values - mean
-            var = (weights @ (normalized * normalized)) / total
-        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
-        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
-        std = np.sqrt(var + state.eps)
-        normalized /= std
-        inv_std = 1.0 / std
-        out = normalized * gamma.values
-        out += beta.values
-        gain = gamma.values * inv_std
-    else:
-        # one scale and one shift; x-hat is only needed if backward runs
-        running_mean = state.running_mean
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        gain = gamma.values * inv_std
-        out = x.values * gain
-        out += beta.values - running_mean * gain
+            # one scale and one shift of the matmul output
+            center = state.running_mean
+            inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+            gain = scale = state.gamma.values * inv_std
+            shift = state.beta.values - center * gain
+        y = z * scale if keep else np.multiply(z, scale, out=z)
+        y += shift
+        np.maximum(y, 0.0, out=y)
+        mask = None
+        if drop:
+            mask = (rng.random(y.shape) >= dropout) / (1.0 - dropout)
+            y *= mask
+        if keep:
+            saved.append((z, scale, shift, gain, inv_std, center, mask))
+        a = y
+
+    if pool is not None:
+        m, d = rows // group, width
+        blocks = a.reshape(m, group, d)
+        out = np.empty((len(steps), m, d))
+        winners = []
+        for t, (lo, hi) in enumerate(steps):
+            if keep:
+                arg = np.argmax(blocks[:, lo:hi], axis=1)[:, None, :]
+                out[t] = np.take_along_axis(blocks[:, lo:hi], arg, axis=1)[:, 0]
+                winners.append(arg)
+            else:
+                np.max(blocks[:, lo:hi], axis=1, out=out[t])
+            if t:
+                np.maximum(out[t - 1], out[t], out=out[t])
+        a = out.reshape(len(steps) * m, d)
+    if not keep:
+        return Tensor(a)
+
+    def relu_input(layer):
+        hat, scale, shift = layer[:3]
+        y = hat * scale
+        y += shift
+        return y
 
     def grad_fn(g):
-        dbeta = g.sum(axis=0)
-        if not training:
-            dgamma = (g * ((x.values - running_mean) * inv_std)).sum(axis=0)
-            return g * gain, dgamma, dbeta
-        dgamma = (g * normalized).sum(axis=0)
-        # the batch moments depend on x as well: remove the gradient's
-        # (weighted) column mean and its component along the normalized column
-        dx = normalized * (dgamma / total)
-        dx += dbeta / total
-        if weights is not None:
-            dx *= weights[:, None]
-        np.subtract(g, dx, out=dx)
-        dx *= gain
-        return dx, dgamma, dbeta
+        # the last relu's mask first: its input and the routed gradient are
+        # full-size, and only one of them need be alive at a time
+        positive = relu_input(saved[-1]) > 0.0
+        if pool is not None:
+            g = g.reshape(out.shape)
+            routed = np.zeros((m, group, d))
+            # walk the prefixes from the longest down: ``carry`` is the
+            # gradient owed to prefix t's running max, which either rows
+            # [k_{t-1}, k_t) or the shorter prefix won
+            carry = g[-1]
+            for t in range(len(steps) - 1, -1, -1):
+                lo, hi = steps[t]
+                if t:
+                    took = out[t] > out[t - 1]
+                    won = np.where(took, carry, 0.0)
+                    carry = np.where(took, 0.0, carry)
+                    carry += g[t - 1]
+                else:
+                    won = carry
+                np.put_along_axis(routed[:, lo:hi], winners[t], won[:, None, :], axis=1)
+            g = routed.reshape(rows, d)
+            del routed
+        # ``g`` is this function's own buffer once routed or past the first
+        # layer; a gradient handed in may be shared, so it is never written
+        owned = pool is not None
+        param_grads = []
+        for i in range(len(layers) - 1, -1, -1):
+            hat, _, _, gain, inv_std, center, mask = saved[i]
+            g = np.multiply(g, positive, out=g) if owned else g * positive
+            if mask is not None:
+                g *= mask
+            dbeta = g.sum(axis=0)
+            if training:
+                dz = np.multiply(g, hat)
+                dgamma = dz.sum(axis=0)
+                # the batch moments depend on the input as well: remove the
+                # gradient's (weighted) column mean and its component along
+                # the normalized column
+                np.multiply(hat, dgamma / total, out=dz)
+                dz += dbeta / total
+                if weights is not None:
+                    dz *= weights[:, None]
+                np.subtract(g, dz, out=dz)
+                dz *= gain
+            else:
+                dgamma = (g * ((hat - center) * inv_std)).sum(axis=0)
+                dz = g * gain
+            del g
+            if i:
+                a = relu_input(saved[i - 1])
+                positive = a > 0.0
+                np.maximum(a, 0.0, out=a)
+                if saved[i - 1][-1] is not None:
+                    a *= saved[i - 1][-1]
+            else:
+                a = x.values
+            param_grads[:0] = (a.T @ dz, dgamma, dbeta)
+            del a
+            g = dz @ layers[i][0].values.T
+            del dz
+            owned = True
+        return (g, *param_grads)
 
-    return Tensor(out, (x, gamma, beta), grad_fn)
+    parents = [x]
+    for weight, state in layers:
+        parents += (weight, state.gamma, state.beta)
+    return Tensor(a, parents, grad_fn)
 
 
 def _topo_order(root):

@@ -3,9 +3,9 @@
 Every command echoes its effective configuration (defaults, then the config
 file, then ``--set`` overrides) before doing any work, so a run can be
 reproduced bit-exactly from its own log. Exit codes: 0 success, 2 for
-configuration errors (a training run whose loss or gradients turn non-finite
-included), 3 for data or IO errors; gradcheck exits 1 when the measured
-gradient error exceeds the tolerance.
+configuration errors (a training run whose loss or gradients turn non-finite,
+or that runs out of memory, included), 3 for data or IO errors; gradcheck
+exits 1 when the measured gradient error exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -340,6 +340,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower train.batch_size or model.m "
+              "(activation memory grows with both)", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,9 +82,10 @@ class ModelParams:
     def items(self):
         return self._tensors.items()
 
-    def zero_grads(self) -> None:
+    def clear_grads(self) -> None:
+        """Drop every gradient, so the next backward stores fresh ones."""
         for t in self._tensors.values():
-            t.zero_grad()
+            t.grad = None
 
     def snapshot(self) -> dict:
         """Deep copy of all values and running statistics."""
@@ -186,19 +187,21 @@ class CloudGeometry:
     points: np.ndarray
     labels: np.ndarray | None
     centroid_coords: np.ndarray
-    relative: list  # per scale: [m * k_t, 3] centroid-relative area points
+    relative: list  # per scale: [m, k_t, 3] views of one centroid-relative [m, K, 3] block
     interp_weights: np.ndarray | None = None
 
 
 def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
-    """Sample centroids, group multi-scale areas, and cache relative coords."""
+    """Sample centroids, group multi-scale areas, and cache relative coords.
+
+    The scales are nested, so one [m, K, 3] block of the largest areas holds
+    every scale; scale t's areas are its first k_t points per region.
+    """
     centroids = farthest_point_sample(cloud, cfg.m)
     grouping = group_areas(cloud, centroids, ScaleSpec(cfg.scales))
-    relative = []
-    for k in cfg.scales:
-        idx = grouping.neighbor_indices[:, :k]
-        rel = cloud.points[idx] - centroids.coords[:, None, :]
-        relative.append(rel.reshape(cfg.m * k, 3))
+    idx = grouping.neighbor_indices[:, : cfg.scales[-1]]
+    areas = cloud.points[idx] - centroids.coords[:, None, :]
+    relative = [areas[:, :k] for k in cfg.scales]
     interp = None
     if cfg.task == "segmentation":
         interp = interpolation_weights(cloud.points, centroids.coords, cfg.interp_k)
@@ -206,19 +209,12 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
 
 
 def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardContext,
-            dropout: float = 0.0, weights=None):
-    """``n_layers`` of matmul, batch norm, relu and dropout (none at ratio 0).
-
-    ``weights`` are per-row multiplicities for the batch norms (see
-    :func:`autograd.batch_norm`).
-    """
-    for i in range(n_layers):
-        x = ag.matmul(x, params[f"{prefix}.{i}.weight"])
-        x = ag.batch_norm(x, params.batch_norms[f"{prefix}.{i}"], training=ctx.training,
-                          momentum=ctx.bn_momentum, weights=weights)
-        x = ag.relu(x)
-        x = ag.dropout(x, dropout, training=ctx.training, rng=ctx.rng)
-    return x
+            dropout: float = 0.0, weights=None, pool=None):
+    """``n_layers`` of matmul, batch norm, relu and dropout (none at ratio 0),
+    as one :func:`autograd.bn_mlp` node; ``weights`` and ``pool`` pass through."""
+    layers = [(params[f"{prefix}.{i}.weight"], params.batch_norms[f"{prefix}.{i}"])
+              for i in range(n_layers)]
+    return ag.bn_mlp(x, layers, ctx.training, ctx.bn_momentum, weights, dropout, ctx.rng, pool)
 
 
 def _area_sequences(geoms, params, cfg, ctx):
@@ -227,17 +223,17 @@ def _area_sequences(geoms, params, cfg, ctx):
     The scales are nested (each smaller area is a prefix of the largest), so
     only the largest area's points go through the shared point MLP. Its batch
     norms count row j once per scale whose area holds it, which gives the
-    statistics of stacking every scale's copy; a prefix max pool then
+    statistics of stacking every scale's copy; its prefix max pool then
     collapses each scale's neighborhood, and a linear layer folds the
     centroid coordinates back in.
     """
     largest = cfg.scales[-1]
     regions = len(geoms) * cfg.m
-    points = ag.tensor(np.concatenate([g.relative[-1] for g in geoms], axis=0))
+    points = ag.tensor(np.concatenate([g.relative[-1].reshape(-1, 3) for g in geoms], axis=0))
     multiplicity = (np.arange(largest)[:, None] < np.asarray(cfg.scales)).sum(axis=1)
     weights = np.tile(multiplicity.astype(np.float64), regions)
-    feats = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx, weights=weights)
-    pooled = ag.pool_prefix_max(feats, largest, cfg.scales)
+    pooled = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx,
+                     weights=weights, pool=(largest, cfg.scales))
     centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
     x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)
     x = ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
@@ -252,8 +248,9 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
         raise ShapeError(
             f"an area needs at least one relative [k, 3] point row, got {relative_points.shape}"
         )
-    feats = _bn_mlp(ag.tensor(relative_points), params, "area_mlp", len(cfg.area_hidden) + 1, ctx)
-    pooled = ag.pool_rows_max(feats, len(relative_points))
+    k = len(relative_points)
+    pooled = _bn_mlp(ag.tensor(relative_points), params, "area_mlp", len(cfg.area_hidden) + 1,
+                     ctx, pool=(k, (k,)))
     return ag.reshape(pooled, (cfg.feature_dim,))
 
 
@@ -368,8 +365,7 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
 def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
     centroids = ag.tensor(np.concatenate([g.centroid_coords for g in geoms], axis=0))
     x = ag.concat([region_feats, centroids], axis=1)
-    x = _bn_mlp(x, params, "agg_mlp", len(cfg.agg_widths), ctx)
-    return ag.pool_rows_max(x, cfg.m)
+    return _bn_mlp(x, params, "agg_mlp", len(cfg.agg_widths), ctx, pool=(cfg.m, (cfg.m,)))
 
 
 def _trunk(geoms, params, cfg, ctx):

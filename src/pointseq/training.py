@@ -68,8 +68,7 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
     for name, tensor in params.items():
         g = tensor.grad
         if g is None:
-            raise ValueError(f"parameter {name!r} has no gradient; "
-                             "zero the gradients and run backward first")
+            raise ValueError(f"parameter {name!r} has no gradient; run backward first")
         m = state.first.get(name)
         if m is None:
             m = np.zeros_like(tensor.values)
@@ -148,16 +147,19 @@ def _batches(n: int, size: int):
 
 def evaluate_classification(geoms, labels, params: ModelParams, cfg: ModelConfig,
                             batch_size: int = 16) -> dict:
-    """Loss and accuracies over prepared clouds, in evaluation mode."""
+    """Loss and accuracies over prepared clouds, in evaluation mode.
+
+    The forward builds no graph (see :func:`autograd.no_grad`).
+    """
     labels = np.asarray(labels)
     ctx = ForwardContext(training=False)
     total_loss = 0.0
     pred = np.empty(len(geoms), dtype=np.int64)
-    for idx in _batches(len(geoms), batch_size):
-        logits = classify_batch([geoms[i] for i in idx], params, cfg, ctx)
-        total_loss += float(cross_entropy_loss(logits, labels[idx]).values) * len(idx)
-        pred[idx] = np.argmax(logits.values, axis=1)
-        del logits  # free this batch's graph before the next one is built
+    with ag.no_grad():
+        for idx in _batches(len(geoms), batch_size):
+            logits = classify_batch([geoms[i] for i in idx], params, cfg, ctx)
+            total_loss += float(cross_entropy_loss(logits, labels[idx]).values) * len(idx)
+            pred[idx] = np.argmax(logits.values, axis=1)
     instance, class_avg = classification_metrics(pred, labels, cfg.num_classes)
     return {"loss": total_loss / len(geoms), "instance_acc": instance, "class_acc": class_avg}
 
@@ -170,7 +172,7 @@ def evaluate_segmentation(geoms, params: ModelParams, cfg: ModelConfig,
     average) to a ``(start, stop)`` slice of the part ids; labels outside a
     cloud's range raise a data error. With ``categories`` (one name per
     cloud) the result also carries a per-category IoU breakdown; the overall
-    number stays the unweighted mean over shapes.
+    number stays the unweighted mean over shapes. The forward builds no graph.
     """
     for i, g in enumerate(geoms):
         lo, hi = (0, cfg.num_parts) if part_ranges is None else part_ranges[i]
@@ -183,21 +185,21 @@ def evaluate_segmentation(geoms, params: ModelParams, cfg: ModelConfig,
     total_points = 0
     correct = 0
     ious = []
-    for idx in _batches(len(geoms), batch_size):
-        batch = [geoms[i] for i in idx]
-        logits, counts = segment_batch(batch, params, cfg, ctx)
-        labels = np.concatenate([g.labels for g in batch])
-        total_loss += float(cross_entropy_loss(logits, labels).values) * len(labels)
-        total_points += len(labels)
-        offset = 0
-        for g, i, n in zip(batch, idx, counts):
-            part_range = None if part_ranges is None else part_ranges[i]
-            pred = predict_parts(logits.values[offset : offset + n], part_range)
-            offset += n
-            correct += int(np.sum(pred == g.labels))
-            parts = range(cfg.num_parts) if part_range is None else range(*part_range)
-            ious.append(shape_miou(pred, g.labels, parts))
-        del logits  # free this batch's graph before the next one is built
+    with ag.no_grad():
+        for idx in _batches(len(geoms), batch_size):
+            batch = [geoms[i] for i in idx]
+            logits, counts = segment_batch(batch, params, cfg, ctx)
+            labels = np.concatenate([g.labels for g in batch])
+            total_loss += float(cross_entropy_loss(logits, labels).values) * len(labels)
+            total_points += len(labels)
+            offset = 0
+            for g, i, n in zip(batch, idx, counts):
+                part_range = None if part_ranges is None else part_ranges[i]
+                pred = predict_parts(logits.values[offset : offset + n], part_range)
+                offset += n
+                correct += int(np.sum(pred == g.labels))
+                parts = range(cfg.num_parts) if part_range is None else range(*part_range)
+                ious.append(shape_miou(pred, g.labels, parts))
     result = {
         "loss": total_loss / total_points,
         "point_acc": correct / total_points,
@@ -246,7 +248,7 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
         else:
             logits, _ = segment_batch(geoms, params, cfg, ctx)
             loss = cross_entropy_loss(logits, np.concatenate([g.labels for g in geoms]))
-        params.zero_grads()
+        params.clear_grads()
         ag.backward(loss)
     if not (np.isfinite(loss.values) and all(np.isfinite(t.grad).all() for _, t in params.items())):
         raise ConfigError(f"training diverged at {where}: the loss or a parameter gradient "
@@ -363,7 +365,7 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
     otherwise dominate the report.
     """
     rng = np.random.default_rng(seed)
-    params.zero_grads()
+    params.clear_grads()
     ag.backward(loss_fn())
 
     def central_difference(flat, i, h):

@@ -119,26 +119,116 @@ def interpolation_weights_loop(targets, sources, k, exact_match_dist=1e-10):
     return weights
 
 
+def reference_batch_norm(x, state, training=False, momentum=0.5, weights=None):
+    """Batch norm as its own graph node, with optional per-row multiplicities."""
+    gamma, beta = state.gamma, state.beta
+    if training:
+        if weights is None:
+            total = len(x.values)
+            mean = x.values.mean(axis=0)
+            normalized = x.values - mean
+            var = (normalized * normalized).mean(axis=0)
+        else:
+            total = weights.sum()
+            mean = (weights @ x.values) / total
+            normalized = x.values - mean
+            var = (weights @ (normalized * normalized)) / total
+        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
+        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+        inv_std = 1.0 / np.sqrt(var + state.eps)
+        normalized = normalized * inv_std
+        out = normalized * gamma.values + beta.values
+    else:
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        normalized = (x.values - state.running_mean) * inv_std
+        out = normalized * gamma.values + beta.values
+    gain = gamma.values * inv_std
+
+    def grad_fn(g):
+        dbeta = g.sum(axis=0)
+        dgamma = (g * normalized).sum(axis=0)
+        if not training:
+            return g * gain, dgamma, dbeta
+        w = np.ones(len(g)) if weights is None else weights
+        centred = g - w[:, None] * (dbeta + normalized * dgamma) / total
+        return centred * gain, dgamma, dbeta
+
+    return ag.Tensor(out, (x, gamma, beta), grad_fn)
+
+
+def reference_relu(x):
+    def grad_fn(g):
+        return (g * (x.values > 0.0),)
+
+    return ag.Tensor(np.maximum(x.values, 0.0), (x,), grad_fn)
+
+
+def reference_dropout(x, ratio, rng):
+    mask = (rng.random(x.shape) >= ratio) / (1.0 - ratio)
+
+    def grad_fn(g):
+        return (g * mask,)
+
+    return ag.Tensor(x.values * mask, (x,), grad_fn)
+
+
+def reference_prefix_max(x, group, prefixes):
+    """Per prefix k, the max over each group's first k rows, written as one
+    independent pool per prefix; ties route to the lowest row."""
+    rows, d = x.shape
+    blocks = x.values.reshape(rows // group, group, d)
+    args = [np.argmax(blocks[:, :k], axis=1) for k in prefixes]
+    out = np.concatenate([np.take_along_axis(blocks, a[:, None, :], axis=1)[:, 0]
+                          for a in args])
+
+    def grad_fn(g):
+        gx = np.zeros_like(blocks)
+        for a, gt in zip(args, np.split(g, len(prefixes))):
+            for col in range(d):
+                np.add.at(gx[:, :, col], (np.arange(len(a)), a[:, col]), gt[:, col])
+        return (gx.reshape(rows, d),)
+
+    return ag.Tensor(out, (x,), grad_fn)
+
+
+def reference_bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0,
+                     rng=None, pool=None):
+    """The dense stack as a chain of separate nodes: matmul, batch norm,
+    relu and dropout per layer, then the prefix max-pool.
+
+    Same signature and semantics as ``ag.bn_mlp``, so it can stand in for it.
+    """
+    x = ag.tensor(x)
+    for weight, state in layers:
+        x = reference_batch_norm(ag.matmul(x, weight), state, training, momentum, weights)
+        x = reference_relu(x)
+        if training and dropout > 0.0:
+            x = reference_dropout(x, dropout, rng)
+    return x if pool is None else reference_prefix_max(x, *pool)
+
+
 def area_sequences_per_scale(geoms, params, cfg, ctx):
     """Reference area block: every scale's copy of its area points.
 
     Stacks each scale's relative points (scale-major, then cloud, region and
-    point) through the shared point MLP with plain batch norms, then max-pools
-    and projects each scale's block on its own. Returns the per-scale list of
-    [b*m, d] tensors that the forward feeds to the aggregator.
+    point) through the reference point MLP with plain batch norms, then
+    max-pools and projects each scale's block on its own. Returns the
+    per-scale list of [b*m, d] tensors that the forward feeds to the
+    aggregator.
     """
-    from pointseq import model
-
+    n_layers = len(cfg.area_hidden) + 1
+    layers = [(params[f"area_mlp.{i}.weight"], params.batch_norms[f"area_mlp.{i}"])
+              for i in range(n_layers)]
     stacked = ag.tensor(np.concatenate(
-        [g.relative[t] for t in range(cfg.num_scales) for g in geoms], axis=0
+        [g.relative[t].reshape(-1, 3) for t in range(cfg.num_scales) for g in geoms], axis=0
     ))
-    feats = model._bn_mlp(stacked, params, "area_mlp", len(cfg.area_hidden) + 1, ctx)
+    feats = reference_bn_mlp(stacked, layers, ctx.training, ctx.bn_momentum)
     centroids = ag.tensor(np.concatenate([g.centroid_coords for g in geoms], axis=0))
     out = []
     offset = 0
     for k in cfg.scales:
         rows = len(geoms) * cfg.m * k
-        pooled = ag.pool_rows_max(ag.slice_axis(feats, 0, offset, offset + rows), k)
+        pooled = reference_prefix_max(ag.slice_axis(feats, 0, offset, offset + rows), k, (k,))
         offset += rows
         with_centroid = ag.concat([pooled, centroids], axis=1)
         out.append(ag.matmul(with_centroid, params["centroid_proj.weight"])

@@ -137,9 +137,7 @@ class TestInvarianceSuite:
                 moved = points + np.asarray(shift)
                 geom_a = prepare_cloud(PointCloud(points), cfg)
                 geom_b = prepare_cloud(PointCloud(moved), cfg)
-                for t, k in enumerate(cfg.scales):
-                    rel_a = geom_a.relative[t].reshape(cfg.m, k, 3)
-                    rel_b = geom_b.relative[t].reshape(cfg.m, k, 3)
+                for rel_a, rel_b in zip(geom_a.relative, geom_b.relative):
                     for j in range(cfg.m):
                         fa = area_pooled_feature(rel_a[j], params, cfg).values
                         fb = area_pooled_feature(rel_b[j], params, cfg).values

@@ -5,9 +5,36 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_op_gradient, numeric_gradient, relative_error
+from helpers import check_op_gradient, numeric_gradient, reference_bn_mlp, relative_error
 from pointseq import autograd as ag
 from pointseq.errors import ConfigError, DataError, ShapeError
+
+# Added by a pass-through layer's batch norm and taken off after its pool, so
+# the layer's relu passes every input above -LIFT
+LIFT = 10.0
+
+
+def passthrough(width, shift=0.0):
+    """One ``bn_mlp`` layer whose relu input equals its input plus ``shift``.
+
+    The weight is the identity, and eval-mode batch norm with zero running
+    mean, unit running variance and eps 0 is exactly ``x * 1 + shift``.
+    """
+    state = ag.BatchNormState(width, eps=0.0)
+    state.beta.values[:] = shift
+    return ag.Tensor(np.eye(width)), state
+
+
+def relu(x):
+    """The fused op's relu alone: one pass-through layer in eval mode."""
+    return ag.bn_mlp(x, [passthrough(x.shape[1])])
+
+
+def pooled(x, group, prefixes=None):
+    """The fused op's prefix max-pool of ``x`` (exact for small integers)."""
+    x = ag.tensor(x)
+    pool = (group, (group,) if prefixes is None else prefixes)
+    return ag.add(ag.bn_mlp(x, [passthrough(x.shape[1], LIFT)], pool=pool), -LIFT)
 
 
 class TestMatmul:
@@ -59,13 +86,13 @@ class TestElementwise:
             ag.add(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((4, 3))))
 
     def test_relu_clamps_negatives(self):
-        out = ag.relu(ag.Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
+        out = relu(ag.Tensor([[-1.0, 0.0, 2.0]]))
+        np.testing.assert_array_equal(out.values, [[0.0, 0.0, 2.0]])
 
     def test_relu_gradient_is_indicator(self):
-        x = ag.Tensor([-1.0, 0.0, 2.0])
-        ag.backward(ag.sum_reduce(ag.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+        x = ag.Tensor([[-1.0, 0.0, 2.0]])
+        ag.backward(ag.sum_reduce(relu(x)))
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
     def test_sigmoid_at_zero(self):
         x = ag.Tensor([0.0])
@@ -91,7 +118,7 @@ class TestElementwise:
         check_op_gradient(op, [a, b])
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("op", [ag.relu, ag.tanh, ag.sigmoid])
+    @pytest.mark.parametrize("op", [relu, ag.tanh, ag.sigmoid])
     def test_unary_gradients(self, op, seed):
         rng = np.random.default_rng(100 + seed)
         # keep values away from the relu kink at 0
@@ -145,13 +172,13 @@ class TestSoftmax:
 
 def max_over_rows(x):
     """Columnwise max of a [k, d] matrix: one group of all its rows."""
-    return ag.reshape(ag.pool_rows_max(x, x.shape[0]), (x.shape[1],))
+    return ag.reshape(pooled(x, x.shape[0]), (x.shape[1],))
 
 
 def routed_rows(x, group_size):
     """Per group and column, the row a unit output gradient reaches: [m, d]."""
     x = ag.Tensor(x)
-    ag.backward(ag.sum_reduce(ag.pool_rows_max(x, group_size)))
+    ag.backward(ag.sum_reduce(pooled(x, group_size)))
     grad = x.grad.reshape(-1, group_size, x.shape[1])
     assert np.all(grad.sum(axis=1) == 1.0), "each output must route to exactly one row"
     return grad.argmax(axis=1)
@@ -181,7 +208,7 @@ class TestMaxReduce:
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            ag.pool_rows_max(ag.Tensor(np.zeros((0, 3))), 0)
+            pooled(ag.Tensor(np.zeros((0, 3))), 0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences(self, seed):
@@ -192,22 +219,22 @@ class TestMaxReduce:
     def test_pool_rows_matches_blockwise_max_reduce(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (12, 5))
-        pooled = ag.pool_rows_max(ag.Tensor(x), 4)
+        out = pooled(ag.Tensor(x), 4)
         routed = routed_rows(x, 4)
         for block in range(3):
             rows = x[4 * block : 4 * block + 4]
-            np.testing.assert_array_equal(pooled.values[block], rows.max(axis=0))
+            np.testing.assert_array_equal(out.values[block], (rows + LIFT).max(axis=0) - LIFT)
             np.testing.assert_array_equal(routed[block], rows.argmax(axis=0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pool_rows_gradient(self, seed):
         rng = np.random.default_rng(500 + seed)
         x = rng.uniform(-1, 1, (8, 3))
-        check_op_gradient(lambda t: ag.pool_rows_max(t, 2), [x])
+        check_op_gradient(lambda t: pooled(t, 2), [x])
 
     def test_pool_rows_rejects_ragged_groups(self):
         with pytest.raises(ShapeError):
-            ag.pool_rows_max(ag.Tensor(np.ones((7, 2))), 2)
+            pooled(ag.Tensor(np.ones((7, 2))), 2)
 
 
 class TestPrefixMaxPool:
@@ -216,9 +243,9 @@ class TestPrefixMaxPool:
     def test_each_block_is_the_max_over_its_prefix(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, (12, 5))
-        out = ag.pool_prefix_max(ag.Tensor(x), 4, self.PREFIXES)
-        blocks = x.reshape(3, 4, 5)
-        expected = np.concatenate([blocks[:, :k].max(axis=1) for k in self.PREFIXES])
+        out = pooled(ag.Tensor(x), 4, self.PREFIXES)
+        blocks = x.reshape(3, 4, 5) + LIFT
+        expected = np.concatenate([blocks[:, :k].max(axis=1) for k in self.PREFIXES]) - LIFT
         np.testing.assert_array_equal(out.values, expected)
 
     def test_gradient_routes_like_one_pool_per_prefix(self):
@@ -227,17 +254,17 @@ class TestPrefixMaxPool:
         x = rng.integers(0, 3, (12, 5)).astype(float)
         g = rng.uniform(-1, 1, (9, 5))
         prefix = ag.Tensor(x)
-        ag.backward(ag.sum_reduce(ag.mul(ag.pool_prefix_max(prefix, 4, self.PREFIXES), g)))
+        ag.backward(ag.sum_reduce(ag.mul(pooled(prefix, 4, self.PREFIXES), g)))
         expected = np.zeros((3, 4, 5))
         for t, k in enumerate(self.PREFIXES):
             head = ag.Tensor(x.reshape(3, 4, 5)[:, :k].reshape(3 * k, 5))
-            ag.backward(ag.sum_reduce(ag.mul(ag.pool_rows_max(head, k), g[3 * t : 3 * t + 3])))
+            ag.backward(ag.sum_reduce(ag.mul(pooled(head, k), g[3 * t : 3 * t + 3])))
             expected[:, :k] += head.grad.reshape(3, k, 5)
         np.testing.assert_array_equal(prefix.grad, expected.reshape(12, 5))
 
     def test_ties_go_to_the_lowest_row(self):
         x = ag.Tensor([[2.0], [1.0], [2.0], [2.0]])
-        ag.backward(ag.sum_reduce(ag.pool_prefix_max(x, 4, (1, 2, 4))))
+        ag.backward(ag.sum_reduce(pooled(x, 4, (1, 2, 4))))
         np.testing.assert_array_equal(x.grad, [[3.0], [0.0], [0.0], [0.0]])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -246,12 +273,12 @@ class TestPrefixMaxPool:
         x = rng.uniform(-1, 1, (12, 3))
         # weight the outputs so every prefix contributes its own gradient
         w = rng.uniform(-1, 1, (9, 3))
-        check_op_gradient(lambda t: ag.mul(ag.pool_prefix_max(t, 4, self.PREFIXES), w), [x])
+        check_op_gradient(lambda t: ag.mul(pooled(t, 4, self.PREFIXES), w), [x])
 
     @pytest.mark.parametrize("prefixes", [(), (2, 2), (3, 5), (0, 2)])
     def test_bad_prefixes_rejected(self, prefixes):
         with pytest.raises(ShapeError):
-            ag.pool_prefix_max(ag.Tensor(np.ones((8, 2))), 4, prefixes)
+            pooled(ag.Tensor(np.ones((8, 2))), 4, prefixes)
 
 
 class TestConcatAndSlicing:
@@ -357,8 +384,8 @@ class TestBackward:
         loss = ag.sum_reduce(ag.sigmoid(ag.matmul(x, w)))
         ag.backward(loss)
         first = (x.grad.copy(), w.grad.copy())
-        x.zero_grad()
-        w.zero_grad()
+        x.grad = None
+        w.grad = None
         ag.backward(loss)
         np.testing.assert_array_equal(x.grad, first[0])
         np.testing.assert_array_equal(w.grad, first[1])
@@ -381,86 +408,128 @@ class TestBackward:
         check_op_gradient(network, [x, w1, w2, bias])
 
 
+def dropout_stack(x, ratio, training=True, rng=None):
+    """One layer whose batch norm maps a constant column to 1, then dropout."""
+    state = ag.BatchNormState(x.shape[1])
+    state.beta.values[:] = 1.0
+    return ag.bn_mlp(x, [(ag.Tensor(np.eye(x.shape[1])), state)], training=training,
+                     dropout=ratio, rng=rng)
+
+
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        x = ag.Tensor([1.0, 2.0])
-        assert ag.dropout(x, 0.4, training=False) is x
+        x = ag.Tensor(np.arange(6.0).reshape(3, 2))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = ag.bn_mlp(x, [passthrough(2)], dropout=0.4, rng=rng)
+        np.testing.assert_array_equal(out.values, x.values)
+        assert rng.bit_generator.state == before
 
     def test_zero_ratio_is_identity(self):
-        x = ag.Tensor([1.0, 2.0])
+        x = ag.Tensor(np.arange(6.0).reshape(3, 2))
         rng = np.random.default_rng(0)
-        assert ag.dropout(x, 0.0, training=True, rng=rng) is x
+        before = rng.bit_generator.state
+        out = dropout_stack(x, 0.0, rng=rng)
+        np.testing.assert_array_equal(out.values, dropout_stack(x, 0.0).values)
+        assert rng.bit_generator.state == before
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ConfigError):
-            ag.dropout(ag.Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            dropout_stack(ag.Tensor([[1.0]]), 1.0, rng=np.random.default_rng(0))
 
     def test_training_needs_rng(self):
         with pytest.raises(ValueError):
-            ag.dropout(ag.Tensor([1.0]), 0.5, training=True)
+            dropout_stack(ag.Tensor([[1.0]]), 0.5)
 
     def test_mean_preserved_monte_carlo(self):
         rng = np.random.default_rng(42)
-        x = ag.Tensor(np.ones(10_000))
-        out = ag.dropout(x, 0.4, training=True, rng=rng)
+        out = dropout_stack(ag.Tensor(np.ones((10_000, 1))), 0.4, rng=rng)
         assert abs(out.values.mean() - 1.0) < 0.02
 
     def test_surviving_entries_scaled(self):
         rng = np.random.default_rng(1)
-        out = ag.dropout(ag.Tensor(np.ones(100)), 0.4, training=True, rng=rng)
+        out = dropout_stack(ag.Tensor(np.ones((100, 1))), 0.4, rng=rng)
         kept = out.values[out.values != 0.0]
         np.testing.assert_allclose(kept, 1.0 / 0.6)
 
     def test_gradient_uses_same_mask(self):
-        x_arr = np.linspace(-1, 1, 50)
+        x_arr = np.linspace(-1, 1, 50).reshape(25, 2)
+        w = np.random.default_rng(6).uniform(-1, 1, (25, 2))
 
         def apply(t):
-            return ag.dropout(t, 0.3, training=True, rng=np.random.default_rng(5))
+            return ag.mul(dropout_stack(t, 0.3, rng=np.random.default_rng(5)), w)
 
         check_op_gradient(apply, [x_arr])
+
+
+def stack_from(tensors, training, **kwargs):
+    """``bn_mlp`` over [x, weight0, gamma0, beta0, weight1, ...] tensors.
+
+    Each layer gets a fresh batch-norm state holding the given gamma and
+    beta, running mean 0.25 and running variance 0.8.
+    """
+    layers = []
+    for weight, gamma, beta in zip(*[iter(tensors[1:])] * 3):
+        state = ag.BatchNormState(weight.shape[1])
+        state.gamma, state.beta = gamma, beta
+        state.running_mean[:] = 0.25
+        state.running_var[:] = 0.8
+        layers.append((weight, state))
+    return ag.bn_mlp(tensors[0], layers, training, **kwargs)
 
 
 BN_CASES = [(seed, 6, None) for seed in range(5)] + [(5, 1, None), (6, 6, 1e3)]
 BN_CASE_IDS = [*map(str, range(5)), "one_row", "far_mean"]
 
 
-def _bn_gradient_case(seed, rows, center, training, weights=None):
-    """(build, arrays) for check_op_gradient over batch norm's x, gamma and beta."""
+def _bn_gradient_case(seed, rows, center, training, widths=(3,), **kwargs):
+    """(build, arrays) for check_op_gradient over the input and every
+    layer's weight, gamma and beta of a ``bn_mlp`` stack."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (rows, 3))
     if center is not None:
         x[:, 0] = center + 1e-2 * x[:, 0]
-    gamma = rng.uniform(0.5, 1.5, 3)
-    beta = rng.uniform(-1, 1, 3)
+    arrays = [x]
+    fan_in = 3
+    for width in widths:
+        arrays += [rng.uniform(-1, 1, (fan_in, width)), rng.uniform(0.5, 1.5, width),
+                   rng.uniform(-1, 1, width)]
+        fan_in = width
+    pool = kwargs.get("pool")
+    out_rows = rows if pool is None else rows // pool[0] * len(pool[1])
     # weight the outputs; a plain sum has an identically-zero input gradient
-    w = rng.uniform(-1, 1, (rows, 3))
+    w = rng.uniform(-1, 1, (out_rows, fan_in))
 
-    def apply(xt, gt, bt):
-        state = ag.BatchNormState(3)
-        state.gamma = gt
-        state.beta = bt
-        state.running_mean[:] = 0.25
-        state.running_var[:] = 0.8
-        return ag.mul(ag.batch_norm(xt, state, training=training, weights=weights), w)
+    def apply(*tensors):
+        # a fresh generator per call fixes any dropout mask
+        return ag.mul(stack_from(tensors, training, rng=np.random.default_rng(17), **kwargs), w)
 
-    return apply, [x, gamma, beta]
+    return apply, arrays
 
 
 class TestBatchNorm:
+    """Batch norm as the fused op's first stage, behind an identity weight."""
+
+    @staticmethod
+    def norm(x, state, training, **kwargs):
+        x = ag.tensor(x)
+        return ag.bn_mlp(x, [(ag.Tensor(np.eye(x.shape[1])), state)], training, **kwargs)
+
     def test_two_sample_batch_normalizes_to_unit(self):
         state = ag.BatchNormState(1)
-        out = ag.batch_norm(ag.Tensor([[0.0], [2.0]]), state, training=True)
-        np.testing.assert_allclose(out.values, [[-1.0], [1.0]], atol=1e-5)
+        state.beta.values[:] = 2.0
+        out = self.norm([[0.0], [2.0]], state, training=True)
+        np.testing.assert_allclose(out.values, [[1.0], [3.0]], atol=1e-5)
 
     def test_constant_batch_collapses_to_shift(self):
         state = ag.BatchNormState(2)
-        state.beta.values[:] = [5.0, -3.0]
-        out = ag.batch_norm(ag.Tensor(np.full((4, 2), 7.0)), state, training=True)
-        np.testing.assert_allclose(out.values, np.tile([5.0, -3.0], (4, 1)))
+        state.beta.values[:] = [5.0, 3.0]
+        out = self.norm(np.full((4, 2), 7.0), state, training=True)
+        np.testing.assert_allclose(out.values, np.tile([5.0, 3.0], (4, 1)))
 
     def test_running_stats_update_by_momentum(self):
         state = ag.BatchNormState(1)
-        ag.batch_norm(ag.Tensor([[0.0], [2.0]]), state, training=True, momentum=0.5)
+        self.norm([[0.0], [2.0]], state, training=True, momentum=0.5)
         np.testing.assert_allclose(state.running_mean, [0.5])  # 0.5*0 + 0.5*1
         np.testing.assert_allclose(state.running_var, [1.0])  # 0.5*1 + 0.5*1
 
@@ -468,19 +537,20 @@ class TestBatchNorm:
         state = ag.BatchNormState(1)
         state.running_mean[:] = 1.0
         state.running_var[:] = 4.0
-        out = ag.batch_norm(ag.Tensor([[3.0]]), state, training=False)
+        out = self.norm([[3.0]], state, training=False)
         np.testing.assert_allclose(out.values, [[1.0]], atol=1e-5)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ag.batch_norm(ag.Tensor(np.ones((2, 3))), ag.BatchNormState(2), training=True)
+            self.norm(np.ones((2, 3)), ag.BatchNormState(2), training=True)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_one_node_with_input_scale_and_shift_parents(self, training):
         state = ag.BatchNormState(2)
         x = ag.Tensor(np.arange(6.0).reshape(3, 2))
-        out = ag.batch_norm(x, state, training=training)
-        assert out.parents == (x, state.gamma, state.beta)
+        weight = ag.Tensor(np.eye(2))
+        out = ag.bn_mlp(x, [(weight, state)], training)
+        assert out.parents == (x, weight, state.gamma, state.beta)
 
     # beyond the random batches: a one-row training batch, and a column whose
     # mean sits far from zero next to its spread, where cancellation would show
@@ -494,7 +564,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(850 + seed)
         # uneven integer multiplicities, as the nested area scales give
         weights = np.array([3.0]) if rows == 1 else rng.permutation(np.arange(rows) % 3 + 1.0)
-        check_op_gradient(*_bn_gradient_case(850 + seed, rows, center, True, weights))
+        check_op_gradient(*_bn_gradient_case(850 + seed, rows, center, True, weights=weights))
 
     def test_weights_act_as_repeated_rows(self):
         rng = np.random.default_rng(9)
@@ -506,8 +576,9 @@ class TestBatchNorm:
         def run(rows, row_weights, out_grad):
             state = ag.BatchNormState(3)
             state.gamma.values[:] = [0.5, 1.0, 2.0]
+            state.beta.values[:] = 0.3
             xt = ag.Tensor(rows)
-            out = ag.batch_norm(xt, state, training=True, weights=row_weights)
+            out = self.norm(xt, state, training=True, weights=row_weights)
             ag.backward(ag.sum_reduce(ag.mul(out, out_grad)))
             return out.values, xt.grad, state
 
@@ -526,8 +597,128 @@ class TestBatchNorm:
 
     def test_weights_must_match_rows(self):
         with pytest.raises(ShapeError):
-            ag.batch_norm(ag.Tensor(np.ones((3, 2))), ag.BatchNormState(2), training=True,
-                          weights=np.ones(2))
+            self.norm(np.ones((3, 2)), ag.BatchNormState(2), training=True, weights=np.ones(2))
+
+
+# (training, weights, pool, dropout) for two-layer stacks of 8 rows
+STACK_CASES = [
+    (True, None, None, 0.0),
+    (False, None, None, 0.0),
+    (True, "uneven", None, 0.0),
+    (True, None, (4, (1, 3, 4)), 0.0),
+    (False, None, (4, (1, 3, 4)), 0.0),
+    (True, "uneven", (4, (2, 4)), 0.0),
+    (True, None, None, 0.3),
+    (True, "uneven", (8, (8,)), 0.3),
+]
+STACK_IDS = ["train", "eval", "weights", "pool", "eval_pool", "weights_pool", "dropout",
+             "weights_pool_dropout"]
+
+
+def _stack_kwargs(weights, pool, dropout, rows=8):
+    kwargs = {"pool": pool, "dropout": dropout}
+    if weights is not None:
+        kwargs["weights"] = np.arange(rows) % 3 + 1.0
+    return kwargs
+
+
+class TestBnMlp:
+    @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
+    def test_gradients_match_finite_differences(self, training, weights, pool, dropout):
+        kwargs = _stack_kwargs(weights, pool, dropout)
+        check_op_gradient(*_bn_gradient_case(700, 8, None, training, (4, 3), **kwargs))
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("seed,rows,center", BN_CASES[-2:], ids=BN_CASE_IDS[-2:])
+    def test_pooled_extremes_match_finite_differences(self, training, seed, rows, center):
+        # one row or a far-off column mean, through two layers and a pool
+        pool = (rows, (1, rows)) if rows > 1 else (1, (1,))
+        check_op_gradient(*_bn_gradient_case(750 + seed, rows, center, training, (4, 3),
+                                             pool=pool))
+
+    @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
+    def test_matches_reference_chain(self, training, weights, pool, dropout):
+        # values, running statistics and every gradient against the chain of
+        # separate matmul, batch norm, relu, dropout and pool nodes
+        rng = np.random.default_rng(31)
+        arrays = [rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, (3, 4)),
+                  rng.uniform(0.5, 1.5, 4), rng.uniform(-1, 1, 4),
+                  rng.uniform(-1, 1, (4, 5)), rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5)]
+        runs = []
+        for op in (ag.bn_mlp, reference_bn_mlp):
+            tensors = [ag.Tensor(a) for a in arrays]
+            layers = []
+            for weight, gamma, beta in zip(*[iter(tensors[1:])] * 3):
+                state = ag.BatchNormState(weight.shape[1])
+                state.gamma, state.beta = gamma, beta
+                state.running_mean[:] = 0.25
+                state.running_var[:] = 0.8
+                layers.append((weight, state))
+            out = op(tensors[0], layers, training, 0.3, rng=np.random.default_rng(17),
+                     **_stack_kwargs(weights, pool, dropout))
+            g = np.random.default_rng(32).uniform(-1, 1, out.shape)
+            ag.backward(ag.sum_reduce(ag.mul(out, g)))
+            runs.append([out.values, *(t.grad for t in tensors),
+                         *(s.running_mean for _, s in layers), *(s.running_var for _, s in layers)])
+        for got, want in zip(*runs):
+            assert relative_error(got, want, floor=1e-300) < 1e-12
+
+    def test_one_node_per_stack(self):
+        rng = np.random.default_rng(3)
+        x = ag.Tensor(rng.uniform(-1, 1, (4, 3)))
+        layers = [(ag.Tensor(rng.uniform(-1, 1, (3, 2))), ag.BatchNormState(2)),
+                  (ag.Tensor(rng.uniform(-1, 1, (2, 5))), ag.BatchNormState(5))]
+        out = ag.bn_mlp(x, layers, training=True, pool=(2, (1, 2)))
+        assert out.shape == (4, 5)
+        assert out.parents == (x, layers[0][0], layers[0][1].gamma, layers[0][1].beta,
+                               layers[1][0], layers[1][1].gamma, layers[1][1].beta)
+
+    def test_needs_a_layer(self):
+        with pytest.raises(ShapeError):
+            ag.bn_mlp(ag.Tensor(np.ones((2, 2))), [])
+
+
+class TestNoGrad:
+    @staticmethod
+    def stack(training, pool=None):
+        rng = np.random.default_rng(41)
+        x = ag.Tensor(rng.uniform(-1, 1, (8, 3)))
+        layers = [(ag.Tensor(rng.uniform(-1, 1, (3, 4))), ag.BatchNormState(4))]
+        layers[0][1].running_mean[:] = 0.1
+        return ag.bn_mlp(x, layers, training, pool=pool), layers[0][1]
+
+    @pytest.mark.parametrize("pool", [None, (4, (2, 4))])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_same_values_and_statistics_without_a_graph(self, training, pool):
+        built, state = self.stack(training, pool)
+        with ag.no_grad():
+            free, free_state = self.stack(training, pool)
+        assert free.parents == () and free.grad_fn is None
+        assert built.parents
+        np.testing.assert_array_equal(free.values, built.values)
+        np.testing.assert_array_equal(free_state.running_mean, state.running_mean)
+        np.testing.assert_array_equal(free_state.running_var, state.running_var)
+
+    def test_every_op_records_nothing(self):
+        with ag.no_grad():
+            x = ag.Tensor([[1.0, -2.0]])
+            out = ag.softmax(ag.tanh(ag.matmul(x, ag.Tensor(np.eye(2)))), axis=1)
+        assert out.parents == () and out.grad_fn is None
+
+    def test_mode_comes_back_after_an_exception(self):
+        with pytest.raises(ShapeError):
+            with ag.no_grad():
+                ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((2, 3))))
+        x = ag.Tensor([1.0])
+        assert ag.mul(x, x).parents == (x, x)
+
+    def test_blocks_nest(self):
+        with ag.no_grad():
+            with ag.no_grad():
+                pass
+            inner = ag.add(ag.Tensor([1.0]), 1.0)
+        assert inner.parents == ()
+        assert ag.add(ag.Tensor([1.0]), 1.0).parents
 
 
 class TestCrossEntropy:

@@ -109,6 +109,19 @@ class TestTrainCommand:
         assert code == 0
 
 
+    def test_out_of_memory_exits_2_naming_the_keys(self, tmp_path, capsys, monkeypatch):
+        from pointseq import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 5.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "train", exhausted)
+        assert _train(tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err
+        assert "train.batch_size" in err and "model.m" in err
+        assert "Traceback" not in err
+
     def test_zero_decay_period_keeps_rates_constant(self, tmp_path, capsys):
         assert _train(tmp_path / "run", ["--set", "train.decay_every=0"]) == 0
         capsys.readouterr()

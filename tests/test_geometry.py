@@ -239,9 +239,7 @@ class TestGroupAreas:
 def relative_areas(points, m, scales):
     """Centroids and the [m, k, 3] centroid-relative areas prepare_cloud caches."""
     geom = prepare_cloud(geo.PointCloud(points), ModelConfig(m=m, scales=scales))
-    return geom.centroid_coords, [
-        rel.reshape(m, k, 3) for rel, k in zip(geom.relative, scales)
-    ]
+    return geom.centroid_coords, geom.relative
 
 
 class TestToRelative:

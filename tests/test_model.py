@@ -31,7 +31,7 @@ from pointseq.model import (
     segment_batch,
 )
 
-from helpers import area_sequences_per_scale, interpolation_weights_loop
+from helpers import area_sequences_per_scale, interpolation_weights_loop, reference_bn_mlp
 from pointseq import model
 
 
@@ -429,7 +429,7 @@ class TestNestedAreaPass:
         else:
             logits, _ = segment_batch(geoms, params, cfg, ctx)
             labels = np.concatenate([g.labels for g in geoms])
-        params.zero_grads()
+        params.clear_grads()
         ag.backward(ag.cross_entropy_mean(logits, labels))
         tensors = {f"sequence.{t}": s.values for t, s in enumerate(sequences)}
         tensors["logits"] = logits.values
@@ -455,6 +455,31 @@ class TestNestedAreaPass:
             # agg_mlp.1.beta's gradient is zero in exact arithmetic in training
             # mode (the batch norm after the global pool centres its columns),
             # so both sides hold only ~1e-16 rounding noise there
+            scale = np.abs(ref).max()
+            atol = 1e-12 * scale if scale > 1e-14 else 1e-14
+            assert_allclose(got[name], ref, rtol=0, atol=atol, err_msg=name)
+
+
+class TestFusedStacks:
+    """Every dense stack as one fused node against today's chain of separate
+    matmul, batch norm, relu, dropout and pool nodes."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_matches_reference_chain(self, monkeypatch, task, training):
+        # the area block brings row weights and a prefix pool, the aggregation
+        # MLP a plain pool, and the heads dropout (ratio 0.4) in training
+        make = tiny_cls_config if task == "classification" else tiny_seg_config
+        cfg = make(scales=(2, 3, 4))
+        rng = np.random.default_rng(12)
+        clouds = [PointCloud(rng.normal(size=(20, 3)), labels=rng.integers(0, 4, size=20))
+                  for _ in range(3)]
+        run, area = TestNestedAreaPass._run, model._area_sequences
+        got = run(monkeypatch, area, cfg, clouds, training)
+        monkeypatch.setattr(ag, "bn_mlp", reference_bn_mlp)
+        want = run(monkeypatch, area, cfg, clouds, training)
+        assert got.keys() == want.keys()
+        for name, ref in want.items():
             scale = np.abs(ref).max()
             atol = 1e-12 * scale if scale > 1e-14 else 1e-14
             assert_allclose(got[name], ref, rtol=0, atol=atol, err_msg=name)
@@ -573,8 +598,8 @@ class TestAggregateGlobal:
         base = classify_batch([geom], p, cfg).values
         for _ in range(5):
             perm = rng.permutation(cfg.m)
-            relative = [r.reshape(cfg.m, k, 3)[perm].reshape(-1, 3)
-                        for r, k in zip(geom.relative, cfg.scales)]
+            areas = geom.relative[-1][perm]
+            relative = [areas[:, :k] for k in cfg.scales]
             shuffled = dataclasses.replace(
                 geom, centroid_coords=geom.centroid_coords[perm], relative=relative
             )
@@ -618,7 +643,7 @@ class TestClassifyForward:
         for agg in ("attention_ed", "no_attention", "no_decoder", "concat", "max_pool"):
             cfg = tiny_cls_config(aggregator=agg)
             p = build_params(cfg, np.random.default_rng(78))
-            p.zero_grads()
+            p.clear_grads()
             geoms = [prepare_cloud(c, cfg) for c in clouds]
             ctx = ForwardContext(training=True, rng=np.random.default_rng(79))
             logits = classify_batch(geoms, p, cfg, ctx)

@@ -1,5 +1,7 @@
 """Optimizer, schedule, metric, and training-loop tests."""
 
+import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,12 +9,18 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pointseq import autograd as ag
-from pointseq import training
+from pointseq import model, training
 from pointseq.autograd import Tensor
 from pointseq.config import ModelConfig, TrainConfig
 from pointseq.errors import ConfigError, DataError
 from pointseq.geometry import PointCloud
-from pointseq.model import ModelParams, build_params, classify_forward, prepare_cloud
+from pointseq.model import (
+    ForwardContext,
+    ModelParams,
+    build_params,
+    classify_forward,
+    prepare_cloud,
+)
 from pointseq.training import (
     AdamState,
     adam_step,
@@ -427,7 +435,9 @@ class TestTrain:
                 assert all(ref() is None for ref in live), "the previous batch's graph is alive"
                 out = forward(geoms, params, cfg, ctx)
                 logits = out[0] if isinstance(out, tuple) else out
-                live[:] = [weakref.ref(v) for v in interior_values(logits)]
+                interior = interior_values(logits)
+                if interior:  # evaluation batches build no graph at all
+                    live[:] = [weakref.ref(v) for v in interior]
                 return out
             return wrapper
 
@@ -450,3 +460,81 @@ class TestTrain:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError):
             train([], [], [], [], tiny_cfg(), TrainConfig(epochs=1))
+
+
+def seg_cfg(**over):
+    return tiny_cfg(task="segmentation", num_parts=2, seg_point_width=8,
+                    seg_prop1_widths=(16, 8), seg_prop2_widths=(16, 8),
+                    seg_head_widths=(8,), **over)
+
+
+class TestMemoryGuard:
+    """What forwards keep alive: the saving of the fused dense stacks and of
+    graph-free evaluation must not silently come back."""
+
+    def test_training_area_block_keeps_one_array_per_layer(self):
+        cfg = tiny_cfg(m=32, scales=(8, 16, 32), area_hidden=(32, 64), feature_dim=64)
+        rng = np.random.default_rng(60)
+        params = build_params(cfg, rng)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(96, 3))), cfg) for _ in range(2)]
+        ctx = ForwardContext(training=True, rng=rng)
+        rows = len(geoms) * cfg.m * cfg.scales[-1]
+        widths = sum(cfg.area_hidden) + cfg.feature_dim
+        # the normalized activations of every layer, plus small change for
+        # the pooled blocks, their routing and the centroid projection
+        budget = 1.5 * rows * widths * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sequences = model._area_sequences(geoms, params, cfg, ctx)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sequences) == cfg.num_scales
+        assert held <= budget, f"area block keeps {held} bytes, budget {budget:.0f}"
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_evaluation_builds_no_graph_and_matches_graph_forward(self, task, monkeypatch):
+        cfg = tiny_cfg() if task == "classification" else seg_cfg()
+        rng = np.random.default_rng(61)
+        params = build_params(cfg, rng)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(16, 3)),
+                                          labels=rng.integers(0, 2, size=16)), cfg)
+                 for _ in range(3)]
+        forward_name = "classify_batch" if task == "classification" else "segment_batch"
+        forward = getattr(training, forward_name)
+        seen = []
+
+        def recorded(batch, *args):
+            out = forward(batch, *args)
+            seen.append((batch, out[0] if isinstance(out, tuple) else out))
+            return out
+
+        monkeypatch.setattr(training, forward_name, recorded)
+        if task == "classification":
+            evaluate_classification(geoms, np.array([0, 1, 0]), params, cfg, batch_size=2)
+        else:
+            evaluate_segmentation(geoms, params, cfg, batch_size=2)
+        assert len(seen) == 2
+        for batch, logits in seen:
+            assert logits.parents == () and logits.grad_fn is None
+            out = forward(batch, params, cfg, ForwardContext(training=False))
+            graph_logits = out[0] if isinstance(out, tuple) else out
+            assert graph_logits.parents
+            assert_array_equal(logits.values, graph_logits.values)
+
+    def test_graph_mode_returns_after_a_failing_evaluation(self, monkeypatch):
+        cfg = tiny_cfg()
+        params = build_params(cfg, np.random.default_rng(62))
+        geoms = [prepare_cloud(PointCloud(np.random.default_rng(63).normal(size=(16, 3))), cfg)]
+
+        def failing(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(training, "classify_batch", failing)
+        with pytest.raises(MemoryError):
+            evaluate_classification(geoms, np.array([0]), params, cfg)
+        x = Tensor([1.0])
+        assert ag.mul(x, x).parents == (x, x)
