@@ -21,12 +21,8 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "mul",
     "maximum",
     "tanh",
-    "sigmoid",
-    "softmax",
-    "sum_reduce",
     "concat",
     "slice_axis",
     "reshape",
@@ -34,6 +30,9 @@ __all__ = [
     "cross_entropy_mean",
     "BatchNormState",
     "bn_mlp",
+    "lstm",
+    "attend",
+    "block_matmul",
 ]
 
 
@@ -64,9 +63,10 @@ class Tensor:
 
     ``parents`` and ``grad_fn`` record the producing operation; leaves have
     neither, and neither does any tensor made under :func:`no_grad`.
-    ``grad_fn(out_grad)`` returns one gradient array (or None) per parent.
-    The graph is acyclic by construction, since edges only ever point at
-    tensors that already exist.
+    ``grad_fn(out_grad)`` returns one gradient array (or None) per parent:
+    a new array of its own, or ``out_grad`` itself or a view of it. The
+    graph is acyclic by construction, since edges only ever point at tensors
+    that already exist.
     """
 
     __slots__ = ("values", "grad", "parents", "grad_fn", "trainable")
@@ -98,11 +98,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -145,10 +140,6 @@ def add(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
-def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
 def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first operand."""
     return _binary(
@@ -178,49 +169,6 @@ def tanh(x) -> Tensor:
 
     def grad_fn(g):
         return (g * (1.0 - out * out),)
-
-    return Tensor(out, (x,), grad_fn)
-
-
-def sigmoid(x) -> Tensor:
-    x = tensor(x)
-    v = x.values
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-
-    def grad_fn(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor(out, (x,), grad_fn)
-
-
-def softmax(x, axis=-1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max is subtracted first)."""
-    x = tensor(x)
-    if x.size == 0:
-        raise ShapeError("softmax of an empty input")
-    shifted = x.values - x.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor(out, (x,), grad_fn)
-
-
-def sum_reduce(x, axis=None, keepdims=False) -> Tensor:
-    x = tensor(x)
-    out = x.values.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
 
     return Tensor(out, (x,), grad_fn)
 
@@ -530,6 +478,167 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     return Tensor(a, parents, grad_fn)
 
 
+def _sigmoid(v):
+    # with e = exp(-|v|) <= 1, max(e, v >= 0) is 1 for v >= 0 and e = exp(v)
+    # otherwise, so each sign gets its overflow-free textbook form,
+    # 1/(1+exp(-v)) or exp(v)/(1+exp(v)), without a select
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, v >= 0)
+    e += 1.0
+    out /= e
+    return out
+
+
+def lstm(x, steps, weight, bias) -> Tensor:
+    """A whole LSTM sequence from a zero state as one graph node.
+
+    ``x`` stacks the steps' inputs by step: with r = rows/steps, rows
+    [t*r, (t+1)*r) are step t's. Each step computes z = [h | x_t] @ weight +
+    bias, whose four column blocks are the input, forget and output gates
+    (sigmoid) and the candidate (tanh); then c = f*c + i*g and h = o*tanh(c)
+    (Hochreiter & Schmidhuber, 1997). The result stacks every step's hidden
+    state the same way: [steps*r, hidden].
+
+    Per step the node keeps the matmul input [h_{t-1} | x_t], the four gate
+    activations, c_{t-1} and tanh(c_t); the backward runs backpropagation
+    through time in closed form. Parents are ``x``, ``weight`` and ``bias``.
+    Under :func:`no_grad` nothing is kept.
+    """
+    x, weight, bias = tensor(x), tensor(weight), tensor(bias)
+    if x.ndim != 2 or steps < 1 or x.shape[0] % steps:
+        raise ShapeError(f"cannot split input of shape {x.shape} into {steps} steps")
+    rows, width = x.shape[0] // steps, x.shape[1]
+    h = weight.shape[-1] // 4
+    if weight.shape != (h + width, 4 * h) or bias.shape != (4 * h,):
+        raise ShapeError(f"lstm weight {weight.shape} and bias {bias.shape} do not fit "
+                         f"input width {width}")
+    keep = _recording
+    out = np.empty((steps * rows, h))
+    hidden = np.zeros((rows, h))
+    cell = np.zeros((rows, h))
+    saved = []
+    for t in range(steps):
+        joined = np.concatenate([hidden, x.values[t * rows:(t + 1) * rows]], axis=1)
+        z = joined @ weight.values
+        z += bias.values
+        gates = _sigmoid(z[:, :3 * h])
+        candidate = np.tanh(z[:, 3 * h:])
+        prev_cell = cell
+        cell = gates[:, h:2 * h] * prev_cell
+        cell += gates[:, :h] * candidate
+        tanh_cell = np.tanh(cell)
+        hidden = np.multiply(gates[:, 2 * h:], tanh_cell, out=out[t * rows:(t + 1) * rows])
+        if keep:
+            saved.append((joined, gates, candidate, prev_cell, tanh_cell))
+    if not keep:
+        return Tensor(out)
+
+    def grad_fn(g):
+        gx = np.empty_like(x.values)
+        gw = np.zeros_like(weight.values)
+        gb = np.zeros_like(bias.values)
+        dh = np.zeros((rows, h))
+        dc = np.zeros((rows, h))
+        dz = np.empty((rows, 4 * h))
+        for t in range(steps - 1, -1, -1):
+            joined, gates, candidate, prev_cell, tanh_cell = saved[t]
+            dh += g[t * rows:(t + 1) * rows]
+            dc += dh * gates[:, 2 * h:] * (1.0 - tanh_cell * tanh_cell)
+            # d/dz of each block: the input, forget and output gates'
+            # partials, then the sigmoid and tanh derivatives
+            np.multiply(dc, candidate, out=dz[:, :h])
+            np.multiply(dc, prev_cell, out=dz[:, h:2 * h])
+            np.multiply(dh, tanh_cell, out=dz[:, 2 * h:3 * h])
+            np.multiply(dc, gates[:, :h], out=dz[:, 3 * h:])
+            dz[:, :3 * h] *= gates
+            dz[:, :3 * h] *= 1.0 - gates
+            dz[:, 3 * h:] *= 1.0 - candidate * candidate
+            gw += joined.T @ dz
+            gb += dz.sum(axis=0)
+            d_joined = dz @ weight.values.T
+            gx[t * rows:(t + 1) * rows] = d_joined[:, h:]
+            dh = d_joined[:, :h]
+            dc *= gates[:, h:2 * h]
+        return gx, gw, gb
+
+    return Tensor(out, (x, weight, bias), grad_fn)
+
+
+def attend(query, states, steps, score_weight):
+    """Content attention of each query row over its encoder states.
+
+    ``states`` stacks ``steps`` blocks of one row per query row, as
+    :func:`lstm` returns them. Row i scores step t with the bilinear
+    "general" form (query_i @ score_weight) . state_{t,i} of Luong et al.
+    (arXiv 1508.04025), takes a max-shifted softmax over steps, and averages
+    its states with those weights.
+
+    Returns ``(context, alpha)``: the [rows, hidden] context as one graph
+    node with parents ``query``, ``states`` and ``score_weight``, and the
+    [rows, steps] weights as a plain array. The node keeps the projected
+    query and the weights; under :func:`no_grad` it keeps nothing.
+    """
+    query, states, score_weight = tensor(query), tensor(states), tensor(score_weight)
+    if query.ndim != 2 or states.ndim != 2 or score_weight.ndim != 2:
+        raise ShapeError("attention expects 2-d query, states and score weight")
+    rows, width = query.shape
+    if (steps < 1 or states.shape[0] != steps * rows
+            or score_weight.shape != (width, states.shape[1])):
+        raise ShapeError(f"cannot attend from query {query.shape} through score weight "
+                         f"{score_weight.shape} over {steps} steps of states {states.shape}")
+    blocks = states.values.reshape(steps, rows, -1)
+    projected = query.values @ score_weight.values
+    scores = (blocks * projected).sum(axis=2).T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    context = (alpha.T[:, :, None] * blocks).sum(axis=0)
+    if not _recording:
+        return Tensor(context), alpha
+
+    def grad_fn(g):
+        d_alpha = (blocks * g).sum(axis=2).T
+        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        d_projected = (d_scores.T[:, :, None] * blocks).sum(axis=0)
+        g_states = alpha.T[:, :, None] * g
+        g_states += d_scores.T[:, :, None] * projected
+        return (d_projected @ score_weight.values.T, g_states.reshape(states.shape),
+                query.values.T @ d_projected)
+
+    return Tensor(context, (query, states, score_weight), grad_fn), alpha
+
+
+def block_matmul(matrices, x) -> Tensor:
+    """Each consecutive row block of ``x`` multiplied on the left by its own
+    constant matrix, stacked in order, as one graph node.
+
+    Matrix i of shape [n_i, m_i] takes the next m_i rows of ``x``; the result
+    has sum n_i rows. Only ``x`` is a parent. No block-diagonal matrix is
+    built, so the blocks may differ in size at the cost of one matmul each.
+    """
+    x = tensor(x)
+    if x.ndim != 2 or any(np.ndim(w) != 2 for w in matrices):
+        raise ShapeError("block_matmul expects a 2-d input and 2-d matrices")
+    starts = np.cumsum([0] + [w.shape[1] for w in matrices])
+    if starts[-1] != x.shape[0]:
+        raise ShapeError(f"matrices spanning {starts[-1]} rows do not fit input {x.shape}")
+    out_starts = np.cumsum([0] + [w.shape[0] for w in matrices])
+    out = np.empty((out_starts[-1], x.shape[1]))
+    for w, lo, hi, out_lo, out_hi in zip(matrices, starts, starts[1:], out_starts,
+                                         out_starts[1:]):
+        np.matmul(w, x.values[lo:hi], out=out[out_lo:out_hi])
+
+    def grad_fn(g):
+        gx = np.empty_like(x.values)
+        for w, lo, hi, out_lo, out_hi in zip(matrices, starts, starts[1:], out_starts,
+                                             out_starts[1:]):
+            np.matmul(w.T, g[out_lo:out_hi], out=gx[lo:hi])
+        return (gx,)
+
+    return Tensor(out, (x,), grad_fn)
+
+
 def _topo_order(root):
     # two-phase DFS; marking at pop time keeps parents ahead of children
     # even when several consumers share a parent
@@ -566,9 +675,12 @@ def backward(loss) -> None:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
     grads = {id(loss): np.ones_like(loss.values)}
-    # ids whose buffer this walk allocated; any other gradient may be shared
-    # (``add`` hands one array to both parents), so it is never added into
-    owned = set()
+    # ids whose buffer no other gradient shares: a new array from a
+    # ``grad_fn``, or a sum this walk made. A view of the gradient its
+    # producer received (``add`` hands that one array to both parents,
+    # ``reshape`` and ``concat`` pass views of it) may be shared, so it is
+    # never added into, and a leaf keeps a copy of it
+    owned = {id(loss)}
     for node in reversed(order):
         if node.grad_fn is None:
             continue
@@ -582,6 +694,8 @@ def backward(loss) -> None:
             acc = grads.get(key)
             if acc is None:
                 grads[key] = pg
+                if not np.may_share_memory(pg, g):
+                    owned.add(key)
             elif key in owned:
                 acc += pg
             else:

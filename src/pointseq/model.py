@@ -28,7 +28,6 @@ __all__ = [
     "build_params",
     "prepare_cloud",
     "area_pooled_feature",
-    "lstm_step",
     "encode_sequence",
     "attention_scores",
     "classify_batch",
@@ -218,7 +217,8 @@ def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardCont
 
 
 def _area_sequences(geoms, params, cfg, ctx):
-    """Per-scale region features for a batch: a list of [b*m, d] tensors.
+    """Region features at every scale for a batch: one [scales*b*m, d] tensor,
+    stacked by scale (scale t's b*m rows follow scale t-1's).
 
     The scales are nested (each smaller area is a prefix of the largest), so
     only the largest area's points go through the shared point MLP. Its batch
@@ -236,8 +236,7 @@ def _area_sequences(geoms, params, cfg, ctx):
                      weights=weights, pool=(largest, cfg.scales))
     centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
     x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)
-    x = ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
-    return [ag.slice_axis(x, 0, t * regions, (t + 1) * regions) for t in range(cfg.num_scales)]
+    return ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
 
 
 def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
@@ -254,45 +253,23 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
     return ag.reshape(pooled, (cfg.feature_dim,))
 
 
-def lstm_step(prev_hidden, prev_cell, x, weight, bias):
-    """One step of a standard LSTM cell over a batch of rows.
-
-    Gate order in the fused weight is input, forget, output, candidate;
-    the input row is concatenated after the previous hidden state.
-    """
-    prev_hidden, prev_cell, x = ag.tensor(prev_hidden), ag.tensor(prev_cell), ag.tensor(x)
-    state_dim = prev_hidden.shape[1]
-    z = ag.matmul(ag.concat([prev_hidden, x], axis=1), weight) + bias
-    gate_in = ag.sigmoid(ag.slice_axis(z, 1, 0, state_dim))
-    gate_forget = ag.sigmoid(ag.slice_axis(z, 1, state_dim, 2 * state_dim))
-    gate_out = ag.sigmoid(ag.slice_axis(z, 1, 2 * state_dim, 3 * state_dim))
-    candidate = ag.tanh(ag.slice_axis(z, 1, 3 * state_dim, 4 * state_dim))
-    cell = gate_forget * prev_cell + gate_in * candidate
-    hidden = gate_out * ag.tanh(cell)
-    return hidden, cell
-
-
 @dataclass
 class EncoderTrace:
-    """Recurrent encoder hidden states, one entry per step; rows are regions."""
+    """Recurrent encoder hidden states, [steps*rows, hidden], stacked by step
+    as :func:`autograd.lstm` returns them; rows are regions."""
 
-    hidden: list
+    states: Tensor
+    steps: int
 
-    @property
-    def steps(self) -> int:
-        return len(self.hidden)
+    def last(self) -> Tensor:
+        """The final step's [rows, hidden] states, sliced off as a new node."""
+        rows = self.states.shape[0] // self.steps
+        return ag.slice_axis(self.states, 0, (self.steps - 1) * rows, self.steps * rows)
 
 
-def _encode_steps(step_inputs, params: ModelParams) -> EncoderTrace:
-    rows = step_inputs[0].shape[0]
-    state_dim = params["encoder.weight"].shape[1] // 4
-    hidden = ag.tensor(np.zeros((rows, state_dim)))
-    cell = ag.tensor(np.zeros((rows, state_dim)))
-    trace = EncoderTrace([])
-    for x in step_inputs:
-        hidden, cell = lstm_step(hidden, cell, x, params["encoder.weight"], params["encoder.bias"])
-        trace.hidden.append(hidden)
-    return trace
+def _encode(stacked, steps, params: ModelParams) -> EncoderTrace:
+    states = ag.lstm(stacked, steps, params["encoder.weight"], params["encoder.bias"])
+    return EncoderTrace(states, steps)
 
 
 def encode_sequence(sequence, params: ModelParams) -> EncoderTrace:
@@ -300,43 +277,28 @@ def encode_sequence(sequence, params: ModelParams) -> EncoderTrace:
     sequence = ag.tensor(sequence)
     if sequence.ndim != 2 or sequence.shape[0] < 1:
         raise ShapeError(f"encode_sequence expects [steps >= 1, features], got {sequence.shape}")
-    steps = [ag.slice_axis(sequence, 0, t, t + 1) for t in range(sequence.shape[0])]
-    return _encode_steps(steps, params)
+    return _encode(sequence, sequence.shape[0], params)
 
 
 def attention_scores(decoder_hidden, trace: EncoderTrace, score_weight) -> Tensor:
     """Attention over encoder steps: softmax of bilinear alignment scores.
 
-    ``decoder_hidden`` is [rows, hidden]; the result is [rows, steps].
+    ``decoder_hidden`` is [rows, hidden]; the result is a [rows, steps] leaf.
     """
-    projected = ag.matmul(decoder_hidden, score_weight)
-    scores = ag.concat(
-        [ag.sum_reduce(ag.mul(projected, ht), axis=1, keepdims=True) for ht in trace.hidden],
-        axis=1,
-    )
-    return ag.softmax(scores, axis=1)
-
-
-def _decoder_step(trace: EncoderTrace, params: ModelParams) -> Tensor:
-    """The decoder's single step from a zero state, fed the last encoder state."""
-    zeros = ag.tensor(np.zeros(trace.hidden[-1].shape))
-    hidden, _ = lstm_step(zeros, zeros, trace.hidden[-1],
-                          params["decoder.weight"], params["decoder.bias"])
-    return hidden
+    _, alpha = ag.attend(decoder_hidden, trace.states, trace.steps, score_weight)
+    return ag.tensor(alpha)
 
 
 def _decode_regions(trace: EncoderTrace, params: ModelParams):
     """Batched one-step decoder with content attention over encoder states.
 
     Returns the [rows, feature] region features, the [rows, steps] attention
-    weights, and the attended [rows, hidden] context.
+    weights (an array), and the attended [rows, hidden] context.
     """
-    dec_hidden = _decoder_step(trace, params)
-    alpha = attention_scores(dec_hidden, trace, params["attn_score.weight"])
-    context = None
-    for t, ht in enumerate(trace.hidden):
-        term = ag.mul(ag.slice_axis(alpha, 1, t, t + 1), ht)
-        context = term if context is None else ag.add(context, term)
+    # one decoder step from a zero state, fed the last encoder state
+    dec_hidden = ag.lstm(trace.last(), 1, params["decoder.weight"], params["decoder.bias"])
+    context, alpha = ag.attend(dec_hidden, trace.states, trace.steps,
+                               params["attn_score.weight"])
     combined = ag.tanh(ag.matmul(ag.concat([context, dec_hidden], axis=1),
                                  params["attn_combine.weight"]))
     region = ag.matmul(combined, params["region_out_proj.weight"])
@@ -344,20 +306,24 @@ def _decode_regions(trace: EncoderTrace, params: ModelParams):
 
 
 def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Collapse per-scale sequences into one [rows, region_dim] feature matrix."""
-    if cfg.aggregator == "max_pool":
-        out = sequences[0]
-        for s in sequences[1:]:
+    """Collapse the scale-stacked sequences into one [rows, region_dim] matrix."""
+    if cfg.aggregator in ("max_pool", "concat"):
+        rows = sequences.shape[0] // cfg.num_scales
+        per_scale = [ag.slice_axis(sequences, 0, t * rows, (t + 1) * rows)
+                     for t in range(cfg.num_scales)]
+        if cfg.aggregator == "concat":
+            stacked = ag.concat(per_scale, axis=1)
+            return ag.matmul(stacked, params["concat_proj.weight"]) + params["concat_proj.bias"]
+        out = per_scale[0]
+        for s in per_scale[1:]:
             out = ag.maximum(out, s)
         return out
-    if cfg.aggregator == "concat":
-        stacked = ag.concat(sequences, axis=1)
-        return ag.matmul(stacked, params["concat_proj.weight"]) + params["concat_proj.bias"]
-    trace = _encode_steps(sequences, params)
+    trace = _encode(sequences, cfg.num_scales, params)
     if cfg.aggregator == "no_decoder":
-        return trace.hidden[-1]
+        return trace.last()
     if cfg.aggregator == "no_attention":
-        return ag.matmul(_decoder_step(trace, params), params["decoder_out_proj.weight"])
+        dec_hidden = ag.lstm(trace.last(), 1, params["decoder.weight"], params["decoder.bias"])
+        return ag.matmul(dec_hidden, params["decoder_out_proj.weight"])
     region, _alpha, _context = _decode_regions(trace, params)
     return region
 
@@ -430,11 +396,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
     x = ag.concat([spread, regions], axis=1)
     x = _bn_mlp(x, params, "seg_prop1", len(cfg.seg_prop1_widths), ctx)
 
-    upsampled = []
-    for b, geom in enumerate(geoms):
-        block = ag.slice_axis(x, 0, b * cfg.m, (b + 1) * cfg.m)
-        upsampled.append(ag.matmul(ag.tensor(geom.interp_weights), block))
-    up = ag.concat(upsampled, axis=0)
+    up = ag.block_matmul([g.interp_weights for g in geoms], x)
 
     points = ag.tensor(np.concatenate([g.points for g in geoms], axis=0))
     skip = _bn_mlp(points, params, "seg_point_mlp", 1, ctx)

@@ -3,6 +3,60 @@
 import numpy as np
 
 from pointseq import autograd as ag
+from pointseq.errors import ShapeError
+
+
+# Ops the engine does not provide: probes that weight or reduce an op's
+# output in gradient tests, and parts of the reference recurrent chain.
+
+
+def mul(a, b):
+    """Broadcasting elementwise product."""
+    return ag._binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def sum_reduce(x, axis=None, keepdims=False):
+    x = ag.tensor(x)
+    out = x.values.sum(axis=axis, keepdims=keepdims)
+
+    def grad_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.shape).copy(),)
+
+    return ag.Tensor(out, (x,), grad_fn)
+
+
+def sigmoid(x):
+    """Logistic function, each sign through its overflow-free form."""
+    x = ag.tensor(x)
+    v = x.values
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+
+    def grad_fn(g):
+        return (g * out * (1.0 - out),)
+
+    return ag.Tensor(out, (x,), grad_fn)
+
+
+def softmax(x, axis=-1):
+    """Numerically stable softmax along ``axis`` (max is subtracted first)."""
+    x = ag.tensor(x)
+    if x.size == 0:
+        raise ShapeError("softmax of an empty input")
+    shifted = x.values - x.values.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return ag.Tensor(out, (x,), grad_fn)
 
 
 def numeric_gradient(fn, x, step=1e-5):
@@ -37,14 +91,14 @@ def check_op_gradient(build, arrays, step=1e-5, tol=1e-4):
     """
     tensors = [ag.Tensor(a) for a in arrays]
     out = build(*tensors)
-    loss = ag.sum_reduce(out)
+    loss = sum_reduce(out)
     ag.backward(loss)
 
     for pos, t in enumerate(tensors):
         def scalar(x, pos=pos):
             probe = [ag.Tensor(a) for a in arrays]
             probe[pos] = ag.Tensor(x)
-            return float(ag.sum_reduce(build(*probe)).values)
+            return float(sum_reduce(build(*probe)).values)
 
         numeric = numeric_gradient(scalar, arrays[pos].copy(), step)
         err = relative_error(t.grad, numeric)
@@ -213,7 +267,7 @@ def area_sequences_per_scale(geoms, params, cfg, ctx):
     Stacks each scale's relative points (scale-major, then cloud, region and
     point) through the reference point MLP with plain batch norms, then
     max-pools and projects each scale's block on its own. Returns the
-    per-scale list of [b*m, d] tensors that the forward feeds to the
+    [scales*b*m, d] scale-stacked tensor that the forward feeds to the
     aggregator.
     """
     n_layers = len(cfg.area_hidden) + 1
@@ -233,4 +287,72 @@ def area_sequences_per_scale(geoms, params, cfg, ctx):
         with_centroid = ag.concat([pooled, centroids], axis=1)
         out.append(ag.matmul(with_centroid, params["centroid_proj.weight"])
                    + params["centroid_proj.bias"])
-    return out
+    return ag.concat(out, axis=0)
+
+
+def reference_lstm_step(prev_hidden, prev_cell, x, weight, bias):
+    """One LSTM step as a chain of separate nodes: concat, matmul, bias, a
+    slice and activation per gate (input, forget, output, candidate), then
+    the cell and hidden-state products."""
+    prev_hidden, prev_cell, x = ag.tensor(prev_hidden), ag.tensor(prev_cell), ag.tensor(x)
+    state_dim = prev_hidden.shape[1]
+    z = ag.matmul(ag.concat([prev_hidden, x], axis=1), weight) + bias
+    gate_in = sigmoid(ag.slice_axis(z, 1, 0, state_dim))
+    gate_forget = sigmoid(ag.slice_axis(z, 1, state_dim, 2 * state_dim))
+    gate_out = sigmoid(ag.slice_axis(z, 1, 2 * state_dim, 3 * state_dim))
+    candidate = ag.tanh(ag.slice_axis(z, 1, 3 * state_dim, 4 * state_dim))
+    cell = ag.add(mul(gate_forget, prev_cell), mul(gate_in, candidate))
+    hidden = mul(gate_out, ag.tanh(cell))
+    return hidden, cell
+
+
+def reference_lstm(x, steps, weight, bias):
+    """``ag.lstm`` unrolled into :func:`reference_lstm_step` chains; same
+    signature and stacked layout, so it can stand in for it."""
+    x = ag.tensor(x)
+    rows = x.shape[0] // steps
+    state_dim = weight.shape[1] // 4
+    hidden = ag.tensor(np.zeros((rows, state_dim)))
+    cell = ag.tensor(np.zeros((rows, state_dim)))
+    out = []
+    for t in range(steps):
+        step_input = ag.slice_axis(x, 0, t * rows, (t + 1) * rows)
+        hidden, cell = reference_lstm_step(hidden, cell, step_input, weight, bias)
+        out.append(hidden)
+    return ag.concat(out, axis=0)
+
+
+def reference_attention(query, hidden, score_weight):
+    """Attention weights [rows, steps] over the per-step [rows, h] tensors
+    ``hidden``: a softmax of bilinear scores, one sum node per step."""
+    projected = ag.matmul(query, score_weight)
+    scores = ag.concat(
+        [sum_reduce(mul(projected, ht), axis=1, keepdims=True) for ht in hidden], axis=1
+    )
+    return softmax(scores, axis=1)
+
+
+def reference_attend(query, states, steps, score_weight):
+    """``ag.attend`` as a chain of separate nodes: per-step slices,
+    :func:`reference_attention`, and one product and sum per step."""
+    query, states = ag.tensor(query), ag.tensor(states)
+    rows = query.shape[0]
+    hidden = [ag.slice_axis(states, 0, t * rows, (t + 1) * rows) for t in range(steps)]
+    alpha = reference_attention(query, hidden, score_weight)
+    context = None
+    for t, ht in enumerate(hidden):
+        term = mul(ag.slice_axis(alpha, 1, t, t + 1), ht)
+        context = term if context is None else ag.add(context, term)
+    return context, alpha.values
+
+
+def reference_block_matmul(matrices, x):
+    """``ag.block_matmul`` as one slice and one matmul per block, then a concat."""
+    x = ag.tensor(x)
+    out = []
+    start = 0
+    for w in matrices:
+        block = ag.slice_axis(x, 0, start, start + w.shape[1])
+        out.append(ag.matmul(ag.tensor(w), block))
+        start += w.shape[1]
+    return ag.concat(out, axis=0)

@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_op_gradient, numeric_gradient, reference_bn_mlp, relative_error
+from helpers import (
+    check_op_gradient,
+    mul,
+    numeric_gradient,
+    reference_attend,
+    reference_bn_mlp,
+    reference_lstm,
+    relative_error,
+    sigmoid,
+    softmax,
+    sum_reduce,
+)
 from pointseq import autograd as ag
 from pointseq.errors import ConfigError, DataError, ShapeError
 
@@ -55,7 +66,7 @@ class TestMatmul:
         # loss = sum(a @ b) with b = [[3], [4]] gives d loss/d a = [[3, 4]]
         a = ag.Tensor([[1.0, 2.0]])
         b = ag.Tensor([[3.0], [4.0]])
-        ag.backward(ag.sum_reduce(ag.matmul(a, b)))
+        ag.backward(sum_reduce(ag.matmul(a, b)))
         np.testing.assert_allclose(a.grad, [[3.0, 4.0]])
         np.testing.assert_allclose(b.grad, [[1.0], [2.0]])
 
@@ -71,14 +82,14 @@ class TestElementwise:
     def test_add_sub_mul_values(self):
         a, b = ag.Tensor([1.0, -2.0]), ag.Tensor([3.0, 5.0])
         np.testing.assert_array_equal(ag.add(a, b).values, [4.0, 3.0])
-        np.testing.assert_array_equal(ag.mul(a, b).values, [3.0, -10.0])
+        np.testing.assert_array_equal(mul(a, b).values, [3.0, -10.0])
 
     def test_bias_vector_broadcasts_and_gradient_sums(self):
         x = ag.Tensor(np.zeros((4, 3)))
         bias = ag.Tensor([1.0, 2.0, 3.0])
         out = ag.add(x, bias)
         np.testing.assert_array_equal(out.values, np.tile([1.0, 2.0, 3.0], (4, 1)))
-        ag.backward(ag.sum_reduce(out))
+        ag.backward(sum_reduce(out))
         np.testing.assert_array_equal(bias.grad, [4.0, 4.0, 4.0])
 
     def test_incompatible_shapes(self):
@@ -91,18 +102,18 @@ class TestElementwise:
 
     def test_relu_gradient_is_indicator(self):
         x = ag.Tensor([[-1.0, 0.0, 2.0]])
-        ag.backward(ag.sum_reduce(relu(x)))
+        ag.backward(sum_reduce(relu(x)))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
     def test_sigmoid_at_zero(self):
         x = ag.Tensor([0.0])
-        out = ag.sigmoid(x)
+        out = sigmoid(x)
         np.testing.assert_allclose(out.values, [0.5])
-        ag.backward(ag.sum_reduce(out))
+        ag.backward(sum_reduce(out))
         np.testing.assert_allclose(x.grad, [0.25])
 
     def test_sigmoid_extremes_stay_finite(self):
-        out = ag.sigmoid(ag.Tensor([-1e4, 1e4]))
+        out = sigmoid(ag.Tensor([-1e4, 1e4]))
         np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-12)
 
     def test_tanh_matches_numpy(self):
@@ -110,7 +121,7 @@ class TestElementwise:
         np.testing.assert_allclose(ag.tanh(ag.Tensor(x)).values, np.tanh(x))
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("op", [ag.add, ag.mul, ag.maximum])
+    @pytest.mark.parametrize("op", [ag.add, mul, ag.maximum])
     def test_binary_gradients(self, op, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1, 1, (3, 4))
@@ -118,7 +129,7 @@ class TestElementwise:
         check_op_gradient(op, [a, b])
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("op", [relu, ag.tanh, ag.sigmoid])
+    @pytest.mark.parametrize("op", [relu, ag.tanh, sigmoid])
     def test_unary_gradients(self, op, seed):
         rng = np.random.default_rng(100 + seed)
         # keep values away from the relu kink at 0
@@ -129,18 +140,18 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_uniform_for_equal_inputs(self):
-        out = ag.softmax(ag.Tensor([1.0, 1.0, 1.0, 1.0]))
+        out = softmax(ag.Tensor([1.0, 1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out.values, np.full(4, 0.25))
 
     def test_single_element(self):
-        np.testing.assert_allclose(ag.softmax(ag.Tensor([3.7])).values, [1.0])
+        np.testing.assert_allclose(softmax(ag.Tensor([3.7])).values, [1.0])
 
     def test_log_ratio_inputs(self):
-        out = ag.softmax(ag.Tensor([math.log(1.0), math.log(3.0)]))
+        out = softmax(ag.Tensor([math.log(1.0), math.log(3.0)]))
         np.testing.assert_allclose(out.values, [0.25, 0.75], rtol=1e-12)
 
     def test_large_inputs_do_not_overflow(self):
-        out = ag.softmax(ag.Tensor([1e6, 1e6 + 1.0]))
+        out = softmax(ag.Tensor([1e6, 1e6 + 1.0]))
         assert np.isfinite(out.values).all()
         np.testing.assert_allclose(out.values.sum(), 1.0, atol=1e-12)
 
@@ -148,12 +159,12 @@ class TestSoftmax:
     def test_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-50, 50, rng.integers(1, 9))
-        total = ag.softmax(ag.Tensor(x)).values.sum()
+        total = softmax(ag.Tensor(x)).values.sum()
         assert abs(total - 1.0) < 1e-12
 
     def test_empty_input_rejected(self):
         with pytest.raises(ShapeError):
-            ag.softmax(ag.Tensor(np.zeros(0)))
+            softmax(ag.Tensor(np.zeros(0)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences(self, seed):
@@ -161,13 +172,13 @@ class TestSoftmax:
         x = rng.uniform(-1, 1, 6)
         w = rng.uniform(-1, 1, 6)
         # weight the outputs so the checked gradient exercises off-diagonal terms
-        check_op_gradient(lambda t: ag.mul(ag.softmax(t), w), [x])
+        check_op_gradient(lambda t: mul(softmax(t), w), [x])
 
     def test_rowwise_gradient(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, (3, 5))
         w = rng.uniform(-1, 1, (3, 5))
-        check_op_gradient(lambda t: ag.mul(ag.softmax(t, axis=1), w), [x])
+        check_op_gradient(lambda t: mul(softmax(t, axis=1), w), [x])
 
 
 def max_over_rows(x):
@@ -178,7 +189,7 @@ def max_over_rows(x):
 def routed_rows(x, group_size):
     """Per group and column, the row a unit output gradient reaches: [m, d]."""
     x = ag.Tensor(x)
-    ag.backward(ag.sum_reduce(pooled(x, group_size)))
+    ag.backward(sum_reduce(pooled(x, group_size)))
     grad = x.grad.reshape(-1, group_size, x.shape[1])
     assert np.all(grad.sum(axis=1) == 1.0), "each output must route to exactly one row"
     return grad.argmax(axis=1)
@@ -203,7 +214,7 @@ class TestMaxReduce:
     def test_gradient_routes_to_argmax_only(self):
         x = ag.Tensor([[1.0, 5.0], [3.0, 2.0]])
         out = max_over_rows(x)
-        ag.backward(ag.sum_reduce(ag.mul(out, [2.0, 7.0])))
+        ag.backward(sum_reduce(mul(out, [2.0, 7.0])))
         np.testing.assert_array_equal(x.grad, [[0.0, 7.0], [2.0, 0.0]])
 
     def test_empty_rejected(self):
@@ -254,17 +265,17 @@ class TestPrefixMaxPool:
         x = rng.integers(0, 3, (12, 5)).astype(float)
         g = rng.uniform(-1, 1, (9, 5))
         prefix = ag.Tensor(x)
-        ag.backward(ag.sum_reduce(ag.mul(pooled(prefix, 4, self.PREFIXES), g)))
+        ag.backward(sum_reduce(mul(pooled(prefix, 4, self.PREFIXES), g)))
         expected = np.zeros((3, 4, 5))
         for t, k in enumerate(self.PREFIXES):
             head = ag.Tensor(x.reshape(3, 4, 5)[:, :k].reshape(3 * k, 5))
-            ag.backward(ag.sum_reduce(ag.mul(pooled(head, k), g[3 * t : 3 * t + 3])))
+            ag.backward(sum_reduce(mul(pooled(head, k), g[3 * t : 3 * t + 3])))
             expected[:, :k] += head.grad.reshape(3, k, 5)
         np.testing.assert_array_equal(prefix.grad, expected.reshape(12, 5))
 
     def test_ties_go_to_the_lowest_row(self):
         x = ag.Tensor([[2.0], [1.0], [2.0], [2.0]])
-        ag.backward(ag.sum_reduce(pooled(x, 4, (1, 2, 4))))
+        ag.backward(sum_reduce(pooled(x, 4, (1, 2, 4))))
         np.testing.assert_array_equal(x.grad, [[3.0], [0.0], [0.0], [0.0]])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -273,7 +284,7 @@ class TestPrefixMaxPool:
         x = rng.uniform(-1, 1, (12, 3))
         # weight the outputs so every prefix contributes its own gradient
         w = rng.uniform(-1, 1, (9, 3))
-        check_op_gradient(lambda t: ag.mul(pooled(t, 4, self.PREFIXES), w), [x])
+        check_op_gradient(lambda t: mul(pooled(t, 4, self.PREFIXES), w), [x])
 
     @pytest.mark.parametrize("prefixes", [(), (2, 2), (3, 5), (0, 2)])
     def test_bad_prefixes_rejected(self, prefixes):
@@ -298,7 +309,7 @@ class TestConcatAndSlicing:
         a = ag.Tensor([[1.0, 2.0]])
         b = ag.Tensor([[3.0, 4.0], [5.0, 6.0]])
         out = ag.concat([a, b], axis=0)
-        ag.backward(ag.sum_reduce(ag.mul(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])))
+        ag.backward(sum_reduce(mul(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])))
         np.testing.assert_array_equal(a.grad, [[1.0, 2.0]])
         np.testing.assert_array_equal(b.grad, [[3.0, 4.0], [5.0, 6.0]])
 
@@ -331,7 +342,7 @@ class TestBackward:
     def test_chain_through_composite_expression(self):
         x = ag.Tensor([[0.5, -0.3]])
         w = ag.Tensor([[0.2], [0.7]])
-        loss = ag.sum_reduce(ag.tanh(ag.matmul(x, w)))
+        loss = sum_reduce(ag.tanh(ag.matmul(x, w)))
         ag.backward(loss)
         pre = 0.5 * 0.2 + -0.3 * 0.7
         d = 1.0 - math.tanh(pre) ** 2
@@ -339,7 +350,7 @@ class TestBackward:
 
     def test_reused_tensor_accumulates_both_paths(self):
         x = ag.Tensor([2.0])
-        ag.backward(ag.sum_reduce(ag.mul(x, x)))
+        ag.backward(sum_reduce(mul(x, x)))
         np.testing.assert_allclose(x.grad, [4.0])
 
     @pytest.mark.parametrize("shared_first", [True, False])
@@ -348,8 +359,8 @@ class TestBackward:
         # second gradient, which must not be added into b's copy
         a = ag.Tensor([[1.0, 2.0]])
         b = ag.Tensor([[3.0, 4.0]])
-        through_add = ag.sum_reduce(ag.mul(ag.add(a, b), [[2.0, 5.0]]))
-        direct = ag.sum_reduce(ag.mul(a, [[10.0, 20.0]]))
+        through_add = sum_reduce(mul(ag.add(a, b), [[2.0, 5.0]]))
+        direct = sum_reduce(mul(a, [[10.0, 20.0]]))
         pair = (through_add, direct) if shared_first else (direct, through_add)
         ag.backward(ag.add(*pair))
         np.testing.assert_array_equal(a.grad, [[12.0, 25.0]])
@@ -359,11 +370,44 @@ class TestBackward:
     def test_only_leaves_keep_gradients(self):
         x = ag.Tensor([[0.5, -0.3]])
         hidden = ag.tanh(x)
-        loss = ag.sum_reduce(ag.mul(hidden, hidden))
+        loss = sum_reduce(mul(hidden, hidden))
         ag.backward(loss)
         assert hidden.grad is None
         assert loss.grad is None
         np.testing.assert_allclose(x.grad, 2 * np.tanh(x.values) * (1 - np.tanh(x.values) ** 2))
+
+    def test_new_leaf_gradients_are_kept_without_a_copy(self):
+        # a matmul's gradients are arrays of its own, so the leaves keep them
+        rng = np.random.default_rng(12)
+        x = ag.Tensor(rng.uniform(-1, 1, (3, 4)))
+        w = ag.Tensor(rng.uniform(-1, 1, (4, 2)))
+        out = ag.matmul(x, w)
+        grad_fn = out.grad_fn
+        returned = []
+
+        def recording(g):
+            grads = grad_fn(g)
+            returned.extend(grads)
+            return grads
+
+        out.grad_fn = recording
+        ag.backward(sum_reduce(mul(out, rng.uniform(-1, 1, (3, 2)))))
+        assert x.grad is returned[0]
+        assert w.grad is returned[1]
+
+    def test_view_gradients_land_unaliased(self):
+        # add hands one array to the concat and to c; the concat and the
+        # reshape pass views of theirs on, so a, b and d must get copies
+        a, b = ag.Tensor([[1.0, 2.0]]), ag.Tensor([[3.0, 4.0]])
+        c, d = ag.Tensor(np.zeros((2, 2))), ag.Tensor(np.zeros(4))
+        total = ag.add(ag.add(ag.concat([a, b], axis=0), c), ag.reshape(d, (2, 2)))
+        ag.backward(sum_reduce(mul(total, [[1.0, 2.0], [3.0, 4.0]])))
+        grads = [a.grad, b.grad, c.grad, d.grad]
+        np.testing.assert_array_equal(np.concatenate([a.grad, b.grad]), c.grad)
+        np.testing.assert_array_equal(d.grad, [1.0, 2.0, 3.0, 4.0])
+        for i, first in enumerate(grads):
+            for second in grads[i + 1:]:
+                assert not np.shares_memory(first, second)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ShapeError):
@@ -371,7 +415,7 @@ class TestBackward:
 
     def test_repeat_without_zeroing_accumulates(self):
         x = ag.Tensor([1.0, 2.0])
-        loss = ag.sum_reduce(ag.mul(x, x))
+        loss = sum_reduce(mul(x, x))
         ag.backward(loss)
         once = x.grad.copy()
         ag.backward(loss)
@@ -381,7 +425,7 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = ag.Tensor(rng.uniform(-1, 1, (3, 3)))
         w = ag.Tensor(rng.uniform(-1, 1, (3, 3)))
-        loss = ag.sum_reduce(ag.sigmoid(ag.matmul(x, w)))
+        loss = sum_reduce(sigmoid(ag.matmul(x, w)))
         ag.backward(loss)
         first = (x.grad.copy(), w.grad.copy())
         x.grad = None
@@ -401,9 +445,9 @@ class TestBackward:
 
         def network(xt, w1t, w2t, bt):
             hidden = ag.tanh(ag.add(ag.matmul(xt, w1t), bt))
-            gated = ag.mul(hidden, ag.sigmoid(hidden))
+            gated = mul(hidden, sigmoid(hidden))
             pooled = max_over_rows(ag.matmul(gated, w2t))
-            return ag.softmax(pooled)
+            return softmax(pooled)
 
         check_op_gradient(network, [x, w1, w2, bias])
 
@@ -457,7 +501,7 @@ class TestDropout:
         w = np.random.default_rng(6).uniform(-1, 1, (25, 2))
 
         def apply(t):
-            return ag.mul(dropout_stack(t, 0.3, rng=np.random.default_rng(5)), w)
+            return mul(dropout_stack(t, 0.3, rng=np.random.default_rng(5)), w)
 
         check_op_gradient(apply, [x_arr])
 
@@ -502,7 +546,7 @@ def _bn_gradient_case(seed, rows, center, training, widths=(3,), **kwargs):
 
     def apply(*tensors):
         # a fresh generator per call fixes any dropout mask
-        return ag.mul(stack_from(tensors, training, rng=np.random.default_rng(17), **kwargs), w)
+        return mul(stack_from(tensors, training, rng=np.random.default_rng(17), **kwargs), w)
 
     return apply, arrays
 
@@ -579,7 +623,7 @@ class TestBatchNorm:
             state.beta.values[:] = 0.3
             xt = ag.Tensor(rows)
             out = self.norm(xt, state, training=True, weights=row_weights)
-            ag.backward(ag.sum_reduce(ag.mul(out, out_grad)))
+            ag.backward(sum_reduce(mul(out, out_grad)))
             return out.values, xt.grad, state
 
         out_w, dx_w, state_w = run(x, weights, g)
@@ -657,7 +701,7 @@ class TestBnMlp:
             out = op(tensors[0], layers, training, 0.3, rng=np.random.default_rng(17),
                      **_stack_kwargs(weights, pool, dropout))
             g = np.random.default_rng(32).uniform(-1, 1, out.shape)
-            ag.backward(ag.sum_reduce(ag.mul(out, g)))
+            ag.backward(sum_reduce(mul(out, g)))
             runs.append([out.values, *(t.grad for t in tensors),
                          *(s.running_mean for _, s in layers), *(s.running_var for _, s in layers)])
         for got, want in zip(*runs):
@@ -676,6 +720,142 @@ class TestBnMlp:
     def test_needs_a_layer(self):
         with pytest.raises(ShapeError):
             ag.bn_mlp(ag.Tensor(np.ones((2, 2))), [])
+
+
+def _lstm_arrays(seed, steps, rows, saturate=False):
+    """Input [steps*rows, 3], weight [2+3, 8] and bias [8] of a width-2 LSTM;
+    ``saturate`` drives every gate and the candidate with a bias of +-30."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (steps * rows, 3))
+    weight = rng.uniform(-1, 1, (5, 8))
+    bias = 30.0 * rng.choice([-1.0, 1.0], 8) if saturate else rng.uniform(-1, 1, 8)
+    return [x, weight, bias]
+
+
+LSTM_CASES = [(steps, 3, False) for steps in range(1, 5)] + [(3, 1, False), (3, 2, True)]
+LSTM_IDS = [f"steps{steps}" for steps in range(1, 5)] + ["one_row", "saturated"]
+
+
+class TestLstm:
+    @pytest.mark.parametrize("steps,rows,saturate", LSTM_CASES, ids=LSTM_IDS)
+    def test_gradients_match_finite_differences(self, steps, rows, saturate):
+        arrays = _lstm_arrays(1100 + steps, steps, rows, saturate)
+        # weight the outputs so every step's hidden state has its own gradient
+        w = np.random.default_rng(1200 + steps).uniform(-1, 1, (steps * rows, 2))
+        check_op_gradient(lambda x, wt, b: mul(ag.lstm(x, steps, wt, b), w), arrays)
+
+    @pytest.mark.parametrize("steps,rows,saturate", LSTM_CASES, ids=LSTM_IDS)
+    def test_matches_reference_chain(self, steps, rows, saturate):
+        # the same values bit for bit, and every gradient within 1e-12
+        arrays = _lstm_arrays(1300 + steps, steps, rows, saturate)
+        g = np.random.default_rng(1400).uniform(-1, 1, (steps * rows, 2))
+        runs = []
+        for op in (ag.lstm, reference_lstm):
+            tensors = [ag.Tensor(a) for a in arrays]
+            out = op(tensors[0], steps, *tensors[1:])
+            ag.backward(sum_reduce(mul(out, g)))
+            runs.append([out.values, *(t.grad for t in tensors)])
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        for got, want in zip(*runs):
+            assert relative_error(got, want, floor=1e-300) < 1e-12
+
+    def test_one_node_with_input_weight_and_bias_parents(self):
+        x, w, b = (ag.Tensor(a) for a in _lstm_arrays(3, 2, 2))
+        out = ag.lstm(x, 2, w, b)
+        assert out.shape == (4, 2)
+        assert out.parents == (x, w, b)
+
+    @pytest.mark.parametrize("steps,weight_shape", [(4, (5, 8)), (0, (5, 8)), (2, (4, 8))])
+    def test_shapes_checked(self, steps, weight_shape):
+        with pytest.raises(ShapeError):
+            ag.lstm(np.ones((6, 3)), steps, np.ones(weight_shape), np.ones(8))
+
+
+def _attend_arrays(seed, steps, rows, identical=False, peak=1.0):
+    """Query [rows, 3], states [steps*rows, 4] and score weight [3, 4]; with
+    ``identical`` every step holds the same states, and ``peak`` scales the
+    score weight, so a large one gives a near one-hot softmax."""
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1, 1, (steps * rows, 4))
+    if identical:
+        states = np.tile(states[:rows], (steps, 1))
+    return [rng.uniform(-1, 1, (rows, 3)), states, peak * rng.uniform(-1, 1, (3, 4))]
+
+
+ATTEND_CASES = [(3, 2, False, 1.0), (1, 3, False, 1.0), (3, 2, True, 1.0), (4, 2, False, 25.0)]
+ATTEND_IDS = ["random", "one_step", "identical_states", "peaked"]
+
+
+class TestAttend:
+    @pytest.mark.parametrize("steps,rows,identical,peak", ATTEND_CASES, ids=ATTEND_IDS)
+    def test_gradients_match_finite_differences(self, steps, rows, identical, peak):
+        arrays = _attend_arrays(1500 + steps, steps, rows, identical, peak)
+        w = np.random.default_rng(1600).uniform(-1, 1, (rows, 4))
+        check_op_gradient(lambda q, s, sw: mul(ag.attend(q, s, steps, sw)[0], w), arrays)
+
+    @pytest.mark.parametrize("steps,rows,identical,peak", ATTEND_CASES, ids=ATTEND_IDS)
+    def test_matches_reference_chain(self, steps, rows, identical, peak):
+        arrays = _attend_arrays(1700 + steps, steps, rows, identical, peak)
+        g = np.random.default_rng(1800).uniform(-1, 1, (rows, 4))
+        runs = []
+        for op in (ag.attend, reference_attend):
+            tensors = [ag.Tensor(a) for a in arrays]
+            context, alpha = op(tensors[0], tensors[1], steps, tensors[2])
+            ag.backward(sum_reduce(mul(context, g)))
+            runs.append([context.values, alpha, *(t.grad for t in tensors)])
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        for got, want in zip(*runs):
+            assert relative_error(got, want, floor=1e-300) < 1e-12
+
+    def test_identical_states_give_uniform_weights_and_that_state(self):
+        query, states, score_weight = _attend_arrays(5, 3, 2, identical=True)
+        context, alpha = ag.attend(query, states, 3, score_weight)
+        np.testing.assert_allclose(alpha, np.full((2, 3), 1 / 3), rtol=1e-15)
+        np.testing.assert_allclose(context.values, states[:2], rtol=1e-15)
+
+    def test_one_node_and_plain_weights(self):
+        query, states, score_weight = (ag.Tensor(a) for a in _attend_arrays(6, 2, 3))
+        context, alpha = ag.attend(query, states, 2, score_weight)
+        assert context.parents == (query, states, score_weight)
+        assert isinstance(alpha, np.ndarray) and alpha.shape == (3, 2)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(3), atol=1e-15)
+
+    @pytest.mark.parametrize("steps,score_shape", [(4, (3, 4)), (0, (3, 4)), (3, (4, 4))])
+    def test_shapes_checked(self, steps, score_shape):
+        with pytest.raises(ShapeError):
+            ag.attend(np.ones((2, 3)), np.ones((6, 4)), steps, np.ones(score_shape))
+
+
+class TestBlockMatmul:
+    @staticmethod
+    def blocks(seed):
+        # clouds of 5, 3 and 7 points over 4, 2 and 4 centroids
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(0, 1, (n, m)) for n, m in ((5, 4), (3, 2), (7, 4))]
+
+    def test_values_equal_one_matmul_per_block(self):
+        matrices = self.blocks(1)
+        x = np.random.default_rng(2).uniform(-1, 1, (10, 6))
+        out = ag.block_matmul(matrices, x)
+        want = np.concatenate([matrices[0] @ x[:4], matrices[1] @ x[4:6],
+                               matrices[2] @ x[6:]])
+        np.testing.assert_array_equal(out.values, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_matches_finite_differences(self, seed):
+        matrices = self.blocks(1900 + seed)
+        x = np.random.default_rng(2000 + seed).uniform(-1, 1, (10, 6))
+        w = np.random.default_rng(2100 + seed).uniform(-1, 1, (15, 6))
+        check_op_gradient(lambda t: mul(ag.block_matmul(matrices, t), w), [x])
+
+    def test_one_node_with_only_the_input_as_parent(self):
+        x = ag.Tensor(np.ones((10, 2)))
+        assert ag.block_matmul(self.blocks(3), x).parents == (x,)
+
+    def test_rows_must_match(self):
+        with pytest.raises(ShapeError):
+            ag.block_matmul(self.blocks(4), np.ones((9, 2)))
 
 
 class TestNoGrad:
@@ -699,10 +879,31 @@ class TestNoGrad:
         np.testing.assert_array_equal(free_state.running_mean, state.running_mean)
         np.testing.assert_array_equal(free_state.running_var, state.running_var)
 
+    @pytest.mark.parametrize("op", ["lstm", "attend"])
+    def test_same_values_from_recurrent_ops_without_a_graph(self, op):
+        def run():
+            rng = np.random.default_rng(42)
+            if op == "lstm":
+                return ag.lstm(rng.uniform(-1, 1, (6, 3)), 3, rng.uniform(-1, 1, (5, 8)),
+                               rng.uniform(-1, 1, 8))
+            context, alpha = ag.attend(rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (6, 4)),
+                                       3, rng.uniform(-1, 1, (3, 4)))
+            assert isinstance(alpha, np.ndarray)
+            return context
+
+        built = run()
+        with ag.no_grad():
+            free = run()
+        assert free.parents == () and free.grad_fn is None
+        assert built.parents and built.grad_fn is not None
+        np.testing.assert_array_equal(free.values, built.values)
+
     def test_every_op_records_nothing(self):
         with ag.no_grad():
             x = ag.Tensor([[1.0, -2.0]])
-            out = ag.softmax(ag.tanh(ag.matmul(x, ag.Tensor(np.eye(2)))), axis=1)
+            hidden = ag.tanh(ag.matmul(x, ag.Tensor(np.eye(2))))
+            states = ag.lstm(ag.concat([hidden, hidden], axis=0), 2, np.ones((4, 8)), np.zeros(8))
+            out, _ = ag.attend(hidden, states, 2, np.eye(2))
         assert out.parents == () and out.grad_fn is None
 
     def test_mode_comes_back_after_an_exception(self):
@@ -710,7 +911,7 @@ class TestNoGrad:
             with ag.no_grad():
                 ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((2, 3))))
         x = ag.Tensor([1.0])
-        assert ag.mul(x, x).parents == (x, x)
+        assert ag.add(x, x).parents == (x, x)
 
     def test_blocks_nest(self):
         with ag.no_grad():
@@ -769,8 +970,8 @@ class TestReductions:
         x = rng.uniform(-1, 1, (3, 4))
         w_shape = np.sum(x, axis=axis, keepdims=keepdims).shape
         w = rng.uniform(-1, 1, w_shape)
-        check_op_gradient(lambda t: ag.mul(ag.sum_reduce(t, axis, keepdims), w), [x])
+        check_op_gradient(lambda t: mul(sum_reduce(t, axis, keepdims), w), [x])
 
     def test_values(self):
         x = ag.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert ag.sum_reduce(x).values == 10.0
+        assert sum_reduce(x).values == 10.0

@@ -24,14 +24,22 @@ from pointseq.model import (
     encode_sequence,
     interpolate_features,
     interpolation_weights,
-    lstm_step,
     load_checkpoint,
     prepare_cloud,
     save_checkpoint,
     segment_batch,
 )
 
-from helpers import area_sequences_per_scale, interpolation_weights_loop, reference_bn_mlp
+from helpers import (
+    area_sequences_per_scale,
+    interpolation_weights_loop,
+    reference_attend,
+    reference_block_matmul,
+    reference_bn_mlp,
+    reference_lstm,
+    reference_lstm_step,
+    sum_reduce,
+)
 from pointseq import model
 
 
@@ -136,62 +144,58 @@ class TestBuildParams:
             p.add("w", np.zeros(2))
 
 
+def lstm_unroll(steps, weight, bias, x):
+    """Hidden states of ``ag.lstm`` over ``x``, as [steps, rows, hidden]."""
+    out = ag.lstm(x, steps, ag.tensor(weight), ag.tensor(bias)).values
+    return out.reshape(steps, len(x) // steps, -1)
+
+
 class TestLstmStep:
     def test_scalar_oracle(self):
         # state_dim 1, input_dim 1; z = [h, x] @ W + b with gate order
-        # input, forget, output, candidate
+        # input, forget, output, candidate, two steps from a zero state
         w = np.array([[0.5, -0.3, 0.2, 0.7],
                       [0.1, 0.4, -0.6, 0.8]])
         b = np.array([0.05, -0.1, 0.2, 0.0])
-        h_prev, c_prev, x = 0.3, -0.4, 0.9
-
-        z = np.array([h_prev, x]) @ w + b
+        xs = (0.9, -0.4)
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
-        c_want = sig(z[1]) * c_prev + sig(z[0]) * math.tanh(z[3])
-        h_want = sig(z[2]) * math.tanh(c_want)
+        h_want, c_want = 0.0, 0.0
+        want = []
+        for x in xs:
+            z = np.array([h_want, x]) @ w + b
+            c_want = sig(z[1]) * c_want + sig(z[0]) * math.tanh(z[3])
+            h_want = sig(z[2]) * math.tanh(c_want)
+            want.append(h_want)
 
-        h, c = lstm_step(np.array([[h_prev]]), np.array([[c_prev]]), np.array([[x]]),
-                         ag.tensor(w), ag.tensor(b))
-        assert_allclose(h.values, [[h_want]], rtol=1e-15)
-        assert_allclose(c.values, [[c_want]], rtol=1e-15)
+        got = lstm_unroll(2, w, b, np.array([[xs[0]], [xs[1]]]))
+        assert_allclose(got.reshape(2), want, rtol=1e-15)
 
     def test_zero_parameters_give_zero_state(self):
-        w = ag.tensor(np.zeros((6, 8)))
-        b = ag.tensor(np.zeros(8))
-        h, c = lstm_step(np.zeros((3, 2)), np.zeros((3, 2)),
-                         np.random.default_rng(0).normal(size=(3, 4)), w, b)
+        x = np.random.default_rng(0).normal(size=(6, 4))
         # all gates sit at 1/2 and the candidate at tanh(0) = 0
-        assert_array_equal(c.values, np.zeros((3, 2)))
-        assert_array_equal(h.values, np.zeros((3, 2)))
+        assert_array_equal(lstm_unroll(2, np.zeros((6, 8)), np.zeros(8), x),
+                           np.zeros((2, 3, 2)))
 
     def test_geometric_cell_accumulation(self):
         # zero weights, candidate bias arctanh(0.8), all gates at 1/2:
         # c_t = c_{t-1}/2 + 0.4, so from zero c_t = 0.8 (1 - 2^-t)
         b = np.zeros(4)
         b[3] = math.atanh(0.8)
-        w = ag.tensor(np.zeros((2, 4)))
-        bias = ag.tensor(b)
-        h = np.zeros((1, 1))
-        c = np.zeros((1, 1))
+        hidden = lstm_unroll(5, np.zeros((2, 4)), b, np.ones((5, 1)))
         for t in range(1, 6):
-            h, c = lstm_step(h, c, np.ones((1, 1)), w, bias)
-            assert_allclose(c.values[0, 0], 0.8 * (1 - 0.5**t), rtol=1e-14)
-            assert_allclose(h.values[0, 0], 0.5 * math.tanh(0.8 * (1 - 0.5**t)),
+            assert_allclose(hidden[t - 1, 0, 0], 0.5 * math.tanh(0.8 * (1 - 0.5**t)),
                             rtol=1e-14)
 
     def test_batch_rows_independent(self):
         rng = np.random.default_rng(7)
-        w = ag.tensor(rng.normal(size=(10, 16)))
-        b = ag.tensor(rng.normal(size=16))
-        hp = rng.normal(size=(5, 4))
-        cp = rng.normal(size=(5, 4))
-        x = rng.normal(size=(5, 6))
-        h_all, c_all = lstm_step(hp, cp, x, w, b)
+        w = rng.normal(size=(10, 16))
+        b = rng.normal(size=16)
+        x = rng.normal(size=(2, 5, 6))
+        h_all = lstm_unroll(2, w, b, x.reshape(10, 6))
         for i in range(5):
-            h_i, c_i = lstm_step(hp[i : i + 1], cp[i : i + 1], x[i : i + 1], w, b)
+            h_i = lstm_unroll(2, w, b, x[:, i])
             # blocked matmul may differ from the single-row product by an ulp
-            assert_allclose(h_all.values[i], h_i.values[0], rtol=1e-13, atol=1e-15)
-            assert_allclose(c_all.values[i], c_i.values[0], rtol=1e-13, atol=1e-15)
+            assert_allclose(h_all[:, i], h_i[:, 0], rtol=1e-13, atol=1e-15)
 
 
 class TestEncodeSequence:
@@ -206,8 +210,9 @@ class TestEncodeSequence:
         h = np.zeros((1, cfg.hidden_dim))
         c = np.zeros((1, cfg.hidden_dim))
         for t in range(2):
-            h_t, c_t = lstm_step(h, c, seq[t : t + 1], p["encoder.weight"], p["encoder.bias"])
-            assert_allclose(trace.hidden[t].values, h_t.values, rtol=1e-15)
+            h_t, c_t = reference_lstm_step(h, c, seq[t : t + 1], p["encoder.weight"],
+                                           p["encoder.bias"])
+            assert_array_equal(trace.states.values[t : t + 1], h_t.values)
             h, c = h_t.values, c_t.values
 
     def test_rejects_flat_input(self):
@@ -216,13 +221,16 @@ class TestEncodeSequence:
             encode_sequence(np.zeros(8), p)
 
 
+def trace_of(states):
+    """An encoder trace over one row per step, from a list of [1, h] states."""
+    return EncoderTrace(ag.tensor(np.concatenate(states, axis=0)), len(states))
+
+
 class TestAttention:
     def test_basis_aligned_oracle(self):
         # identity score weight and one-hot encoder states reduce the scores
         # to the decoder state's coordinates: alpha = softmax([ln 3, 0])
-        trace = EncoderTrace(
-            hidden=[ag.tensor([[1.0, 0.0]]), ag.tensor([[0.0, 1.0]])],
-        )
+        trace = trace_of([[[1.0, 0.0]], [[0.0, 1.0]]])
         alpha = attention_scores(np.array([[math.log(3.0), 0.0]]), trace, np.eye(2))
         assert_allclose(alpha.values, [[0.75, 0.25]], rtol=1e-14)
 
@@ -231,29 +239,23 @@ class TestAttention:
         for _ in range(50):
             steps = int(rng.integers(1, 5))
             h = int(rng.integers(1, 6))
-            trace = EncoderTrace(
-                hidden=[ag.tensor(rng.normal(size=(1, h))) for _ in range(steps)],
-            )
+            trace = trace_of([rng.normal(size=(1, h)) for _ in range(steps)])
             alpha = attention_scores(rng.normal(size=(1, h)), trace, rng.normal(size=(h, h)))
             assert np.all(alpha.values >= 0)
             assert_allclose(alpha.values.sum(), 1.0, atol=1e-12)
 
     def test_uniform_when_states_identical(self):
         state = np.random.default_rng(3).normal(size=(1, 4))
-        trace = EncoderTrace(hidden=[ag.tensor(state)] * 3)
-        alpha = attention_scores(np.ones((1, 4)), trace, np.eye(4))
+        alpha = attention_scores(np.ones((1, 4)), trace_of([state] * 3), np.eye(4))
         assert_allclose(alpha.values, np.full((1, 3), 1 / 3), rtol=1e-14)
 
     def test_single_step_collapses_to_one(self):
-        trace = EncoderTrace(hidden=[ag.tensor([[0.3, -2.0]])])
-        alpha = attention_scores(np.array([[5.0, 1.0]]), trace, np.eye(2))
+        alpha = attention_scores(np.array([[5.0, 1.0]]), trace_of([[[0.3, -2.0]]]), np.eye(2))
         assert_array_equal(alpha.values, [[1.0]])
 
     def test_zero_score_weight_gives_uniform(self):
         rng = np.random.default_rng(4)
-        trace = EncoderTrace(
-            hidden=[ag.tensor(rng.normal(size=(1, 3))) for _ in range(4)],
-        )
+        trace = trace_of([rng.normal(size=(1, 3)) for _ in range(4)])
         alpha = attention_scores(rng.normal(size=(1, 3)), trace, np.zeros((3, 3)))
         assert_allclose(alpha.values, np.full((1, 4), 0.25), rtol=1e-15)
 
@@ -263,8 +265,7 @@ class TestAttention:
         states = [rng.normal(size=(1, 3)) for _ in range(3)]
         w = rng.normal(size=(3, 3))
         for s in (0.5, 2.0, 7.0):
-            trace = EncoderTrace(hidden=[ag.tensor(s * x) for x in states])
-            alpha = attention_scores(h, trace, w)
+            alpha = attention_scores(h, trace_of([s * x for x in states]), w)
             scores = np.array([((h @ w) @ (s * x).T).item() for x in states])
             e = np.exp(scores - scores.max())
             assert_allclose(alpha.values, [e / e.sum()], rtol=1e-12)
@@ -279,7 +280,7 @@ class TestDecodeRegion:
         assert region.shape == (1, cfg.feature_dim)
         assert alpha.shape == (1, 2)
         assert context.shape == (1, cfg.hidden_dim)
-        assert_allclose(alpha.values.sum(), 1.0, atol=1e-12)
+        assert_allclose(alpha.sum(), 1.0, atol=1e-12)
 
     def test_context_is_attention_average_of_states(self):
         cfg = tiny_cls_config()
@@ -287,8 +288,7 @@ class TestDecodeRegion:
         seq = np.random.default_rng(34).normal(size=(3, cfg.feature_dim))
         trace = encode_sequence(seq, p)
         _, alpha, context = _decode_regions(trace, p)
-        states = np.concatenate([h.values for h in trace.hidden], axis=0)
-        assert_allclose(context.values, alpha.values @ states, rtol=1e-12, atol=1e-14)
+        assert_allclose(context.values, alpha @ trace.states.values, rtol=1e-12, atol=1e-14)
 
     def test_single_step_context_equals_first_state(self):
         cfg = tiny_cls_config()
@@ -296,8 +296,8 @@ class TestDecodeRegion:
         seq = np.random.default_rng(36).normal(size=(1, cfg.feature_dim))
         trace = encode_sequence(seq, p)
         _, alpha, context = _decode_regions(trace, p)
-        assert_array_equal(alpha.values, [[1.0]])
-        assert_array_equal(context.values, trace.hidden[0].values)
+        assert_array_equal(alpha, [[1.0]])
+        assert_array_equal(context.values, trace.states.values)
 
     def test_zero_output_projection_zeroes_feature(self):
         cfg = tiny_cls_config()
@@ -308,22 +308,22 @@ class TestDecodeRegion:
         assert_array_equal(region.values, np.zeros((1, cfg.feature_dim)))
 
     def test_decoder_steps_once_per_forward(self, monkeypatch):
-        # encoder steps plus one decoder step; no second, discarded decoder step
-        import pointseq.model as model
-
+        # the encoder runs once over every scale and the decoder once for one
+        # step; no second, discarded decoder step
         calls = []
-        real = model.lstm_step
+        real = ag.lstm
 
-        def counting_step(prev_hidden, prev_cell, x, weight, bias):
-            calls.append(weight)
-            return real(prev_hidden, prev_cell, x, weight, bias)
+        def counting_lstm(x, steps, weight, bias):
+            calls.append((weight, steps))
+            return real(x, steps, weight, bias)
 
-        monkeypatch.setattr(model, "lstm_step", counting_step)
+        monkeypatch.setattr(ag, "lstm", counting_lstm)
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(39))
         geom = prepare_cloud(PointCloud(np.random.default_rng(40).normal(size=(16, 3))), cfg)
         classify_batch([geom], p, cfg)
-        assert [w is p["decoder.weight"] for w in calls] == [False, False, True]
+        assert [(w is p["decoder.weight"], steps) for w, steps in calls] == [
+            (False, cfg.num_scales), (True, 1)]
 
 
 class TestAreaFeature:
@@ -418,8 +418,8 @@ class TestNestedAreaPass:
         sequences = []
 
         def recorded(*args):
-            sequences.extend(area_fn(*args))
-            return sequences
+            sequences.append(area_fn(*args))
+            return sequences[0]
 
         monkeypatch.setattr(model, "_area_sequences", recorded)
         ctx = ForwardContext(training=training, rng=np.random.default_rng(5))
@@ -431,7 +431,8 @@ class TestNestedAreaPass:
             labels = np.concatenate([g.labels for g in geoms])
         params.clear_grads()
         ag.backward(ag.cross_entropy_mean(logits, labels))
-        tensors = {f"sequence.{t}": s.values for t, s in enumerate(sequences)}
+        per_scale = np.split(sequences[0].values, cfg.num_scales)
+        tensors = {f"sequence.{t}": s for t, s in enumerate(per_scale)}
         tensors["logits"] = logits.values
         tensors.update({f"{name}.grad": t.grad for name, t in params.items()})
         for name, state in params.batch_norms.items():
@@ -479,6 +480,35 @@ class TestFusedStacks:
         monkeypatch.setattr(ag, "bn_mlp", reference_bn_mlp)
         want = run(monkeypatch, area, cfg, clouds, training)
         assert got.keys() == want.keys()
+        for name, ref in want.items():
+            scale = np.abs(ref).max()
+            atol = 1e-12 * scale if scale > 1e-14 else 1e-14
+            assert_allclose(got[name], ref, rtol=0, atol=atol, err_msg=name)
+
+
+class TestFusedRecurrence:
+    """The recurrent aggregators and the segmentation interpolation as fused
+    nodes against the chain of separate nodes they replace: one LSTM step
+    of concat, matmul, gate slices and products per scale, per-step scores
+    and products for the attention, and one slice and matmul per cloud."""
+
+    @pytest.mark.parametrize("aggregator", ["attention_ed", "no_attention", "no_decoder"])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_matches_reference_chain(self, monkeypatch, task, training, aggregator):
+        make = tiny_cls_config if task == "classification" else tiny_seg_config
+        cfg = make(scales=(2, 3, 4), aggregator=aggregator)
+        rng = np.random.default_rng(13)
+        clouds = [PointCloud(rng.normal(size=(n, 3)), labels=rng.integers(0, 4, size=n))
+                  for n in (20, 17, 24)]
+        run, area = TestNestedAreaPass._run, model._area_sequences
+        got = run(monkeypatch, area, cfg, clouds, training)
+        monkeypatch.setattr(ag, "lstm", reference_lstm)
+        monkeypatch.setattr(ag, "attend", reference_attend)
+        monkeypatch.setattr(ag, "block_matmul", reference_block_matmul)
+        want = run(monkeypatch, area, cfg, clouds, training)
+        assert got.keys() == want.keys()
+        assert_array_equal(got["logits"], want["logits"])
         for name, ref in want.items():
             scale = np.abs(ref).max()
             atol = 1e-12 * scale if scale > 1e-14 else 1e-14
@@ -572,7 +602,7 @@ class TestInterpolation:
         s = rng.normal(size=(4, 3))
         f = ag.tensor(rng.normal(size=(4, 2)))
         out = interpolate_features(t, s, f, k=2)
-        ag.backward(ag.sum_reduce(out))
+        ag.backward(sum_reduce(out))
         w = interpolation_weights(t, s, k=2)
         assert_allclose(f.grad, w.T @ np.ones((5, 2)), rtol=1e-12)
 

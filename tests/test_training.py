@@ -18,6 +18,7 @@ from pointseq.model import (
     ForwardContext,
     ModelParams,
     build_params,
+    classify_batch,
     classify_forward,
     prepare_cloud,
 )
@@ -309,23 +310,42 @@ class TestGradientCheck:
         worst, _ = gradient_check(p, loss_fn, coords_per_tensor=2)
         assert worst > 1e-2
 
-    @pytest.mark.parametrize("op", ["sigmoid", "softmax"])
+    @pytest.mark.parametrize("op", ["lstm", "attend"])
     def test_detects_small_planted_backward_error(self, monkeypatch, op):
         # a 0.1% error in one op's backward must stay visible above 1e-4,
         # whatever the retries at other step sizes find
         real = getattr(ag, op)
 
         def faulty(*args, **kwargs):
-            out = real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            # attend returns (context, weights); only the context is a node
+            out = result[0] if isinstance(result, tuple) else result
             grad_fn = out.grad_fn
             out.grad_fn = lambda g: tuple(
                 None if gi is None else gi * 1.001 for gi in grad_fn(g)
             )
-            return out
+            return result
 
         monkeypatch.setattr(ag, op, faulty)
         worst, _ = classification_gradient_check(coords_per_tensor=4)
         assert worst > 1e-4
+
+    @pytest.mark.parametrize("aggregator", ["no_attention", "no_decoder"])
+    def test_every_recurrent_aggregator_gradients_match(self, aggregator):
+        # the network gradient check itself runs attention_ed; these two
+        # reach the loss through the decoder alone or the last encoder state
+        cfg = tiny_cfg(aggregator=aggregator, num_classes=3)
+        rng = np.random.default_rng(70)
+        params = build_params(cfg, rng)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(16, 3))), cfg) for _ in range(3)]
+        labels = np.array([0, 1, 2])
+
+        def loss_fn():
+            ctx = ForwardContext(training=True, rng=np.random.default_rng(71))
+            return ag.cross_entropy_mean(classify_batch(geoms, params, cfg, ctx), labels)
+
+        worst, report = gradient_check(params, loss_fn, coords_per_tensor=4)
+        assert worst < 1e-4, report
 
     def test_zero_parameter_model_gives_empty_report(self):
         worst, report = gradient_check(ModelParams(), lambda: ag.tensor(1.5))
@@ -492,7 +512,7 @@ class TestMemoryGuard:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(sequences) == cfg.num_scales
+        assert sequences.shape == (cfg.num_scales * len(geoms) * cfg.m, cfg.feature_dim)
         assert held <= budget, f"area block keeps {held} bytes, budget {budget:.0f}"
 
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
@@ -537,4 +557,4 @@ class TestMemoryGuard:
         with pytest.raises(MemoryError):
             evaluate_classification(geoms, np.array([0]), params, cfg)
         x = Tensor([1.0])
-        assert ag.mul(x, x).parents == (x, x)
+        assert ag.add(x, x).parents == (x, x)
