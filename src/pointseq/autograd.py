@@ -8,6 +8,8 @@ cross-checks them against central finite differences.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -279,6 +281,63 @@ class BatchNormState:
         self.running_var = np.ones(dim)
 
 
+# A dense stack whose widest layer holds at least _POOL_MIN_ELEMENTS elements
+# runs its row-wise work in row tiles of about _TILE_ELEMENTS such elements on
+# the tile pool, and splits each weight gradient into blocks of _GRAD_COLUMNS
+# output columns
+_TILE_ELEMENTS = 1 << 17
+_POOL_MIN_ELEMENTS = 1 << 18
+_GRAD_COLUMNS = 64
+
+# made by the first stack of several tiles; a forked child makes its own
+_pool = None
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_tile(bounds, fn):
+    """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
+
+    A single tile runs on the calling thread. Several run on a thread pool
+    with one worker per CPU the process may run on, made on first need; the
+    call returns once every tile has finished, then raises the first failed
+    tile's exception, if any.
+    """
+    global _pool
+    if len(bounds) == 1:
+        fn(*bounds[0])
+        return
+    if _pool is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        _pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="pointseq-tile")
+    futures = [_pool.submit(fn, lo, hi) for lo, hi in bounds]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _row_tiles(rows, group, width):
+    """Row bounds ``[(lo, hi), ...]`` for a stack of ``rows`` rows whose widest
+    layer is ``width`` wide: one tile under _POOL_MIN_ELEMENTS elements, else
+    tiles of whole groups of ``group`` rows, about _TILE_ELEMENTS elements
+    each. No tile of several is a single row, which BLAS would multiply as a
+    vector, with other rounding."""
+    if rows * width < _POOL_MIN_ELEMENTS:
+        return [(0, rows)]
+    step = max(max(_TILE_ELEMENTS // (width * group), 1) * group, 2)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
 def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, rng=None,
            pool=None) -> Tensor:
     """A stack of dense layers as one graph node.
@@ -309,8 +368,24 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     pool it keeps the winning row of every output, not the last activations.
     The backward recomputes each layer's output from those in one
     elementwise pass and never repeats a matmul: the activation
-    recomputation of Chen et al. (arXiv 1604.06174). Parents are ``x``, then
-    each layer's weight, gamma and beta. Under :func:`no_grad` nothing is kept.
+    recomputation of Chen et al. (arXiv 1604.06174). A pooled stack reads
+    its last relu's mask at each winning row from the pooled output, which
+    is positive exactly where that relu's input was, so it recomputes no
+    last-layer activations at all. Parents are ``x``, then each layer's
+    weight, gamma and beta. Under :func:`no_grad` nothing is kept.
+
+    A stack whose widest layer (input included) holds 2**18 or more
+    elements runs its row-wise work in row tiles of about 2**17 elements,
+    whole pool groups each, on a pool of one thread per CPU the process may
+    run on: matmuls, centring and squaring, the affine, relu and dropout,
+    the pool, the gradient routing and the batch-norm backward. Tile tasks
+    store their results only in arrays allocated before them. The column reductions
+    (batch moments, beta and gamma gradients) stay on the calling thread in
+    one pass each, dropout masks are drawn there, weight gradients split by
+    blocks of 64 output columns, and the tiles depend only on the shapes, so
+    the result is the same bits for any number of threads, and the same as
+    one tile wherever BLAS rounds a product independently of how many rows
+    or column blocks it is given. Smaller stacks run on the calling thread.
     """
     x = tensor(x)
     if x.ndim != 2:
@@ -318,11 +393,13 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     if not layers:
         raise ShapeError("a dense stack needs at least one layer")
     rows, width = x.shape
+    widest = width
     for weight, state in layers:
         if weight.ndim != 2 or weight.shape != (width, state.dim):
             raise ShapeError(f"layer weight of shape {weight.shape} does not map width "
                              f"{width} to batch norm width {state.dim}")
         width = state.dim
+        widest = max(widest, width)
     if weights is not None and np.shape(weights) != (rows,):
         raise ShapeError(f"batch norm weights of shape {np.shape(weights)} do not match "
                          f"{rows} rows")
@@ -331,6 +408,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     drop = training and dropout > 0.0
     if drop and rng is None:
         raise ValueError("dropout in training mode needs an rng")
+    group = 1
     if pool is not None:
         group, prefixes = pool
         if group < 1 or rows % group != 0:
@@ -344,42 +422,55 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     keep = _recording
     total = rows if weights is None else weights.sum()
+    tiles = _row_tiles(rows, group, widest)
     # per layer: (x-hat or z, scale, shift, gain, inv_std, running mean, mask);
     # the layer's relu input is x-hat * scale + shift in either mode
     saved = []
     a = x.values
     for weight, state in layers:
-        z = a @ weight.values
+        z = np.empty((rows, state.dim))
+        _each_tile(tiles, lambda lo, hi: np.matmul(a[lo:hi], weight.values, out=z[lo:hi]))
         center = None
+        y = z
         if training:
-            if weights is None:
-                mean = z.mean(axis=0)
-                z -= mean
-                var = (z * z).mean(axis=0)
-            else:
-                mean = (weights @ z) / total
-                z -= mean
-                var = (weights @ (z * z)) / total
+            mean = z.mean(axis=0) if weights is None else (weights @ z) / total
+            # holds the squared deviations, then the layer's output
+            y = np.empty_like(z)
+
+            def centre(lo, hi):
+                z[lo:hi] -= mean
+                np.multiply(z[lo:hi], z[lo:hi], out=y[lo:hi])
+
+            _each_tile(tiles, centre)
+            var = y.mean(axis=0) if weights is None else (weights @ y) / total
             state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
             state.running_var = (1.0 - momentum) * state.running_var + momentum * var
             std = np.sqrt(var + state.eps)
-            z /= std
             inv_std = 1.0 / std
             gain = state.gamma.values * inv_std
             scale, shift = state.gamma.values.copy(), state.beta.values.copy()
         else:
-            # one scale and one shift of the matmul output
+            # one scale and one shift of the matmul output, in place unless kept
             center = state.running_mean
             inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
             gain = scale = state.gamma.values * inv_std
             shift = state.beta.values - center * gain
-        y = z * scale if keep else np.multiply(z, scale, out=z)
-        y += shift
-        np.maximum(y, 0.0, out=y)
+            if keep:
+                y = np.empty_like(z)
         mask = None
         if drop:
-            mask = (rng.random(y.shape) >= dropout) / (1.0 - dropout)
-            y *= mask
+            mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
+
+        def activate(lo, hi):
+            if training:
+                z[lo:hi] /= std
+            rows_y = np.multiply(z[lo:hi], scale, out=y[lo:hi])
+            rows_y += shift
+            np.maximum(rows_y, 0.0, out=rows_y)
+            if mask is not None:
+                rows_y *= mask[lo:hi]
+
+        _each_tile(tiles, activate)
         if keep:
             saved.append((z, scale, shift, gain, inv_std, center, mask))
         a = y
@@ -388,86 +479,154 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         m, d = rows // group, width
         blocks = a.reshape(m, group, d)
         out = np.empty((len(steps), m, d))
-        winners = []
-        for t, (lo, hi) in enumerate(steps):
-            if keep:
-                arg = np.argmax(blocks[:, lo:hi], axis=1)[:, None, :]
-                out[t] = np.take_along_axis(blocks[:, lo:hi], arg, axis=1)[:, 0]
-                winners.append(arg)
-            else:
-                np.max(blocks[:, lo:hi], axis=1, out=out[t])
-            if t:
-                np.maximum(out[t - 1], out[t], out=out[t])
+        winners = [np.empty((m, 1, d), dtype=np.intp) for _ in steps] if keep else None
+
+        def pool_tile(lo, hi):
+            # every output is >= +0 after the relu (or NaN), so its max is the
+            # winner's value bit for bit
+            s = slice(lo // group, hi // group)
+            for t, (k0, k1) in enumerate(steps):
+                window = blocks[s, k0:k1]
+                if keep:
+                    np.argmax(window, axis=1, out=winners[t][s], keepdims=True)
+                np.max(window, axis=1, out=out[t, s])
+                if t:
+                    np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
+
+        _each_tile(tiles, pool_tile)
         a = out.reshape(len(steps) * m, d)
     if not keep:
         return Tensor(a)
 
-    def relu_input(layer):
+    def relu_input(layer, y, positive, lo, hi):
+        # the layer's relu input into rows [lo, hi) of ``y``, and where it is > 0
         hat, scale, shift = layer[:3]
-        y = hat * scale
-        y += shift
-        return y
+        rows_y = np.multiply(hat[lo:hi], scale, out=y[lo:hi])
+        rows_y += shift
+        np.greater(rows_y, 0.0, out=positive[lo:hi])
 
-    def grad_fn(g):
-        # the last relu's mask first: its input and the routed gradient are
-        # full-size, and only one of them need be alive at a time
-        positive = relu_input(saved[-1]) > 0.0
-        if pool is not None:
-            g = g.reshape(out.shape)
-            routed = np.zeros((m, group, d))
+    def route(g):
+        # the pooled gradient at each prefix's winning rows, times the last
+        # relu's mask there, read from the pooled output
+        routed = np.zeros((m, group, d))
+        carry, won = np.empty((m, d)), np.empty((m, d))
+        flag = np.empty((m, d), dtype=bool)
+
+        def route_tile(lo, hi):
+            s = slice(lo // group, hi // group)
             # walk the prefixes from the longest down: ``carry`` is the
             # gradient owed to prefix t's running max, which either rows
             # [k_{t-1}, k_t) or the shorter prefix won
-            carry = g[-1]
+            carry[s] = g[-1, s]
             for t in range(len(steps) - 1, -1, -1):
-                lo, hi = steps[t]
+                k0, k1 = steps[t]
                 if t:
-                    took = out[t] > out[t - 1]
-                    won = np.where(took, carry, 0.0)
-                    carry = np.where(took, 0.0, carry)
-                    carry += g[t - 1]
+                    took = np.greater(out[t, s], out[t - 1, s], out=flag[s])
+                    rows_won = won[s]
+                    rows_won[...] = 0.0
+                    np.copyto(rows_won, carry[s], where=took)
+                    np.copyto(carry[s], 0.0, where=took)
+                    carry[s] += g[t - 1, s]
                 else:
-                    won = carry
-                np.put_along_axis(routed[:, lo:hi], winners[t], won[:, None, :], axis=1)
-            g = routed.reshape(rows, d)
-            del routed
-        # ``g`` is this function's own buffer once routed or past the first
-        # layer; a gradient handed in may be shared, so it is never written
-        owned = pool is not None
+                    rows_won = carry[s]
+                rows_won *= np.greater(out[t, s], 0.0, out=flag[s])
+                np.put_along_axis(routed[s, k0:k1], winners[t][s], rows_won[:, None, :], axis=1)
+
+        _each_tile(tiles, route_tile)
+        return routed.reshape(rows, d)
+
+    def weight_grad(a, dz):
+        n = dz.shape[1]
+        if len(tiles) == 1 or n < 2 * _GRAD_COLUMNS:
+            return a.T @ dz
+        starts = list(range(0, n - _GRAD_COLUMNS + 1, _GRAD_COLUMNS))
+        gw = np.empty((a.shape[1], n))
+        _each_tile(list(zip(starts, starts[1:] + [n])),
+                   lambda lo, hi: np.matmul(a.T, dz[:, lo:hi], out=gw[:, lo:hi]))
+        return gw
+
+    def gate(g, positive, mask, owned):
+        # ``g`` times the relu's and the dropout's masks; in place only when
+        # owned, since a gradient handed in may be shared
+        gated = g if owned else np.empty_like(g)
+
+        def gate_tile(lo, hi):
+            rows_g = gated[lo:hi]
+            if positive is not None:
+                np.multiply(g[lo:hi], positive[lo:hi], out=rows_g)
+            if mask is not None:
+                rows_g *= mask[lo:hi]
+
+        _each_tile(tiles, gate_tile)
+        return gated
+
+    def grad_fn(g):
+        if pool is None:
+            # the last relu's mask, from its recomputed input
+            positive = np.empty(g.shape, dtype=bool)
+            y = np.empty(g.shape)
+            _each_tile(tiles, lambda lo, hi: relu_input(saved[-1], y, positive, lo, hi))
+            del y
+            owned = False
+        else:
+            g, positive, owned = route(g.reshape(out.shape)), None, True
         param_grads = []
         for i in range(len(layers) - 1, -1, -1):
             hat, _, _, gain, inv_std, center, mask = saved[i]
-            g = np.multiply(g, positive, out=g) if owned else g * positive
-            if mask is not None:
-                g *= mask
+            if positive is not None or mask is not None:
+                g = gate(g, positive, mask, owned)
+            positive = None
             dbeta = g.sum(axis=0)
+            dz = np.empty_like(g)
             if training:
-                dz = np.multiply(g, hat)
+                _each_tile(tiles, lambda lo, hi: np.multiply(g[lo:hi], hat[lo:hi],
+                                                             out=dz[lo:hi]))
                 dgamma = dz.sum(axis=0)
-                # the batch moments depend on the input as well: remove the
-                # gradient's (weighted) column mean and its component along
-                # the normalized column
-                np.multiply(hat, dgamma / total, out=dz)
-                dz += dbeta / total
-                if weights is not None:
-                    dz *= weights[:, None]
-                np.subtract(g, dz, out=dz)
-                dz *= gain
+                gamma_share, beta_share = dgamma / total, dbeta / total
+
+                def assemble(lo, hi):
+                    # the batch moments depend on the input as well: remove the
+                    # gradient's (weighted) column mean and its component along
+                    # the normalized column
+                    rows_dz = np.multiply(hat[lo:hi], gamma_share, out=dz[lo:hi])
+                    rows_dz += beta_share
+                    if weights is not None:
+                        rows_dz *= weights[lo:hi, None]
+                    np.subtract(g[lo:hi], rows_dz, out=rows_dz)
+                    rows_dz *= gain
             else:
-                dgamma = (g * ((hat - center) * inv_std)).sum(axis=0)
-                dz = g * gain
+                def normalized(lo, hi):
+                    rows_dz = np.subtract(hat[lo:hi], center, out=dz[lo:hi])
+                    rows_dz *= inv_std
+                    rows_dz *= g[lo:hi]
+
+                _each_tile(tiles, normalized)
+                dgamma = dz.sum(axis=0)
+
+                def assemble(lo, hi):
+                    np.multiply(g[lo:hi], gain, out=dz[lo:hi])
+
+            _each_tile(tiles, assemble)
             del g
             if i:
-                a = relu_input(saved[i - 1])
-                positive = a > 0.0
-                np.maximum(a, 0.0, out=a)
-                if saved[i - 1][-1] is not None:
-                    a *= saved[i - 1][-1]
+                below = saved[i - 1]
+                a = np.empty((rows, layers[i - 1][1].dim))
+                positive = np.empty(a.shape, dtype=bool)
+
+                def recompute(lo, hi):
+                    relu_input(below, a, positive, lo, hi)
+                    np.maximum(a[lo:hi], 0.0, out=a[lo:hi])
+                    if below[-1] is not None:
+                        a[lo:hi] *= below[-1][lo:hi]
+
+                _each_tile(tiles, recompute)
             else:
                 a = x.values
-            param_grads[:0] = (a.T @ dz, dgamma, dbeta)
+            param_grads[:0] = (weight_grad(a, dz), dgamma, dbeta)
             del a
-            g = dz @ layers[i][0].values.T
+            g = np.empty((rows, layers[i][0].shape[0]))
+            weight_t = layers[i][0].values.T
+            _each_tile(tiles, lambda lo, hi: np.matmul(dz[lo:hi], weight_t, out=g[lo:hi]))
             del dz
             owned = True
         return (g, *param_grads)
@@ -501,8 +660,9 @@ def lstm(x, steps, weight, bias) -> Tensor:
     (Hochreiter & Schmidhuber, 1997). The result stacks every step's hidden
     state the same way: [steps*r, hidden].
 
-    Per step the node keeps the matmul input [h_{t-1} | x_t], the four gate
-    activations, c_{t-1} and tanh(c_t); the backward runs backpropagation
+    Per step the node keeps the four gate activations, c_{t-1} and
+    tanh(c_t); the backward rebuilds each step's matmul input [h_{t-1} | x_t]
+    from the input and the node's own output, and runs backpropagation
     through time in closed form. Parents are ``x``, ``weight`` and ``bias``.
     Under :func:`no_grad` nothing is kept.
     """
@@ -531,7 +691,7 @@ def lstm(x, steps, weight, bias) -> Tensor:
         tanh_cell = np.tanh(cell)
         hidden = np.multiply(gates[:, 2 * h:], tanh_cell, out=out[t * rows:(t + 1) * rows])
         if keep:
-            saved.append((joined, gates, candidate, prev_cell, tanh_cell))
+            saved.append((gates, candidate, prev_cell, tanh_cell))
     if not keep:
         return Tensor(out)
 
@@ -543,7 +703,7 @@ def lstm(x, steps, weight, bias) -> Tensor:
         dc = np.zeros((rows, h))
         dz = np.empty((rows, 4 * h))
         for t in range(steps - 1, -1, -1):
-            joined, gates, candidate, prev_cell, tanh_cell = saved[t]
+            gates, candidate, prev_cell, tanh_cell = saved[t]
             dh += g[t * rows:(t + 1) * rows]
             dc += dh * gates[:, 2 * h:] * (1.0 - tanh_cell * tanh_cell)
             # d/dz of each block: the input, forget and output gates'
@@ -555,6 +715,8 @@ def lstm(x, steps, weight, bias) -> Tensor:
             dz[:, :3 * h] *= gates
             dz[:, :3 * h] *= 1.0 - gates
             dz[:, 3 * h:] *= 1.0 - candidate * candidate
+            prev_hidden = out[(t - 1) * rows:t * rows] if t else np.zeros((rows, h))
+            joined = np.concatenate([prev_hidden, x.values[t * rows:(t + 1) * rows]], axis=1)
             gw += joined.T @ dz
             gb += dz.sum(axis=0)
             d_joined = dz @ weight.values.T

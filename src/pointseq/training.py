@@ -62,9 +62,15 @@ class AdamState:
 
 def adam_step(params: ModelParams, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update from the accumulated gradients."""
+    """One bias-corrected Adam update from the accumulated gradients.
+
+    Each parameter's update goes through two scratch buffers shared by all
+    parameters, so the step allocates nothing per parameter.
+    """
     state.step += 1
     t = state.step
+    largest = max((tensor.size for _, tensor in params.items()), default=0)
+    scratch = np.empty(largest), np.empty(largest)
     for name, tensor in params.items():
         g = tensor.grad
         if g is None:
@@ -75,13 +81,21 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
             state.first[name] = m
             state.second[name] = np.zeros_like(tensor.values)
         v = state.second[name]
+        step, root = (buf[:g.size].reshape(g.shape) for buf in scratch)
         m *= beta1
-        m += (1 - beta1) * g
+        m += np.multiply(g, 1 - beta1, out=step)
         v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        tensor.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1 - beta2, out=step)
+        step *= g
+        v += step
+        # lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1 - beta1**t, out=step)
+        step *= lr
+        np.divide(v, 1 - beta2**t, out=root)
+        np.sqrt(root, out=root)
+        root += eps
+        step /= root
+        tensor.values -= step
 
 
 def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:

@@ -1,6 +1,13 @@
 """Engine tests: frozen arithmetic examples plus finite-difference oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -666,6 +673,38 @@ def _stack_kwargs(weights, pool, dropout, rows=8):
     return kwargs
 
 
+def _stack_run(arrays, training, op=ag.bn_mlp, **kwargs):
+    """Output, running statistics and every gradient of an ``op`` stack
+    (``bn_mlp`` or its reference chain) over [x, weight0, gamma0, beta0, ...]
+    arrays, for a fixed output gradient."""
+    tensors = [ag.Tensor(a) for a in arrays]
+    layers = []
+    for weight, gamma, beta in zip(*[iter(tensors[1:])] * 3):
+        state = ag.BatchNormState(weight.shape[1])
+        state.gamma, state.beta = gamma, beta
+        state.running_mean[:] = 0.25
+        state.running_var[:] = 0.8
+        layers.append((weight, state))
+    out = op(tensors[0], layers, training, 0.3, rng=np.random.default_rng(17), **kwargs)
+    g = np.random.default_rng(32).uniform(-1, 1, out.shape)
+    ag.backward(sum_reduce(mul(out, g)))
+    return [out.values, *(t.grad for t in tensors), *(s.running_mean for _, s in layers),
+            *(s.running_var for _, s in layers)]
+
+
+def _stack_arrays(seed, rows, widths):
+    """[x, weight0, gamma0, beta0, ...] for a stack over ``rows`` rows of 3
+    inputs, one layer per width."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.uniform(-1, 1, (rows, 3))]
+    fan_in = 3
+    for width in widths:
+        arrays += [rng.uniform(-1, 1, (fan_in, width)), rng.uniform(0.5, 1.5, width),
+                   rng.uniform(-1, 1, width)]
+        fan_in = width
+    return arrays
+
+
 class TestBnMlp:
     @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
     def test_gradients_match_finite_differences(self, training, weights, pool, dropout):
@@ -684,26 +723,9 @@ class TestBnMlp:
     def test_matches_reference_chain(self, training, weights, pool, dropout):
         # values, running statistics and every gradient against the chain of
         # separate matmul, batch norm, relu, dropout and pool nodes
-        rng = np.random.default_rng(31)
-        arrays = [rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, (3, 4)),
-                  rng.uniform(0.5, 1.5, 4), rng.uniform(-1, 1, 4),
-                  rng.uniform(-1, 1, (4, 5)), rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5)]
-        runs = []
-        for op in (ag.bn_mlp, reference_bn_mlp):
-            tensors = [ag.Tensor(a) for a in arrays]
-            layers = []
-            for weight, gamma, beta in zip(*[iter(tensors[1:])] * 3):
-                state = ag.BatchNormState(weight.shape[1])
-                state.gamma, state.beta = gamma, beta
-                state.running_mean[:] = 0.25
-                state.running_var[:] = 0.8
-                layers.append((weight, state))
-            out = op(tensors[0], layers, training, 0.3, rng=np.random.default_rng(17),
-                     **_stack_kwargs(weights, pool, dropout))
-            g = np.random.default_rng(32).uniform(-1, 1, out.shape)
-            ag.backward(sum_reduce(mul(out, g)))
-            runs.append([out.values, *(t.grad for t in tensors),
-                         *(s.running_mean for _, s in layers), *(s.running_var for _, s in layers)])
+        arrays = _stack_arrays(31, 8, (4, 5))
+        kwargs = _stack_kwargs(weights, pool, dropout)
+        runs = [_stack_run(arrays, training, op, **kwargs) for op in (ag.bn_mlp, reference_bn_mlp)]
         for got, want in zip(*runs):
             assert relative_error(got, want, floor=1e-300) < 1e-12
 
@@ -720,6 +742,125 @@ class TestBnMlp:
     def test_needs_a_layer(self):
         with pytest.raises(ShapeError):
             ag.bn_mlp(ag.Tensor(np.ones((2, 2))), [])
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A tile pool that counts the tasks it is given."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture(params=[1, 2, 4], ids=["1_worker", "2_workers", "4_workers"])
+def tile_pool(request, monkeypatch):
+    """Yields ``split(on, tile=8)``, which makes stacks of ``tile`` or more
+    elements run in tiles of about ``tile`` elements on a pool of 1, 2 or 4
+    threads, or, with ``on`` false, every stack one tile. Threads switch as
+    often as the interpreter allows, so a lost or mixed-up tile would show."""
+    pool = CountingPool(request.param)
+
+    def split(on, tile=8):
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile if on else 1 << 62)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
+
+    monkeypatch.setattr(ag, "_pool", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield split
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+class TestTiles:
+    @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
+    def test_several_tiles_give_the_bits_of_one(self, tile_pool, training, weights, pool,
+                                                dropout):
+        # 24 rows: 6 groups of 4 or 3 groups of 8, so every case has 3 or more tiles
+        arrays = _stack_arrays(31, 24, (4, 5))
+        kwargs = _stack_kwargs(weights, pool, dropout, rows=24)
+        tile_pool(False)
+        one = _stack_run(arrays, training, **kwargs)
+        assert ag._pool.submitted == 0
+        tile_pool(True)
+        assert len(ag._row_tiles(24, 1 if pool is None else pool[0], 5)) >= 3
+        several = _stack_run(arrays, training, **kwargs)
+        assert ag._pool.submitted > 0
+        for got, want in zip(several, one):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_reference_widths_split_weight_gradients(self, tile_pool, training):
+        # the area block's shape at the shipped tile size: groups of 128 rows,
+        # layers 64 and 128 wide, so four tiles of 1024 rows, and the last
+        # weight gradient splits into two blocks of 64 columns. (BLAS may
+        # round much smaller products differently, so this case keeps the
+        # real tile size.)
+        arrays = _stack_arrays(33, 4096, (64, 128))
+        kwargs = {"pool": (128, (16, 64, 128)), "weights": np.arange(4096) % 4 + 1.0}
+        tile_pool(False)
+        one = _stack_run(arrays, training, **kwargs)
+        tile_pool(True, 1 << 17)
+        assert len(ag._row_tiles(4096, 128, 128)) == 4
+        several = _stack_run(arrays, training, **kwargs)
+        assert ag._pool.submitted > 0
+        for got, want in zip(several, one):
+            assert got.tobytes() == want.tobytes()
+
+    def test_weighted_pooled_stack_matches_finite_differences(self, tile_pool):
+        tile_pool(True)
+        pool = (4, (2, 4))
+        assert len(ag._row_tiles(24, 4, 4)) >= 3
+        check_op_gradient(*_bn_gradient_case(760, 24, None, True, (4, 3), pool=pool,
+                                             weights=np.arange(24) % 3 + 1.0))
+        assert ag._pool.submitted > 0
+
+    def test_tiles_are_whole_groups_and_never_one_row(self):
+        assert ag._row_tiles(16384, 128, 128) == [(lo, lo + 1024) for lo in range(0, 16384, 1024)]
+        assert ag._row_tiles(100, 1, 128) == [(0, 100)]
+        # a last tile of one row joins the tile before it
+        assert ag._row_tiles(4097, 1, 128)[-2:] == [(2048, 3072), (3072, 4097)]
+        # a group wider than a tile is a tile of its own
+        assert ag._row_tiles(8192, 4096, 128) == [(0, 4096), (4096, 8192)]
+
+    def test_a_failing_tile_raises_after_every_tile_has_run(self, tile_pool):
+        ran = []
+
+        def task(lo, hi):
+            if lo == 1:
+                raise FloatingPointError("tile 1")
+            time.sleep(0.05)
+            ran.append(lo)
+
+        with pytest.raises(FloatingPointError, match="tile 1"):
+            ag._each_tile([(0, 1), (1, 2), (2, 3)], task)
+        assert sorted(ran) == [0, 2]
+
+    def test_pool_threads_do_not_keep_the_process_alive(self):
+        script = textwrap.dedent("""
+            import threading
+            import numpy as np
+            from pointseq import autograd as ag
+            rng = np.random.default_rng(0)
+            x = ag.Tensor(rng.uniform(-1, 1, (4096, 3)))
+            layers = [(ag.Tensor(rng.uniform(-1, 1, (3, 128))), ag.BatchNormState(128))]
+            out = ag.bn_mlp(x, layers, training=True, pool=(128, (64, 128)))
+            ag.backward(ag.cross_entropy_mean(out, np.zeros(out.shape[0], dtype=int)))
+            assert ag._pool is not None
+            print(threading.active_count())
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(ag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 1
 
 
 def _lstm_arrays(seed, steps, rows, saturate=False):

@@ -1,8 +1,10 @@
 """Optimizer, schedule, metric, and training-loop tests."""
 
 import gc
+import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pointseq import autograd as ag
 from pointseq import model, training
 from pointseq.autograd import Tensor
-from pointseq.config import ModelConfig, TrainConfig
+from pointseq.config import ModelConfig, TrainConfig, load_run_config
+from pointseq.data import synthetic_splits
 from pointseq.errors import ConfigError, DataError
 from pointseq.geometry import PointCloud
 from pointseq.model import (
@@ -36,6 +39,9 @@ from pointseq.training import (
     shape_miou,
     train,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def one_param(values):
@@ -114,6 +120,32 @@ class TestAdam:
         adam_step(p, state, lr=0.1)
         assert state.step == 1
         assert set(state.first) == {"a", "b"}
+
+
+    def test_matches_the_textbook_update_bit_for_bit(self):
+        # parameters of different sizes share the scratch buffers
+        rng = np.random.default_rng(70)
+        p = ModelParams()
+        shapes = [(3, 4), (7,), (2, 2), (1,)]
+        tensors = [p.add(f"w{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+        want = [t.values.copy() for t in tensors]
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        state = AdamState()
+        for t in range(1, 4):
+            for i, tensor in enumerate(tensors):
+                g = tensor.grad = rng.normal(size=shapes[i])
+                m, v = first[i], second[i]
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * g * g
+                m_hat = m / (1 - 0.9**t)
+                v_hat = v / (1 - 0.999**t)
+                want[i] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            adam_step(p, state, lr=0.01)
+            for tensor, w in zip(tensors, want):
+                assert tensor.values.tobytes() == w.tobytes()
 
 
 class TestSchedules:
@@ -545,6 +577,26 @@ class TestMemoryGuard:
             assert graph_logits.parents
             assert_array_equal(logits.values, graph_logits.values)
 
+    def test_lstm_keeps_no_copy_of_its_input_or_output(self):
+        # per step the gates (3h), candidate, previous cell and tanh(cell),
+        # plus the h-wide output; a copy of [h_{t-1} | x_t] would add h + d
+        steps, rows, h, d = 4, 256, 32, 32
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.uniform(-1, 1, (steps * rows, d)))
+        weight, bias = rng.uniform(-1, 1, (h + d, 4 * h)), np.zeros(4 * h)
+        budget = 7.5 * steps * rows * h * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            states = ag.lstm(x, steps, weight, bias)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (steps * rows, h)
+        assert held <= budget, f"lstm keeps {held} bytes, budget {budget:.0f}"
+
     def test_graph_mode_returns_after_a_failing_evaluation(self, monkeypatch):
         cfg = tiny_cfg()
         params = build_params(cfg, np.random.default_rng(62))
@@ -558,3 +610,15 @@ class TestMemoryGuard:
             evaluate_classification(geoms, np.array([0]), params, cfg)
         x = Tensor([1.0])
         assert ag.add(x, x).parents == (x, x)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("name", ["desk_classification", "desk_segmentation"])
+    def test_desk_training_starts_no_thread(self, name, monkeypatch):
+        # every dense stack of the desk configs is one tile on the calling thread
+        cfg = load_run_config(CONFIGS / f"{name}.ini", sets=[("train.epochs", "1")])
+        monkeypatch.setattr(ag, "_pool", None)
+        threads = threading.active_count()
+        train(*synthetic_splits(cfg.data, cfg.model.task), cfg.model, cfg.train)
+        assert ag._pool is None
+        assert threading.active_count() == threads
