@@ -9,6 +9,7 @@ cross-checks them against central finite differences.
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -49,8 +50,10 @@ def no_grad():
     Tensors made inside have no parents and no ``grad_fn``, so an op's
     backward closure, and every array only it held, is freed as soon as the
     op returns; :func:`bn_mlp` does not even compute what its backward would
-    need. The previous mode comes back when the block exits, also by an
-    exception.
+    need. An eval-mode :func:`bn_mlp` then holds no full-size intermediate at
+    all: each row tile passes through every layer and the pool in scratch
+    buffers of its own tile's size. The previous mode comes back when the
+    block exits, also by an exception.
     """
     global _recording
     previous, _recording = _recording, False
@@ -302,22 +305,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _each_tile(bounds, fn):
-    """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
-
-    A single tile runs on the calling thread. Several run on a thread pool
-    with one worker per CPU the process may run on, made on first need; the
-    call returns once every tile has finished, then raises the first failed
-    tile's exception, if any.
-    """
+def _tile_pool():
+    """The tile pool: one worker per CPU the process may run on, made on
+    first need."""
     global _pool
-    if len(bounds) == 1:
-        fn(*bounds[0])
-        return
     if _pool is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         _pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="pointseq-tile")
-    futures = [_pool.submit(fn, lo, hi) for lo, hi in bounds]
+    return _pool
+
+
+def _each_tile(bounds, fn):
+    """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
+
+    A single tile runs on the calling thread, several on the tile pool; the
+    call returns once every tile has finished, then raises the first failed
+    tile's exception, if any.
+    """
+    if len(bounds) == 1:
+        fn(*bounds[0])
+        return
+    pool = _tile_pool()
+    futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
     wait(futures)
     for future in futures:
         future.result()
@@ -379,13 +388,24 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     whole pool groups each, on a pool of one thread per CPU the process may
     run on: matmuls, centring and squaring, the affine, relu and dropout,
     the pool, the gradient routing and the batch-norm backward. Tile tasks
-    store their results only in arrays allocated before them. The column reductions
-    (batch moments, beta and gamma gradients) stay on the calling thread in
-    one pass each, dropout masks are drawn there, weight gradients split by
-    blocks of 64 output columns, and the tiles depend only on the shapes, so
-    the result is the same bits for any number of threads, and the same as
-    one tile wherever BLAS rounds a product independently of how many rows
-    or column blocks it is given. Smaller stacks run on the calling thread.
+    store their results only in arrays allocated before them. The column
+    reductions (batch moments, beta and gamma gradients) stay on the calling
+    thread in one pass each, dropout masks are drawn there, weight gradients
+    split by blocks of 64 output columns, and the tiles depend only on the
+    shapes, so the result is the same bits for any number of threads, and
+    the same as one tile wherever BLAS rounds a product independently of how
+    many rows or column blocks it is given. Smaller stacks are one tile on
+    the calling thread.
+
+    Eval mode needs no column reduction, so one task per tile takes the tile
+    through every layer's matmul, scale and shift and relu, then the pool,
+    and writes only the output rows (plus, when a graph is recorded, each
+    layer's matmul output and the pool's winners). A layer's tile goes into
+    one of two alternating scratch buffers, of the largest tile's size; the
+    calling thread allocates one pair per worker and hands them to the
+    tasks through a queue. The tile bounds are the ones above, so the
+    result is the same bits with or without a graph and for any number of
+    threads.
     """
     x = tensor(x)
     if x.ndim != 2:
@@ -423,16 +443,32 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     keep = _recording
     total = rows if weights is None else weights.sum()
     tiles = _row_tiles(rows, group, widest)
+    if pool is not None:
+        m, d = rows // group, width
+        out = np.empty((len(steps), m, d))
+        winners = [np.empty((m, 1, d), dtype=np.intp) for _ in steps] if keep else None
+
+    def pool_groups(blocks, lo, hi):
+        # the prefix maxima of the groups in rows [lo, hi), whose last
+        # outputs ``blocks`` holds as [groups, group, d]. Every output is >= +0
+        # after the relu (or NaN), so its max is the winner's value bit for bit
+        s = slice(lo // group, hi // group)
+        for t, (k0, k1) in enumerate(steps):
+            window = blocks[:, k0:k1]
+            if keep:
+                np.argmax(window, axis=1, out=winners[t][s], keepdims=True)
+            np.max(window, axis=1, out=out[t, s])
+            if t:
+                np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
+
     # per layer: (x-hat or z, scale, shift, gain, inv_std, running mean, mask);
     # the layer's relu input is x-hat * scale + shift in either mode
     saved = []
-    a = x.values
-    for weight, state in layers:
-        z = np.empty((rows, state.dim))
-        _each_tile(tiles, lambda lo, hi: np.matmul(a[lo:hi], weight.values, out=z[lo:hi]))
-        center = None
-        y = z
-        if training:
+    if training:
+        a = x.values
+        for weight, state in layers:
+            z = np.empty((rows, state.dim))
+            _each_tile(tiles, lambda lo, hi: np.matmul(a[lo:hi], weight.values, out=z[lo:hi]))
             mean = z.mean(axis=0) if weights is None else (weights @ z) / total
             # holds the squared deviations, then the layer's output
             y = np.empty_like(z)
@@ -449,51 +485,69 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             inv_std = 1.0 / std
             gain = state.gamma.values * inv_std
             scale, shift = state.gamma.values.copy(), state.beta.values.copy()
-        else:
-            # one scale and one shift of the matmul output, in place unless kept
-            center = state.running_mean
-            inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-            gain = scale = state.gamma.values * inv_std
-            shift = state.beta.values - center * gain
-            if keep:
-                y = np.empty_like(z)
-        mask = None
-        if drop:
-            mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
+            mask = None
+            if drop:
+                mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
 
-        def activate(lo, hi):
-            if training:
+            def activate(lo, hi):
                 z[lo:hi] /= std
-            rows_y = np.multiply(z[lo:hi], scale, out=y[lo:hi])
-            rows_y += shift
-            np.maximum(rows_y, 0.0, out=rows_y)
-            if mask is not None:
-                rows_y *= mask[lo:hi]
+                rows_y = np.multiply(z[lo:hi], scale, out=y[lo:hi])
+                rows_y += shift
+                np.maximum(rows_y, 0.0, out=rows_y)
+                if mask is not None:
+                    rows_y *= mask[lo:hi]
 
-        _each_tile(tiles, activate)
-        if keep:
-            saved.append((z, scale, shift, gain, inv_std, center, mask))
-        a = y
+            _each_tile(tiles, activate)
+            if keep:
+                saved.append((z, scale, shift, gain, inv_std, None, mask))
+            a = y
+        if pool is not None:
+            blocks = a.reshape(m, group, d)
+            _each_tile(tiles, lambda lo, hi: pool_groups(blocks[lo // group:hi // group], lo, hi))
+    else:
+        # batch norm is one fixed scale and shift per column, so each tile
+        # runs through every layer and the pool while it is in cache
+        for _, state in layers:
+            inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+            scale = state.gamma.values * inv_std
+            shift = state.beta.values - state.running_mean * scale
+            z = np.empty((rows, state.dim)) if keep else None
+            saved.append((z, scale, shift, scale, inv_std, state.running_mean, None))
+        a = None if pool is not None else np.empty((rows, width))
+        # every layer but an unpooled last one writes its tile into one of two
+        # alternating scratch buffers; one pair per worker, made here so that
+        # the tile tasks allocate nothing
+        buffered = len(layers) - (pool is None)
+        span = max(hi - lo for lo, hi in tiles) * widest
+        sets = 1 if len(tiles) == 1 else min(len(tiles), _tile_pool()._max_workers)
+        free = queue.SimpleQueue()
+        for _ in range(sets):
+            free.put([np.empty(span) for _ in range(min(buffered, 2))])
 
+        def eval_tile(lo, hi):
+            buffers = free.get()
+            try:
+                n = hi - lo
+                rows_a = x.values[lo:hi]
+                for i, (weight, state) in enumerate(layers):
+                    z, scale, shift = saved[i][:3]
+                    if i < buffered:
+                        rows_y = buffers[i % 2][:n * state.dim].reshape(n, state.dim)
+                    else:
+                        rows_y = a[lo:hi]
+                    rows_z = rows_y if z is None else z[lo:hi]
+                    np.matmul(rows_a, weight.values, out=rows_z)
+                    np.multiply(rows_z, scale, out=rows_y)
+                    rows_y += shift
+                    np.maximum(rows_y, 0.0, out=rows_y)
+                    rows_a = rows_y
+                if pool is not None:
+                    pool_groups(rows_a.reshape(n // group, group, width), lo, hi)
+            finally:
+                free.put(buffers)
+
+        _each_tile(tiles, eval_tile)
     if pool is not None:
-        m, d = rows // group, width
-        blocks = a.reshape(m, group, d)
-        out = np.empty((len(steps), m, d))
-        winners = [np.empty((m, 1, d), dtype=np.intp) for _ in steps] if keep else None
-
-        def pool_tile(lo, hi):
-            # every output is >= +0 after the relu (or NaN), so its max is the
-            # winner's value bit for bit
-            s = slice(lo // group, hi // group)
-            for t, (k0, k1) in enumerate(steps):
-                window = blocks[s, k0:k1]
-                if keep:
-                    np.argmax(window, axis=1, out=winners[t][s], keepdims=True)
-                np.max(window, axis=1, out=out[t, s])
-                if t:
-                    np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
-
-        _each_tile(tiles, pool_tile)
         a = out.reshape(len(steps) * m, d)
     if not keep:
         return Tensor(a)
@@ -661,10 +715,11 @@ def lstm(x, steps, weight, bias) -> Tensor:
     state the same way: [steps*r, hidden].
 
     Per step the node keeps the four gate activations, c_{t-1} and
-    tanh(c_t); the backward rebuilds each step's matmul input [h_{t-1} | x_t]
-    from the input and the node's own output, and runs backpropagation
-    through time in closed form. Parents are ``x``, ``weight`` and ``bias``.
-    Under :func:`no_grad` nothing is kept.
+    tanh(c_t). The forward and the backward each build every step's matmul
+    input [h_{t-1} | x_t] in one buffer made once per call; the backward
+    rebuilds it from the input and the node's own output, and runs
+    backpropagation through time in closed form. Parents are ``x``,
+    ``weight`` and ``bias``. Under :func:`no_grad` nothing is kept.
     """
     x, weight, bias = tensor(x), tensor(weight), tensor(bias)
     if x.ndim != 2 or steps < 1 or x.shape[0] % steps:
@@ -676,12 +731,14 @@ def lstm(x, steps, weight, bias) -> Tensor:
                          f"input width {width}")
     keep = _recording
     out = np.empty((steps * rows, h))
-    hidden = np.zeros((rows, h))
+    # [h_{t-1} | x_t], rebuilt in place every step
+    joined = np.zeros((rows, h + width))
+    z = np.empty((rows, 4 * h))
     cell = np.zeros((rows, h))
     saved = []
     for t in range(steps):
-        joined = np.concatenate([hidden, x.values[t * rows:(t + 1) * rows]], axis=1)
-        z = joined @ weight.values
+        joined[:, h:] = x.values[t * rows:(t + 1) * rows]
+        np.matmul(joined, weight.values, out=z)
         z += bias.values
         gates = _sigmoid(z[:, :3 * h])
         candidate = np.tanh(z[:, 3 * h:])
@@ -690,6 +747,7 @@ def lstm(x, steps, weight, bias) -> Tensor:
         cell += gates[:, :h] * candidate
         tanh_cell = np.tanh(cell)
         hidden = np.multiply(gates[:, 2 * h:], tanh_cell, out=out[t * rows:(t + 1) * rows])
+        joined[:, :h] = hidden
         if keep:
             saved.append((gates, candidate, prev_cell, tanh_cell))
     if not keep:
@@ -702,6 +760,7 @@ def lstm(x, steps, weight, bias) -> Tensor:
         dh = np.zeros((rows, h))
         dc = np.zeros((rows, h))
         dz = np.empty((rows, 4 * h))
+        joined = np.empty((rows, h + width))
         for t in range(steps - 1, -1, -1):
             gates, candidate, prev_cell, tanh_cell = saved[t]
             dh += g[t * rows:(t + 1) * rows]
@@ -715,8 +774,11 @@ def lstm(x, steps, weight, bias) -> Tensor:
             dz[:, :3 * h] *= gates
             dz[:, :3 * h] *= 1.0 - gates
             dz[:, 3 * h:] *= 1.0 - candidate * candidate
-            prev_hidden = out[(t - 1) * rows:t * rows] if t else np.zeros((rows, h))
-            joined = np.concatenate([prev_hidden, x.values[t * rows:(t + 1) * rows]], axis=1)
+            if t:
+                joined[:, :h] = out[(t - 1) * rows:t * rows]
+            else:
+                joined[:, :h] = 0.0
+            joined[:, h:] = x.values[t * rows:(t + 1) * rows]
             gw += joined.T @ dz
             gb += dz.sum(axis=0)
             d_joined = dz @ weight.values.T

@@ -141,6 +141,15 @@ def _check_cloud_sizes(model_cfg, cfg: RunConfig, ds: _Dataset) -> None:
                 raise DataError(f"{path} has {len(cloud)} points but {key} needs {need}")
 
 
+def _check_splits(cfg: RunConfig, ds: _Dataset, splits) -> None:
+    """Each of ``splits`` must hold a cloud. Synthetic counts are validated
+    as at least 1, so only a manifest can leave a split empty."""
+    for split in splits:
+        clouds = ds.train_clouds if split == "train" else ds.test_clouds
+        if not clouds:
+            raise DataError(f"manifest {cfg.data.manifest} has no {split} records")
+
+
 def _check_dims(model_cfg, ds: _Dataset, task: str) -> None:
     if task == "classification":
         if model_cfg.num_classes != len(ds.names):
@@ -162,6 +171,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     _echo_config(cfg, out)
     task = cfg.model.task
     ds = _load_dataset(cfg, task)
+    _check_splits(cfg, ds, ("train", "test"))
     _check_dims(cfg.model, ds, task)
     _check_cloud_sizes(cfg.model, cfg, ds)
     result = train(
@@ -186,9 +196,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     params, model_cfg = load_checkpoint(os.path.join(out, "checkpoint.bin"))
     ds = _load_dataset(cfg, model_cfg.task)
     _check_dims(model_cfg, ds, model_cfg.task)
+    _check_splits(cfg, ds, ("test",))
     _check_cloud_sizes(model_cfg, cfg, ds)
-    if not ds.test_clouds:
-        raise DataError("the dataset has no test split to evaluate")
     geoms = [prepare_cloud(c, model_cfg) for c in ds.test_clouds]
     if model_cfg.task == "classification":
         stats = evaluate_classification(
@@ -273,6 +282,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     task = cfg.model.task
     values = _axis_values(cfg, args.axis)
     ds = _load_dataset(cfg, task)
+    _check_splits(cfg, ds, ("train", "test"))
     _check_dims(cfg.model, ds, task)
     runs = []
     for value in values:

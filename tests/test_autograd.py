@@ -678,18 +678,35 @@ def _stack_run(arrays, training, op=ag.bn_mlp, **kwargs):
     (``bn_mlp`` or its reference chain) over [x, weight0, gamma0, beta0, ...]
     arrays, for a fixed output gradient."""
     tensors = [ag.Tensor(a) for a in arrays]
-    layers = []
-    for weight, gamma, beta in zip(*[iter(tensors[1:])] * 3):
-        state = ag.BatchNormState(weight.shape[1])
-        state.gamma, state.beta = gamma, beta
-        state.running_mean[:] = 0.25
-        state.running_var[:] = 0.8
-        layers.append((weight, state))
+    layers = _stack_layers(tensors[1:])
     out = op(tensors[0], layers, training, 0.3, rng=np.random.default_rng(17), **kwargs)
     g = np.random.default_rng(32).uniform(-1, 1, out.shape)
     ag.backward(sum_reduce(mul(out, g)))
     return [out.values, *(t.grad for t in tensors), *(s.running_mean for _, s in layers),
             *(s.running_var for _, s in layers)]
+
+
+def _stack_layers(tensors):
+    """``bn_mlp`` layers over [weight0, gamma0, beta0, ...] tensors, with
+    running statistics other than the initial ones."""
+    layers = []
+    for weight, gamma, beta in zip(*[iter(tensors)] * 3):
+        state = ag.BatchNormState(weight.shape[1])
+        state.gamma, state.beta = gamma, beta
+        state.running_mean[:] = 0.25
+        state.running_var[:] = 0.8
+        layers.append((weight, state))
+    return layers
+
+
+def _eval_output(arrays, **kwargs):
+    """The output of an eval-mode ``bn_mlp`` stack over [x, weight0, gamma0,
+    beta0, ...] arrays, built under ``no_grad``."""
+    tensors = [ag.Tensor(a) for a in arrays]
+    with ag.no_grad():
+        out = ag.bn_mlp(tensors[0], _stack_layers(tensors[1:]), False, **kwargs)
+    assert out.grad_fn is None
+    return out.values
 
 
 def _stack_arrays(seed, rows, widths):
@@ -756,6 +773,16 @@ class CountingPool(ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
+# every eval variant of STACK_CASES over 24 rows in tiles of 8 elements, and
+# the area block's shape at the shipped tile size (BLAS may round much smaller
+# products differently)
+EVAL_TILE_CASES = [(24, (4, 5), _stack_kwargs(weights, pool, dropout, rows=24), 8)
+                   for training, weights, pool, dropout in STACK_CASES if not training]
+EVAL_TILE_CASES.append((4096, (64, 128), {"pool": (128, (16, 64, 128))}, 1 << 17))
+EVAL_TILE_IDS = [i for (training, *_), i in zip(STACK_CASES, STACK_IDS) if not training]
+EVAL_TILE_IDS.append("area_block")
+
+
 @pytest.fixture(params=[1, 2, 4], ids=["1_worker", "2_workers", "4_workers"])
 def tile_pool(request, monkeypatch):
     """Yields ``split(on, tile=8)``, which makes stacks of ``tile`` or more
@@ -812,6 +839,22 @@ class TestTiles:
         assert ag._pool.submitted > 0
         for got, want in zip(several, one):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows,widths,kwargs,tile", EVAL_TILE_CASES, ids=EVAL_TILE_IDS)
+    def test_evaluation_without_a_graph_gives_the_bits_of_one_tile(self, tile_pool, rows,
+                                                                   widths, kwargs, tile):
+        # each tile runs through the whole stack and its pool on its own
+        arrays = _stack_arrays(34, rows, widths)
+        tile_pool(False)
+        one = _eval_output(arrays, **kwargs)
+        tile_pool(True, tile)
+        group = 1 if kwargs["pool"] is None else kwargs["pool"][0]
+        assert len(ag._row_tiles(rows, group, max(widths))) >= 3
+        several = _eval_output(arrays, **kwargs)
+        assert ag._pool.submitted > 0
+        recorded = _stack_run(arrays, False, **kwargs)[0]
+        assert several.tobytes() == one.tobytes()
+        assert recorded.tobytes() == one.tobytes()
 
     def test_weighted_pooled_stack_matches_finite_differences(self, tile_pool):
         tile_pool(True)

@@ -142,6 +142,28 @@ class TestTrainCommand:
         assert not (run / "checkpoint.bin").exists()
         assert not (run / "metrics.log").exists()
 
+    @pytest.mark.parametrize("config", [TINY_CLS, TINY_SEG], ids=["cls", "seg"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_manifest_without_a_split_exits_3_naming_it(self, tmp_path, capsys, split, config):
+        manifest = _manifest_without(tmp_path, split, config)
+        run = tmp_path / "run"
+        assert _train(run, ["--set", f"data.manifest={manifest}"], config=config) == 3
+        err = capsys.readouterr().err
+        assert f"manifest {manifest} has no {split} records" in err
+        assert "Traceback" not in err
+        assert not (run / "checkpoint.bin").exists()
+
+
+def _manifest_without(tmp_path, split, config=TINY_CLS):
+    """A materialized synthetic manifest with every ``split`` record removed."""
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), *config]) == 0
+    manifest = data_dir / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("".join(f"{line}\n" for line in lines
+                                if not line.startswith(f"{split} ")))
+    return manifest
+
 
 class TestSizeLimits:
     """Model sizes the data cannot supply fail before any work starts."""
@@ -285,6 +307,15 @@ class TestAblateCommand:
         for row in rows:
             assert 0.0 <= float(row.split()[1]) <= 1.0
         assert (tmp_path / "ablate_aggregation.log").exists()
+
+    def test_manifest_without_a_test_split_exits_3_before_the_first_run(self, tmp_path,
+                                                                          capsys):
+        manifest = _manifest_without(tmp_path, "test")
+        code = main(["ablate", "aggregation", *TINY_CLS, "--set", f"data.manifest={manifest}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"manifest {manifest} has no test records" in captured.err
+        assert "# aggregation=" not in captured.out
 
     def test_m_axis_uses_configured_values(self, capsys):
         code = main([

@@ -4,6 +4,7 @@ import gc
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +547,36 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert sequences.shape == (cfg.num_scales * len(geoms) * cfg.m, cfg.feature_dim)
         assert held <= budget, f"area block keeps {held} bytes, budget {budget:.0f}"
+
+    def test_evaluation_area_block_never_holds_a_full_layer(self, monkeypatch):
+        # eval runs each row tile through the whole stack and its pool in
+        # per-worker scratch buffers, so at no moment does a [rows, widest]
+        # array exist
+        cfg = tiny_cfg(m=32, scales=(8, 16, 32), area_hidden=(32, 64), feature_dim=64)
+        rng = np.random.default_rng(62)
+        params = build_params(cfg, rng)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(96, 3))), cfg) for _ in range(2)]
+        rows = len(geoms) * cfg.m * cfg.scales[-1]
+        widest = max(*cfg.area_hidden, cfg.feature_dim)
+        tile = 1 << 12
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile)
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(ag, "_pool", pool)
+        assert len(ag._row_tiles(rows, cfg.scales[-1], widest)) >= 8
+        budget = rows * widest * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                sequences = model._area_sequences(geoms, params, cfg, ForwardContext())
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            pool.shutdown()
+        assert sequences.shape == (cfg.num_scales * len(geoms) * cfg.m, cfg.feature_dim)
+        assert peak < budget, f"eval area block peaks at {peak} bytes, budget {budget}"
 
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
     def test_evaluation_builds_no_graph_and_matches_graph_forward(self, task, monkeypatch):
