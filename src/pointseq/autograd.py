@@ -381,7 +381,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     its last relu's mask at each winning row from the pooled output, which
     is positive exactly where that relu's input was, so it recomputes no
     last-layer activations at all. Parents are ``x``, then each layer's
-    weight, gamma and beta. Under :func:`no_grad` nothing is kept.
+    weight, gamma and beta. An ``x`` passed as a plain array, not a
+    :class:`Tensor`, is a constant: it is no parent, and the backward skips
+    the first layer's input-gradient matmul. Under :func:`no_grad` nothing
+    is kept.
 
     A stack whose widest layer (input included) holds 2**18 or more
     elements runs its row-wise work in row tiles of about 2**17 elements,
@@ -407,12 +410,13 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     result is the same bits with or without a graph and for any number of
     threads.
     """
-    x = tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"a dense stack expects a 2-d input, got shape {x.shape}")
+    constant = not isinstance(x, Tensor)
+    x_values = np.asarray(x, dtype=np.float64) if constant else x.values
+    if x_values.ndim != 2:
+        raise ShapeError(f"a dense stack expects a 2-d input, got shape {x_values.shape}")
     if not layers:
         raise ShapeError("a dense stack needs at least one layer")
-    rows, width = x.shape
+    rows, width = x_values.shape
     widest = width
     for weight, state in layers:
         if weight.ndim != 2 or weight.shape != (width, state.dim):
@@ -465,7 +469,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     # the layer's relu input is x-hat * scale + shift in either mode
     saved = []
     if training:
-        a = x.values
+        a = x_values
         for weight, state in layers:
             z = np.empty((rows, state.dim))
             _each_tile(tiles, lambda lo, hi: np.matmul(a[lo:hi], weight.values, out=z[lo:hi]))
@@ -528,7 +532,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             buffers = free.get()
             try:
                 n = hi - lo
-                rows_a = x.values[lo:hi]
+                rows_a = x_values[lo:hi]
                 for i, (weight, state) in enumerate(layers):
                     z, scale, shift = saved[i][:3]
                     if i < buffered:
@@ -675,9 +679,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
                 _each_tile(tiles, recompute)
             else:
-                a = x.values
+                a = x_values
             param_grads[:0] = (weight_grad(a, dz), dgamma, dbeta)
             del a
+            if not i and constant:
+                return tuple(param_grads)
             g = np.empty((rows, layers[i][0].shape[0]))
             weight_t = layers[i][0].values.T
             _each_tile(tiles, lambda lo, hi: np.matmul(dz[lo:hi], weight_t, out=g[lo:hi]))
@@ -685,7 +691,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             owned = True
         return (g, *param_grads)
 
-    parents = [x]
+    parents = [] if constant else [x]
     for weight, state in layers:
         parents += (weight, state.gamma, state.beta)
     return Tensor(a, parents, grad_fn)

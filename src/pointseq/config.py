@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -113,11 +114,15 @@ def _parse_scalar(raw: str, kind, where: str):
     try:
         if kind is int:
             return int(raw)
-        if kind is float:
-            return float(raw)
+        if kind is not float:
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}") from None
-    return raw
+    # nan compares False with everything, so it would slip past the range checks
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {raw!r}")
+    return value
 
 
 def _assign(obj, key: str, raw: str, where: str):

@@ -18,7 +18,14 @@ from . import autograd as ag
 from .autograd import BatchNormState, Tensor
 from .config import ModelConfig
 from .errors import DataError, ShapeError
-from .geometry import PointCloud, ScaleSpec, farthest_point_sample, group_areas
+from .geometry import (
+    PointCloud,
+    ScaleSpec,
+    farthest_point_sample,
+    group_areas,
+    nearest_candidates,
+    square_distances,
+)
 
 __all__ = [
     "ModelParams",
@@ -229,7 +236,8 @@ def _area_sequences(geoms, params, cfg, ctx):
     """
     largest = cfg.scales[-1]
     regions = len(geoms) * cfg.m
-    points = ag.tensor(np.concatenate([g.relative[-1].reshape(-1, 3) for g in geoms], axis=0))
+    # a plain array: the coordinates are a constant of the dense stack
+    points = np.concatenate([g.relative[-1].reshape(-1, 3) for g in geoms], axis=0)
     multiplicity = (np.arange(largest)[:, None] < np.asarray(cfg.scales)).sum(axis=1)
     weights = np.tile(multiplicity.astype(np.float64), regions)
     pooled = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx,
@@ -248,7 +256,7 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
             f"an area needs at least one relative [k, 3] point row, got {relative_points.shape}"
         )
     k = len(relative_points)
-    pooled = _bn_mlp(ag.tensor(relative_points), params, "area_mlp", len(cfg.area_hidden) + 1,
+    pooled = _bn_mlp(relative_points, params, "area_mlp", len(cfg.area_hidden) + 1,
                      ctx, pool=(k, (k,)))
     return ag.reshape(pooled, (cfg.feature_dim,))
 
@@ -359,23 +367,33 @@ def interpolation_weights(targets, sources, k: int) -> np.ndarray:
     """Inverse-square-distance weights over each target's k nearest sources.
 
     Rows are convex: non-negative and summing to one. A target within
-    1e-10 of a source copies that source exactly.
+    1e-10 of a source copies that source exactly. The k nearest are the
+    first k in (distance, index) order, the order a stable sort of the whole
+    row gives, and their weights are summed in that order: a partial
+    selection (:func:`geometry.nearest_candidates`) keeps the k candidates, or
+    every candidate tied with the k-th distance, and only those are sorted
+    by (distance, index). Coordinates must be finite.
     """
     targets = np.asarray(targets, dtype=np.float64)
     sources = np.asarray(sources, dtype=np.float64)
     n, s = len(targets), len(sources)
     if not 1 <= k <= s:
         raise ValueError(f"cannot interpolate from {k} of {s} sources")
-    d2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
+    if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
+        raise ValueError("interpolation coordinates must be finite")
+    d2 = square_distances(targets, np.asfortranarray(sources))
     exact = d2 < _EXACT_MATCH_DIST * _EXACT_MATCH_DIST
     snapped = exact.any(axis=1)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.arange(n)[:, None]
+    cand = nearest_candidates(d2, k)
+    nearest = cand[rows, np.lexsort((cand, d2[rows, cand]), axis=1)[:, :k]]
     # snapped rows get placeholder distances so no division by zero happens
-    inv = 1.0 / np.where(snapped[:, None], 1.0, np.take_along_axis(d2, nearest, axis=1))
+    inv = 1.0 / np.where(snapped[:, None], 1.0, d2[rows, nearest])
     weights = np.zeros((n, s))
-    np.put_along_axis(weights, nearest, inv / inv.sum(axis=1, keepdims=True), axis=1)
-    weights[snapped] = 0.0
-    weights[snapped, exact[snapped].argmax(axis=1)] = 1.0
+    weights[rows, nearest] = inv / inv.sum(axis=1, keepdims=True)
+    if snapped.any():
+        weights[snapped] = 0.0
+        weights[snapped, exact[snapped].argmax(axis=1)] = 1.0
     return weights
 
 
@@ -398,7 +416,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
 
     up = ag.block_matmul([g.interp_weights for g in geoms], x)
 
-    points = ag.tensor(np.concatenate([g.points for g in geoms], axis=0))
+    points = np.concatenate([g.points for g in geoms], axis=0)
     skip = _bn_mlp(points, params, "seg_point_mlp", 1, ctx)
     x = ag.concat([up, skip], axis=1)
     x = _bn_mlp(x, params, "seg_prop2", len(cfg.seg_prop2_widths), ctx)

@@ -173,6 +173,69 @@ def interpolation_weights_loop(targets, sources, k, exact_match_dist=1e-10):
     return weights
 
 
+# Reference geometry kernels that sum [.., 3] squares over the last axis and
+# sort every row by its full key: the package's kernels, which take the
+# squares term by term and the full key only where distances tie, must match
+# them bit for bit.
+
+
+def reference_farthest_point_sample(points, m):
+    """Farthest-point indices, masking chosen points and summing [n, 3] squares."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    chosen = np.empty(m, dtype=np.int64)
+    taken = np.zeros(n, dtype=bool)
+    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    diff = points - points[order].mean(axis=0)
+    dist = (diff * diff).sum(axis=1)
+    for step in range(m):
+        d = np.where(taken, -np.inf, dist)
+        candidates = np.flatnonzero(d == d.max())
+        c = points[candidates]
+        pick = int(candidates[np.lexsort((candidates, c[:, 2], c[:, 1], c[:, 0]))[0]])
+        chosen[step] = pick
+        taken[pick] = True
+        diff = points - points[pick]
+        fresh = (diff * diff).sum(axis=1)
+        dist = fresh if step == 0 else np.minimum(dist, fresh)
+    return chosen
+
+
+def reference_knn_search(points, queries, k):
+    """[q, k] nearest indices: one partial selection, then every row sorted
+    by the full key (distance, x, y, z, index)."""
+    points = np.asarray(points, dtype=np.float64)
+    rows = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    d = ((points[None, :, :] - rows[:, None, :]) ** 2).sum(axis=2)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    width = int((d <= kth).sum(axis=1).max())
+    cand = np.argpartition(d, width - 1, axis=1)[:, :width]
+    coords = points[cand]
+    order = np.lexsort(
+        (cand, coords[..., 2], coords[..., 1], coords[..., 0],
+         np.take_along_axis(d, cand, axis=1)),
+        axis=1,
+    )
+    return np.take_along_axis(cand, order[:, :k], axis=1).astype(np.int64)
+
+
+def reference_interpolation_weights(targets, sources, k, exact_match_dist=1e-10):
+    """Interpolation weights from a stable sort of every target's whole row."""
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    n, s = len(targets), len(sources)
+    d2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2)
+    exact = d2 < exact_match_dist * exact_match_dist
+    snapped = exact.any(axis=1)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    inv = 1.0 / np.where(snapped[:, None], 1.0, np.take_along_axis(d2, nearest, axis=1))
+    weights = np.zeros((n, s))
+    np.put_along_axis(weights, nearest, inv / inv.sum(axis=1, keepdims=True), axis=1)
+    weights[snapped] = 0.0
+    weights[snapped, exact[snapped].argmax(axis=1)] = 1.0
+    return weights
+
+
 def reference_batch_norm(x, state, training=False, momentum=0.5, weights=None):
     """Batch norm as its own graph node, with optional per-row multiplicities."""
     gamma, beta = state.gamma, state.beta

@@ -756,9 +756,36 @@ class TestBnMlp:
         assert out.parents == (x, layers[0][0], layers[0][1].gamma, layers[0][1].beta,
                                layers[1][0], layers[1][1].gamma, layers[1][1].beta)
 
+    @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
+    def test_plain_array_input_is_a_constant(self, training, weights, pool, dropout):
+        # the input is no parent, and every parameter gradient and running
+        # statistic is the same bits as with the input wrapped in a leaf
+        arrays = _stack_arrays(35, 8, (4, 5))
+        kwargs = _stack_kwargs(weights, pool, dropout)
+        runs = []
+        for wrap in (ag.Tensor, lambda a: a):
+            params = [ag.Tensor(a) for a in arrays[1:]]
+            layers = _stack_layers(params)
+            x = wrap(arrays[0])
+            out = ag.bn_mlp(x, layers, training, 0.3, rng=np.random.default_rng(17), **kwargs)
+            g = np.random.default_rng(32).uniform(-1, 1, out.shape)
+            ag.backward(sum_reduce(mul(out, g)))
+            runs.append((out, x, params, layers))
+        (leaf_out, leaf, leaf_params, leaf_layers), (out, _, params, layers) = runs
+        assert leaf_out.parents == (leaf, *leaf_params)
+        assert out.parents == tuple(params)
+        assert out.values.tobytes() == leaf_out.values.tobytes()
+        for got, want in zip(params, leaf_params):
+            assert got.grad.tobytes() == want.grad.tobytes()
+        for (_, got), (_, want) in zip(layers, leaf_layers):
+            assert got.running_mean.tobytes() == want.running_mean.tobytes()
+            assert got.running_var.tobytes() == want.running_var.tobytes()
+
     def test_needs_a_layer(self):
         with pytest.raises(ShapeError):
             ag.bn_mlp(ag.Tensor(np.ones((2, 2))), [])
+        with pytest.raises(ShapeError, match="2-d input"):
+            ag.bn_mlp(np.ones(3), [])
 
 
 class CountingPool(ThreadPoolExecutor):

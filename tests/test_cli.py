@@ -91,6 +91,15 @@ class TestTrainCommand:
         assert main(["train", "--out", str(tmp_path), "--set", "model.bogus=1"]) == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["data.noise=inf", "data.noise=nan",
+                                         "model.bn_eps=inf", "train.lr_floor=nan"])
+    def test_non_finite_float_exits_2_naming_the_key(self, tmp_path, capsys, setting):
+        assert _train(tmp_path / "run", ["--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert f"{setting.split('=')[0]}: must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_class_count_mismatch_rejected(self, tmp_path, capsys):
         # default num_classes=40 against the 3-class synthetic set
         argv = [a for a in TINY_CLS if a != "model.num_classes=3"]

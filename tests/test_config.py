@@ -85,6 +85,12 @@ class TestFileLoading:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_run_config(path)
 
+    def test_non_finite_float_in_file_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[data]\nnoise = nan\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"data\.noise: must be a finite number"):
+            load_run_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config(tmp_path / "absent.ini")
@@ -117,6 +123,25 @@ class TestOverrides:
         assert cfg.model.scales == (2, 4, 6)
         apply_setting(cfg, "ablate.lr_values", "0.001 0.002")
         assert cfg.ablate.lr_values == (0.001, 0.002)
+
+    @pytest.mark.parametrize("key", ["data.noise", "model.bn_eps", "model.dropout",
+                                     "train.lr", "train.lr_floor", "train.bn_momentum"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity", "+inf"])
+    def test_non_finite_floats_rejected_naming_the_key(self, key, raw):
+        # nan would pass every range check in validation, inf some of them
+        with pytest.raises(ConfigError, match=f"{key}: must be a finite number"):
+            apply_setting(RunConfig(), key, raw)
+
+    @pytest.mark.parametrize("raw", ["0.001, nan", "inf 0.002", "0.001 -inf"])
+    def test_non_finite_lr_values_element_rejected(self, raw):
+        with pytest.raises(ConfigError, match="ablate.lr_values: must be a finite number"):
+            apply_setting(RunConfig(), "ablate.lr_values", raw)
+
+    def test_finite_extremes_still_parse(self):
+        cfg = RunConfig()
+        apply_setting(cfg, "train.lr", "1e300")
+        apply_setting(cfg, "data.noise", "-0.0")
+        assert cfg.train.lr == 1e300 and cfg.data.noise == 0.0
 
     def test_dotless_key_rejected(self):
         with pytest.raises(ConfigError, match="section.key"):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import fps_exhaustive, knn_exhaustive
+from helpers import (
+    fps_exhaustive,
+    knn_exhaustive,
+    reference_farthest_point_sample,
+    reference_knn_search,
+)
 from pointseq import geometry as geo
 from pointseq.config import ModelConfig
 from pointseq.model import prepare_cloud
@@ -197,6 +202,112 @@ class TestKnnSearch:
         idx = geo.brute_force_knn(cloud, q, 50)
         d = ((cloud.points[idx] - q) ** 2).sum(axis=1)
         assert (np.diff(d) >= 0).all()
+
+
+def reference_shape_cloud(kind, seed):
+    """1024 points: Gaussian; an integer lattice, whose duplicates and equal
+    distances give ties; or a lattice cluster beside a far Gaussian one, so
+    that one batch of queries has rows with and rows without ties."""
+    rng = np.random.default_rng(seed)
+    gaussian = rng.normal(size=(1024, 3))
+    lattice = rng.integers(-4, 5, size=(1024, 3)).astype(np.float64)
+    if kind == "gaussian":
+        return gaussian
+    if kind == "lattice":
+        return lattice
+    return np.concatenate([lattice[:512], gaussian[:512] + [100.0, 0.0, 0.0]])
+
+
+def tied_rows(points, queries, k):
+    """Rows whose k+1 smallest squared distances hold two equal values."""
+    d = np.sort(((points[None] - queries[:, None]) ** 2).sum(axis=2), axis=1)[:, : k + 1]
+    return (d[:, 1:] == d[:, :-1]).any(axis=1)
+
+
+class TestReferenceShape:
+    """FPS and kNN at the reference sizes (1024 points, m=384, k=128) against
+    the oracles that sum [n, 3] squares and sort every row by the full key."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["gaussian", "lattice", "mixed"])
+    def test_kernels_match_the_full_key_oracles(self, kind, seed):
+        points = reference_shape_cloud(kind, 7300 + seed)
+        cloud = geo.PointCloud(points)
+        picked = geo.farthest_point_sample(cloud, 384)
+        want = reference_farthest_point_sample(points, 384)
+        assert picked.indices.dtype == want.dtype
+        assert picked.indices.tobytes() == want.tobytes()
+        assert picked.coords.tobytes() == points[want].tobytes()
+        queries = picked.coords
+        got = geo.knn_search(cloud, queries, 128)
+        assert got.dtype == np.int64
+        assert got.tobytes() == reference_knn_search(points, queries, 128).tobytes()
+        tied = tied_rows(points, queries, 128)
+        if kind == "gaussian":
+            assert not tied.any()
+        elif kind == "mixed":
+            # one batch: some rows take the full-key sort, others do not
+            assert 0 < tied.sum() < len(tied)
+
+    @pytest.mark.parametrize("k", [1, 16, 129, 1024])
+    def test_every_k_matches_on_a_lattice_with_off_lattice_queries(self, k):
+        points = reference_shape_cloud("mixed", 7310)
+        rng = np.random.default_rng(7311)
+        queries = np.concatenate([points[rng.integers(0, 1024, 64)],
+                                  rng.integers(-4, 5, size=(32, 3)) + 0.5,
+                                  rng.normal(size=(32, 3)) * 3.0])
+        got = geo.knn_search(geo.PointCloud(points), queries, k)
+        assert got.tobytes() == reference_knn_search(points, queries, k).tobytes()
+
+    def test_overflowing_distances_tie_at_infinity(self):
+        # finite coordinates whose squared distances overflow to inf tie there
+        rng = np.random.default_rng(7315)
+        points = rng.normal(size=(200, 3))
+        points[::7] *= 1e200
+        cloud = geo.PointCloud(points)
+        with np.errstate(over="ignore"):
+            picked = geo.farthest_point_sample(cloud, 60)
+            want = reference_farthest_point_sample(points, 60)
+            assert picked.indices.tobytes() == want.tobytes()
+            for k in (1, 40, 200):
+                got = geo.knn_search(cloud, picked.coords, k)
+                assert got.tobytes() == reference_knn_search(points, picked.coords, k).tobytes()
+
+    def test_square_distances_sum_the_terms_in_axis_order(self):
+        rng = np.random.default_rng(7320)
+        points = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-3, 4, size=(300, 3))
+        queries = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-3, 4, size=(40, 3))
+        want = ((points[None] - queries[:, None]) ** 2).sum(axis=2)
+        for layout in (points, np.asfortranarray(points)):
+            assert geo.square_distances(queries, layout).tobytes() == want.tobytes()
+
+    def test_candidates_widen_only_for_a_straddling_tie(self):
+        d = np.array([[3.0, 1.0, 2.0, 5.0], [4.0, 1.0, 2.0, 2.0]])
+        assert geo.nearest_candidates(d[:1], 2).shape == (1, 2)
+        assert sorted(geo.nearest_candidates(d[:1], 2)[0]) == [1, 2]
+        # row 1 ties at its 2nd distance: every row gets three columns
+        wide = geo.nearest_candidates(d, 2)
+        assert wide.shape == (2, 3)
+        assert sorted(wide[1]) == [1, 2, 3]
+
+    def test_candidates_hold_every_entry_tied_with_the_kth(self):
+        # small integer distances: ties straddle the k-th value in most rows
+        d = np.random.default_rng(7330).integers(0, 40, size=(200, 1024)).astype(np.float64)
+        for k in (1, 3, 128):
+            cand = geo.nearest_candidates(d, k)
+            kth = np.sort(d, axis=1)[:, k - 1 : k]
+            assert cand.shape[1] == (d <= kth).sum(axis=1).max()
+            for row, c, t in zip(d, cand, kth):
+                assert len(set(c)) == len(c)
+                assert set(np.flatnonzero(row <= t)) <= set(c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_rejected(self, bad):
+        cloud = geo.PointCloud(np.eye(3))
+        queries = np.zeros((2, 3))
+        queries[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            geo.knn_search(cloud, queries, 1)
 
 
 class TestGroupAreas:

@@ -33,6 +33,7 @@ from pointseq.model import (
 from helpers import (
     area_sequences_per_scale,
     interpolation_weights_loop,
+    reference_interpolation_weights,
     reference_attend,
     reference_block_matmul,
     reference_bn_mlp,
@@ -595,6 +596,54 @@ class TestInterpolation:
             targets[1] = sources[0] + 1e-11  # within the exact-match distance
         got = interpolation_weights(targets, sources, k)
         assert_array_equal(got, interpolation_weights_loop(targets, sources, k))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lattice", "snapped"])
+    def test_reference_shape_matches_the_stable_sort_oracle(self, kind):
+        # 1024 targets and 384 sources, k=3, as prepare_cloud interpolates
+        rng = np.random.default_rng(7400)
+        if kind == "lattice":
+            # duplicates and ties straddling the 3rd distance in some rows only
+            targets = rng.integers(-4, 5, size=(1024, 3)).astype(np.float64) + 0.5
+            targets[::2] = rng.normal(size=(512, 3)) * 4.0
+            sources = rng.integers(-4, 5, size=(384, 3)).astype(np.float64)
+        else:
+            targets = rng.normal(size=(1024, 3))
+            sources = rng.normal(size=(384, 3))
+            if kind == "snapped":
+                # a third of the targets sit on a source, one within 1e-10 of one
+                targets[::3] = sources[rng.integers(0, 384, len(targets[::3]))]
+                targets[1] = sources[5] + 1e-11
+        got = interpolation_weights(targets, sources, 3)
+        assert got.tobytes() == reference_interpolation_weights(targets, sources, 3).tobytes()
+        d2 = ((targets[:, None] - sources[None]) ** 2).sum(axis=2)
+        straddling = (d2 <= np.sort(d2, axis=1)[:, 2:3]).sum(axis=1) > 3
+        snapped = (got == 1.0).sum(axis=1) == 1
+        if kind == "lattice":
+            assert 0 < straddling.sum() < len(targets)
+        if kind == "snapped":
+            assert snapped.sum() >= len(targets[::3])
+
+    def test_overflowing_distances_match_the_oracle(self):
+        rng = np.random.default_rng(7401)
+        targets = rng.normal(size=(60, 3))
+        targets[::5] *= 1e200
+        sources = rng.normal(size=(20, 3))
+        sources[::3] *= 1e200
+        for k in (1, 3, 20):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = interpolation_weights(targets, sources, k)
+                want = reference_interpolation_weights(targets, sources, k)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        s = np.zeros((3, 3))
+        t = np.ones((2, 3))
+        t[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            interpolation_weights(t, s, k=2)
+        with pytest.raises(ValueError, match="finite"):
+            interpolation_weights(s, t, k=2)
 
     def test_feature_carry_differentiable(self):
         rng = np.random.default_rng(53)
