@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -52,8 +53,9 @@ def no_grad():
     op returns; :func:`bn_mlp` does not even compute what its backward would
     need. An eval-mode :func:`bn_mlp` then holds no full-size intermediate at
     all: each row tile passes through every layer and the pool in scratch
-    buffers of its own tile's size. The previous mode comes back when the
-    block exits, also by an exception.
+    buffers of its own tile's size, one pair for the calling thread and one
+    for each helper thread of the tile scheduler. The previous mode comes
+    back when the block exits, also by an exception.
     """
     global _recording
     previous, _recording = _recording, False
@@ -286,13 +288,14 @@ class BatchNormState:
 
 # A dense stack whose widest layer holds at least _POOL_MIN_ELEMENTS elements
 # runs its row-wise work in row tiles of about _TILE_ELEMENTS such elements on
-# the tile pool, and splits each weight gradient into blocks of _GRAD_COLUMNS
-# output columns
+# the tile scheduler, and splits each weight gradient into blocks of
+# _GRAD_COLUMNS output columns
 _TILE_ELEMENTS = 1 << 17
 _POOL_MIN_ELEMENTS = 1 << 18
 _GRAD_COLUMNS = 64
 
-# made by the first stack of several tiles; a forked child makes its own
+# the scheduler's helper threads, made on first need (never with one CPU); a
+# forked child makes its own
 _pool = None
 
 
@@ -306,30 +309,67 @@ if hasattr(os, "register_at_fork"):
 
 
 def _tile_pool():
-    """The tile pool: one worker per CPU the process may run on, made on
-    first need."""
+    """The helper pool: one thread per CPU the process may run on beyond the
+    calling thread's, made on first need; None on one CPU."""
     global _pool
     if _pool is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        _pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="pointseq-tile")
+        if (cpus or 1) > 1:
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="pointseq-tile")
     return _pool
+
+
+def _helpers():
+    """How many helper threads join the calling thread on a tiled call."""
+    pool = _tile_pool()
+    return 0 if pool is None else pool._max_workers
 
 
 def _each_tile(bounds, fn):
     """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
 
-    A single tile runs on the calling thread, several on the tile pool; the
-    call returns once every tile has finished, then raises the first failed
-    tile's exception, if any.
+    A caller-runs scheduler: the calling thread and up to one helper per
+    further CPU (never more helpers than tiles after the first) take tiles
+    from one shared iterator until it runs out. The calling thread then
+    cancels every helper that has not started yet, so a helper the host has
+    not scheduled stalls nothing, and a tile that itself calls
+    ``_each_tile`` cannot deadlock: its own caller works every tile no helper
+    takes. A single tile, or any number on one CPU, runs on the calling
+    thread alone and starts no thread.
+
+    A failing tile does not stop the others. The call returns once every
+    started tile has finished, then raises the exception of the first
+    failed tile in ``bounds`` order, if any.
     """
     if len(bounds) == 1:
         fn(*bounds[0])
         return
     pool = _tile_pool()
-    futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-    wait(futures)
-    for future in futures:
+    tiles = iter(enumerate(bounds))
+    take = threading.Lock()
+    failures = []
+
+    def run():
+        while True:
+            with take:
+                tile = next(tiles, None)
+            if tile is None:
+                return
+            i, (lo, hi) = tile
+            try:
+                fn(lo, hi)
+            except Exception as exc:
+                failures.append((i, exc))
+
+    helpers = 0 if pool is None else min(pool._max_workers, len(bounds) - 1)
+    started = [pool.submit(run) for _ in range(helpers)]
+    run()
+    running = [future for future in started if not future.cancel()]
+    wait(running)
+    for future in running:
         future.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def _row_tiles(rows, group, width):
@@ -388,9 +428,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     A stack whose widest layer (input included) holds 2**18 or more
     elements runs its row-wise work in row tiles of about 2**17 elements,
-    whole pool groups each, on a pool of one thread per CPU the process may
-    run on: matmuls, centring and squaring, the affine, relu and dropout,
-    the pool, the gradient routing and the batch-norm backward. Tile tasks
+    whole pool groups each, on the caller-runs tile scheduler
+    (:func:`_each_tile`): the calling thread works the tiles together with
+    one helper thread per further CPU the process may run on. That covers
+    the matmuls, centring and squaring, the affine, relu and dropout, the
+    pool, the gradient routing and the batch-norm backward. Tile tasks
     store their results only in arrays allocated before them. The column
     reductions (batch moments, beta and gamma gradients) stay on the calling
     thread in one pass each, dropout masks are drawn there, weight gradients
@@ -405,10 +447,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     and writes only the output rows (plus, when a graph is recorded, each
     layer's matmul output and the pool's winners). A layer's tile goes into
     one of two alternating scratch buffers, of the largest tile's size; the
-    calling thread allocates one pair per worker and hands them to the
-    tasks through a queue. The tile bounds are the ones above, so the
-    result is the same bits with or without a graph and for any number of
-    threads.
+    calling thread allocates one pair per runner (itself and each helper)
+    and hands them to the tasks through a queue. The tile bounds are the
+    ones above, so the result is the same bits with or without a graph and
+    for any number of threads.
     """
     constant = not isinstance(x, Tensor)
     x_values = np.asarray(x, dtype=np.float64) if constant else x.values
@@ -519,11 +561,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             saved.append((z, scale, shift, scale, inv_std, state.running_mean, None))
         a = None if pool is not None else np.empty((rows, width))
         # every layer but an unpooled last one writes its tile into one of two
-        # alternating scratch buffers; one pair per worker, made here so that
+        # alternating scratch buffers; one pair per runner, made here so that
         # the tile tasks allocate nothing
         buffered = len(layers) - (pool is None)
         span = max(hi - lo for lo, hi in tiles) * widest
-        sets = 1 if len(tiles) == 1 else min(len(tiles), _tile_pool()._max_workers)
+        sets = 1 if len(tiles) == 1 else min(len(tiles), _helpers() + 1)
         free = queue.SimpleQueue()
         for _ in range(sets):
             free.put([np.empty(span) for _ in range(min(buffered, 2))])

@@ -53,11 +53,19 @@ __all__ = [
 # point files
 
 
+# Centred on the mean, coordinates of at most this magnitude lie within
+# 2**511 of it, so a point's squared distance stays below 3 * 2**1022 and
+# the unit-ball radius is finite
+_MAX_COORDINATE = 2.0 ** 510
+
+
 def load_point_file(path) -> PointCloud:
     """Parse ``x y z`` or ``x y z part`` lines and normalize into the unit ball.
 
     Blank lines are skipped; the column count of the first data line fixes
-    the format for the rest of the file.
+    the format for the rest of the file. A coordinate that is not finite, or
+    whose magnitude exceeds 2**510 (whose square could overflow the radius),
+    is rejected with the file and line.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -92,6 +100,11 @@ def load_point_file(path) -> PointCloud:
             if not math.isfinite(value):
                 raise ParseError(
                     f"non-finite coordinate {col!r}", path=path, line=lineno
+                )
+            if abs(value) > _MAX_COORDINATE:
+                raise ParseError(
+                    f"coordinate {col!r} is too large to scale into the unit ball "
+                    "(magnitude above 2**510)", path=path, line=lineno
                 )
             xyz.append(value)
         coords.append(xyz)

@@ -491,7 +491,12 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not a checkpoint, whose records do not match its config,
+    or that holds a non-finite value or a negative running variance raises a
+    DataError naming the file (and the record).
+    """
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
@@ -527,6 +532,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         raise DataError(
             f"corrupt checkpoint {path}: {count} records, expected {len(expected)}"
         )
+    loaded = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "record name length"))
         try:
@@ -546,12 +552,38 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
                 f"expected {target.shape}"
             )
         nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
-        data = np.frombuffer(take(nbytes, f"record {name!r}"), dtype="<f8").reshape(shape)
-        target[...] = data
+        data = np.frombuffer(take(nbytes, f"record {name!r}"), dtype="<f8")
+        target[...] = data.reshape(shape)
+        loaded.append((name, data))
     if expected:
         raise DataError(
             f"corrupt checkpoint {path}: missing records {sorted(expected)[:3]}"
         )
     if pos != len(view):
         raise DataError(f"corrupt checkpoint {path}: trailing bytes")
+    bad = _bad_record(loaded)
+    if bad is not None:
+        raise DataError(f"corrupt checkpoint {path}: record {bad[0]!r} holds {bad[1]}")
     return params, cfg
+
+
+def _bad_record(records):
+    """``(name, what)`` for the first of the ``(name, flat values)`` records
+    that holds a NaN or infinite value, or a negative running variance; None
+    if every record is sound.
+
+    Records under 2**12 values are checked in one pass, since a NumPy call
+    per record would cost more than its values (a desk model has about 50
+    such records); larger ones are checked one by one, not copied.
+    """
+    small = [values for _, values in records if values.size < 1 << 12]
+    variances = [values for name, values in records if name.endswith(".running_var")]
+    if (np.isfinite(np.concatenate([np.empty(0), *small])).all()
+            and all(np.isfinite(values).all() for _, values in records if values.size >= 1 << 12)
+            and not (np.concatenate([np.empty(0), *variances]) < 0.0).any()):
+        return None
+    for name, values in records:
+        if not np.isfinite(values).all():
+            return name, "a non-finite value"
+        if name.endswith(".running_var") and (values < 0.0).any():
+            return name, "a negative variance"

@@ -7,6 +7,7 @@ the same seed produce identical logs and identical parameters.
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,42 +61,129 @@ class AdamState:
     second: dict = field(default_factory=dict)
 
 
-def adam_step(params: ModelParams, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update from the accumulated gradients.
+# Adam works through the parameters in chunks of at most _ADAM_CHUNK elements,
+# sized to stay in cache; a model of _ADAM_POOL_MIN parameters or more has
+# its chunks worked on the tile scheduler
+_ADAM_CHUNK = 1 << 15
+_ADAM_POOL_MIN = 1 << 18
 
-    Each parameter's update goes through two scratch buffers shared by all
-    parameters, so the step allocates nothing per parameter.
+
+def _adam_chunks(params: ModelParams, state: AdamState) -> list:
+    """The parameters cut into chunks of at most ``_ADAM_CHUNK`` elements.
+
+    The flat parameters, in order, are cut every ``_ADAM_CHUNK`` elements, so
+    a large tensor spans several chunks and a chunk may hold the ends of
+    several small ones. Each chunk is a list of ``(name, values, first,
+    second, grad)`` pieces: flat views of one parameter's values and moments
+    and of its gradient over the same element range. Moments start at zero.
     """
-    state.step += 1
-    t = state.step
-    largest = max((tensor.size for _, tensor in params.items()), default=0)
-    scratch = np.empty(largest), np.empty(largest)
+    chunks, pieces, room = [], [], _ADAM_CHUNK
     for name, tensor in params.items():
-        g = tensor.grad
+        values, g = tensor.values, tensor.grad
         if g is None:
             raise ValueError(f"parameter {name!r} has no gradient; run backward first")
+        if not values.flags.c_contiguous:
+            # ravel() copies a strided array, and the update must land in place
+            values = tensor.values = np.ascontiguousarray(values)
         m = state.first.get(name)
         if m is None:
-            m = np.zeros_like(tensor.values)
-            state.first[name] = m
-            state.second[name] = np.zeros_like(tensor.values)
-        v = state.second[name]
-        step, root = (buf[:g.size].reshape(g.shape) for buf in scratch)
-        m *= beta1
-        m += np.multiply(g, 1 - beta1, out=step)
-        v *= beta2
-        np.multiply(g, 1 - beta2, out=step)
-        step *= g
-        v += step
-        # lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1 - beta1**t, out=step)
-        step *= lr
-        np.divide(v, 1 - beta2**t, out=root)
-        np.sqrt(root, out=root)
-        root += eps
-        step /= root
-        tensor.values -= step
+            m = state.first[name] = np.zeros(values.shape)
+            state.second[name] = np.zeros(values.shape)
+        flat = (values.ravel(), m.ravel(), state.second[name].ravel(), g.ravel())
+        lo, size = 0, values.size
+        while lo < size:
+            hi = min(size, lo + room)
+            pieces.append((name, *flat) if hi - lo == size else
+                          (name, *(a[lo:hi] for a in flat)))
+            room -= hi - lo
+            lo = hi
+            if not room:
+                chunks.append(pieces)
+                pieces, room = [], _ADAM_CHUNK
+    if pieces:
+        chunks.append(pieces)
+    return chunks
+
+
+def adam_step(params: ModelParams, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+              check_finite: bool = False) -> None:
+    """One bias-corrected Adam update from the accumulated gradients.
+
+    The update works through the parameters in chunks of at most 2**15
+    elements (see :func:`_adam_chunks`), each through its runner's two
+    scratch buffers of the largest piece's size, so it stays in cache and
+    allocates nothing per parameter. Every element goes through the same
+    operations in the same order as in a whole-tensor update, so the result
+    is the same bits however the chunks fall. A model of 2**18 or more parameters has its
+    chunks worked on the tile scheduler (``autograd._each_tile``), one
+    scratch pair per runner; a smaller one runs on the calling thread and
+    starts no thread.
+
+    With ``check_finite``, every gradient is checked first, chunk by chunk on
+    the same runners, and a non-finite one raises ``FloatingPointError``
+    naming its parameter before any parameter, moment or the step count
+    moves.
+    """
+    chunks = _adam_chunks(params, state)
+    sizes = [len(piece[-1]) for chunk in chunks for piece in chunk]
+    scheduled = sum(sizes) >= _ADAM_POOL_MIN
+    tiles = [(k, k + 1) for k in range(len(chunks))] if scheduled else [(0, len(chunks))]
+    span = max(sizes, default=0)
+    scratch = queue.SimpleQueue()
+    for _ in range(min(len(tiles), ag._helpers() + 1) if scheduled else 1):
+        scratch.put((np.empty(span), np.empty(span)))
+
+    def each_chunk(work):
+        # ``work(k, step, root)`` for every chunk k, with the runner's scratch
+        def task(lo, hi):
+            buffers = scratch.get()
+            try:
+                for k in range(lo, hi):
+                    work(k, *buffers)
+            finally:
+                scratch.put(buffers)
+
+        ag._each_tile(tiles, task)
+
+    if check_finite:
+        finite = np.ones(len(chunks), dtype=bool)
+
+        def check(k, step, root):
+            for piece in chunks[k]:
+                if not np.isfinite(piece[-1]).all():
+                    finite[k] = False
+
+        each_chunk(check)
+        if not finite.all():
+            bad = next(name for name, *_, g in chunks[int(np.argmin(finite))]
+                       if not np.isfinite(g).all())
+            raise FloatingPointError(f"parameter {bad!r} has a non-finite gradient")
+
+    state.step += 1
+    t = state.step
+    first_share, second_share = 1 - beta1, 1 - beta2
+    first_unbias, second_unbias = 1 - beta1**t, 1 - beta2**t
+
+    def update(k, step_buffer, root_buffer):
+        for _, values, m, v, g in chunks[k]:
+            step, root = step_buffer[:len(g)], root_buffer[:len(g)]
+            m *= beta1
+            m += np.multiply(g, first_share, out=step)
+            v *= beta2
+            np.multiply(g, second_share, out=step)
+            step *= g
+            v += step
+            # lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, first_unbias, out=step)
+            step *= lr
+            np.divide(v, second_unbias, out=root)
+            np.sqrt(root, out=root)
+            root += eps
+            step /= root
+            values -= step
+
+    each_chunk(update)
 
 
 def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:
@@ -264,10 +352,14 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
             loss = cross_entropy_loss(logits, np.concatenate([g.labels for g in geoms]))
         params.clear_grads()
         ag.backward(loss)
-    if not (np.isfinite(loss.values) and all(np.isfinite(t.grad).all() for _, t in params.items())):
-        raise ConfigError(f"training diverged at {where}: the loss or a parameter gradient "
-                          "is not finite; lower train.lr")
-    adam_step(params, adam, lr)
+    diverged = (f"training diverged at {where}: the loss or a parameter gradient "
+                "is not finite; lower train.lr")
+    if not np.isfinite(loss.values):
+        raise ConfigError(diverged)
+    try:
+        adam_step(params, adam, lr, check_finite=True)
+    except FloatingPointError as exc:
+        raise ConfigError(diverged) from exc
     return float(loss.values)
 
 

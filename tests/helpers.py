@@ -419,3 +419,34 @@ def reference_block_matmul(matrices, x):
         out.append(ag.matmul(ag.tensor(w), block))
         start += w.shape[1]
     return ag.concat(out, axis=0)
+
+
+def reference_adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """``training.adam_step`` as one whole-tensor update per parameter, in
+    parameter order, through two scratch buffers of the largest one's size."""
+    state.step += 1
+    t = state.step
+    largest = max((tensor.size for _, tensor in params.items()), default=0)
+    scratch = np.empty(largest), np.empty(largest)
+    for name, tensor in params.items():
+        g = tensor.grad
+        m = state.first.get(name)
+        if m is None:
+            m = np.zeros_like(tensor.values)
+            state.first[name] = m
+            state.second[name] = np.zeros_like(tensor.values)
+        v = state.second[name]
+        step, root = (buf[:g.size].reshape(g.shape) for buf in scratch)
+        m *= beta1
+        m += np.multiply(g, 1 - beta1, out=step)
+        v *= beta2
+        np.multiply(g, 1 - beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, 1 - beta1**t, out=step)
+        step *= lr
+        np.divide(v, 1 - beta2**t, out=root)
+        np.sqrt(root, out=root)
+        root += eps
+        step /= root
+        tensor.values -= step

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -789,7 +790,7 @@ class TestBnMlp:
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A tile pool that counts the tasks it is given."""
+    """A helper pool that counts the helpers it is asked for."""
 
     def __init__(self, workers):
         super().__init__(workers)
@@ -813,9 +814,10 @@ EVAL_TILE_IDS.append("area_block")
 @pytest.fixture(params=[1, 2, 4], ids=["1_worker", "2_workers", "4_workers"])
 def tile_pool(request, monkeypatch):
     """Yields ``split(on, tile=8)``, which makes stacks of ``tile`` or more
-    elements run in tiles of about ``tile`` elements on a pool of 1, 2 or 4
-    threads, or, with ``on`` false, every stack one tile. Threads switch as
-    often as the interpreter allows, so a lost or mixed-up tile would show."""
+    elements run in tiles of about ``tile`` elements on the calling thread
+    and 1, 2 or 4 helper threads, or, with ``on`` false, every stack one
+    tile. Threads switch as often as the interpreter allows, so a lost or
+    mixed-up tile would show."""
     pool = CountingPool(request.param)
 
     def split(on, tile=8):
@@ -900,17 +902,87 @@ class TestTiles:
         assert ag._row_tiles(8192, 4096, 128) == [(0, 4096), (4096, 8192)]
 
     def test_a_failing_tile_raises_after_every_tile_has_run(self, tile_pool):
+        # a failure stops no other tile, and is raised only once every
+        # started tile has finished
+        started, finished = set(), set()
+
+        def task(lo, hi):
+            started.add(lo)
+            if lo in (1, 5):
+                # the later tile fails first; the first in bounds order wins
+                time.sleep(0.02 if lo == 1 else 0.0)
+                raise FloatingPointError(f"tile {lo}")
+            time.sleep(0.01)
+            finished.add(lo)
+
+        with pytest.raises(FloatingPointError, match="tile 1"):
+            ag._each_tile([(i, i + 1) for i in range(8)], task)
+        assert started == set(range(8))
+        assert finished == started - {1, 5}
+
+    def test_every_tile_runs_once_and_the_caller_works_too(self, tile_pool):
         ran = []
 
         def task(lo, hi):
-            if lo == 1:
-                raise FloatingPointError("tile 1")
-            time.sleep(0.05)
-            ran.append(lo)
+            time.sleep(0.002)
+            ran.append((lo, threading.get_ident()))
 
-        with pytest.raises(FloatingPointError, match="tile 1"):
-            ag._each_tile([(0, 1), (1, 2), (2, 3)], task)
-        assert sorted(ran) == [0, 2]
+        ag._each_tile([(i, i + 1) for i in range(16)], task)
+        assert sorted(lo for lo, _ in ran) == list(range(16))
+        assert threading.get_ident() in {ident for _, ident in ran}
+        # one helper per worker of the pool, never more than tiles after the first
+        assert ag._pool.submitted == ag._pool._max_workers
+        ag._each_tile([(0, 1), (1, 2)], task)
+        assert ag._pool.submitted == ag._pool._max_workers + 1
+
+    def test_a_tile_that_runs_tiles_itself_completes(self, tile_pool):
+        # every worker may be busy with an outer tile when an inner call
+        # asks for helpers; each inner call's own thread works its tiles
+        ran = []
+
+        def outer(lo, hi):
+            ag._each_tile([(4 * lo + j, 4 * lo + j + 1) for j in range(4)],
+                          lambda a, b: ran.append(a))
+
+        runner = threading.Thread(target=ag._each_tile,
+                                  args=([(i, i + 1) for i in range(4)], outer), daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert sorted(ran) == list(range(16))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_starts_no_thread(self):
+        # a tiled training stack, its backward, a tiled evaluation and a
+        # scheduled Adam step all run on the calling thread alone
+        script = textwrap.dedent("""
+            import os
+            import threading
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            import numpy as np
+            from pointseq import autograd as ag, model, training
+            rng = np.random.default_rng(0)
+            x = ag.Tensor(rng.uniform(-1, 1, (4096, 3)))
+            layers = [(ag.Tensor(rng.uniform(-1, 1, (3, 128)), trainable=True),
+                       ag.BatchNormState(128))]
+            assert len(ag._row_tiles(4096, 128, 128)) > 1
+            out = ag.bn_mlp(x, layers, training=True, pool=(128, (64, 128)))
+            ag.backward(ag.cross_entropy_mean(out, np.zeros(out.shape[0], dtype=int)))
+            with ag.no_grad():
+                ag.bn_mlp(x, layers, pool=(128, (64, 128)))
+            params = model.ModelParams()
+            w = params.add("w", rng.normal(size=training._ADAM_POOL_MIN))
+            w.grad = rng.normal(size=w.shape)
+            training.adam_step(params, training.AdamState(), lr=0.01, check_finite=True)
+            assert ag._pool is None
+            print(threading.active_count())
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(ag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == 1
 
     def test_pool_threads_do_not_keep_the_process_alive(self):
         script = textwrap.dedent("""

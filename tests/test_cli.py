@@ -1,6 +1,8 @@
 """Command-line behavior: verbs, exit codes, outputs, and reproducibility."""
 
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from pointseq.cli import main
 from pointseq.config import AGGREGATORS
 from pointseq.data import load_manifest
+from pointseq.model import load_checkpoint, save_checkpoint
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DESK_CLS = ["--config", str(CONFIGS / "desk_classification.ini")]
@@ -163,6 +166,23 @@ class TestTrainCommand:
         assert not (run / "checkpoint.bin").exists()
 
 
+    def test_point_file_coordinate_too_large_exits_3_naming_the_line(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), *TINY_CLS]) == 0
+        huge = data_dir / "test_cube_000.pts"
+        lines = huge.read_text().splitlines()
+        lines[4] = "1e200 0 0"
+        huge.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _train(tmp_path / "run",
+                          ["--set", f"data.manifest={data_dir / 'manifest.txt'}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{huge}: coordinate '1e200' is too large" in err
+        assert "(line 5)" in err
+        assert "Traceback" not in err
+
 def _manifest_without(tmp_path, split, config=TINY_CLS):
     """A materialized synthetic manifest with every ``split`` record removed."""
     data_dir = tmp_path / "data"
@@ -265,6 +285,18 @@ class TestEvalCommand:
         (run / "checkpoint.bin").write_bytes(b"not a checkpoint")
         assert main(["eval", "--out", str(run), *TINY_CLS]) == 3
         assert "not a checkpoint" in capsys.readouterr().err
+
+    def test_non_finite_running_variance_exits_3_naming_the_record(self, tmp_path, capsys):
+        out, _ = self._trained(tmp_path, capsys)
+        path = out / "checkpoint.bin"
+        params, cfg = load_checkpoint(path)
+        name = sorted(params.batch_norms)[0]
+        params.batch_norms[name].running_var[0] = np.nan
+        save_checkpoint(path, params, cfg)
+        assert main(["eval", "--out", str(out), *TINY_CLS]) == 3
+        captured = capsys.readouterr()
+        assert f"{path}: record '{name}.running_var' holds a non-finite value" in captured.err
+        assert "loss=" not in captured.out
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
@@ -396,3 +428,26 @@ class TestParser:
     def test_malformed_set_flag_rejected(self, capsys):
         assert main(["train", "--set", "train.lr"]) == 2
         assert "SECTION.KEY=VALUE" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """Importing the package asks for one BLAS thread unless the user chose."""
+
+    def _child_env(self, **blas):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(blas)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        script = ("import os, pointseq; print(os.environ['OPENBLAS_NUM_THREADS'], "
+                  "os.environ['OMP_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_unset_variables_become_one(self):
+        assert self._child_env() == ["1", "1"]
+
+    def test_a_value_the_user_set_stays(self):
+        assert self._child_env(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2") == ["3", "2"]

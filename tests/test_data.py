@@ -1,6 +1,7 @@
 """Point-file and manifest IO, synthetic shapes, and batch slicing."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ class TestPointFiles:
         path = _write(tmp_path / "bad.pts", "0 0 inf\n1 0 0\n")
         with pytest.raises(ParseError, match="non-finite"):
             load_point_file(path)
+
+    def test_coordinate_whose_square_overflows_rejected(self, tmp_path):
+        path = _write(tmp_path / "huge.pts", "0 0 0\n\n1e200 0 0\n")
+        with pytest.raises(ParseError, match="too large") as err:
+            load_point_file(path)
+        assert err.value.line == 3
+        assert str(path) in str(err.value)
+        limit = 2.0 ** 510
+        path = _write(tmp_path / "edge.pts", f"0 0 0\n0 {-float(np.nextafter(limit, np.inf))!r} 0\n")
+        with pytest.raises(ParseError, match="too large"):
+            load_point_file(path)
+
+    def test_largest_accepted_coordinates_scale_without_overflow(self, tmp_path):
+        limit = 2.0 ** 510
+        path = _write(tmp_path / "edge.pts", f"{limit!r} {limit!r} {limit!r}\n"
+                                             f"{-limit!r} {-limit!r} {-limit!r}\n0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = load_point_file(path)
+        assert np.isfinite(cloud.points).all()
+        np.testing.assert_allclose(np.linalg.norm(cloud.points, axis=1), [1.0, 1.0, 0.0],
+                                   atol=1e-15)
 
     def test_fractional_label_rejected(self, tmp_path):
         path = _write(tmp_path / "bad.pts", "0 0 0 1.5\n")

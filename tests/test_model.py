@@ -839,6 +839,52 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.bin")
 
+    @pytest.mark.parametrize("record,value,message", [
+        ("running_var", np.nan, "non-finite"),
+        ("running_var", -1e-3, "negative variance"),
+        ("running_mean", np.inf, "non-finite"),
+        ("gamma", -np.inf, "non-finite"),
+        ("weight", np.nan, "non-finite"),
+    ])
+    def test_non_finite_or_negative_variance_record_rejected(self, tmp_path, record, value,
+                                                            message):
+        p, cfg = self._params()
+        name = sorted(p.batch_norms)[-1]
+        if record.startswith("running"):
+            getattr(p.batch_norms[name], record)[1] = value
+            key = f"{name}.{record}"
+        else:
+            key = next(k for k in p.names() if k.endswith(f".{record}"))
+            p[key].values.reshape(-1)[-1] = value
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, p, cfg)
+        with pytest.raises(DataError, match=message) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert repr(key) in str(err.value)
+
+    @pytest.mark.parametrize("size", [3, 1 << 12])
+    def test_bad_values_are_found_in_small_and_large_records(self, size):
+        records = [("a.weight", np.ones(size)), ("b.running_var", np.ones(3)),
+                   ("c.weight", np.ones(size))]
+        assert model._bad_record(records) is None
+        records[2][1][-1] = np.inf
+        assert model._bad_record(records) == ("c.weight", "a non-finite value")
+        records[1][1][0] = -0.5
+        assert model._bad_record(records) == ("b.running_var", "a negative variance")
+        records[0][1][0] = np.nan
+        assert model._bad_record(records) == ("a.weight", "a non-finite value")
+
+    def test_zero_running_variance_loads(self, tmp_path):
+        p, cfg = self._params()
+        for state in p.batch_norms.values():
+            state.running_var[:] = 0.0
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, p, cfg)
+        loaded, _ = load_checkpoint(path)
+        for state in loaded.batch_norms.values():
+            assert not state.running_var.any()
+
     def test_shape_mismatch_rejected(self, tmp_path):
         p, cfg = self._params()
         path = tmp_path / "ck.bin"

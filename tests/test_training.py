@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from helpers import reference_adam_step
 from pointseq import autograd as ag
 from pointseq import model, training
 from pointseq.autograd import Tensor
@@ -147,6 +148,97 @@ class TestAdam:
             adam_step(p, state, lr=0.01)
             for tensor, w in zip(tensors, want):
                 assert tensor.values.tobytes() == w.tobytes()
+
+
+ADAM_SHAPES = [(3, 4), (7,), (2, 2), (1,), (4, 6)]
+
+
+def _adam_case(seed):
+    """Two copies of a model of ADAM_SHAPES parameters and three steps of
+    gradients for them, spread over sixteen orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    copies = []
+    values = [rng.normal(size=shape) for shape in ADAM_SHAPES]
+    for _ in range(2):
+        p = ModelParams()
+        for i, v in enumerate(values):
+            p.add(f"w{i}", v.copy())
+        copies.append(p)
+    grads = [[rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+              for shape in ADAM_SHAPES] for _ in range(3)]
+    return copies, grads
+
+
+class TestAdamChunks:
+    @pytest.mark.parametrize("helpers", [0, 1, 2, 4])
+    @pytest.mark.parametrize("chunk", [5, 8, 1 << 15])
+    def test_matches_the_per_parameter_update_bit_for_bit(self, monkeypatch, chunk, helpers):
+        # chunks of 5 and 8 elements end inside tensors and hold the ends of
+        # several; with helpers, every chunk is a scheduler task
+        monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
+        monkeypatch.setattr(training, "_ADAM_POOL_MIN", 1 if helpers else 1 << 62)
+        pool = ThreadPoolExecutor(helpers) if helpers else None
+        monkeypatch.setattr(ag, "_pool", pool)
+        (p, want), grads = _adam_case(71)
+        state, reference = AdamState(), AdamState()
+        try:
+            for step_grads in grads:
+                for (_, t), (_, w), g in zip(p.items(), want.items(), step_grads):
+                    t.grad, w.grad = g.copy(), g.copy()
+                adam_step(p, state, lr=0.01)
+                reference_adam_step(want, reference, lr=0.01)
+                for (name, t), (_, w) in zip(p.items(), want.items()):
+                    assert t.values.tobytes() == w.values.tobytes(), name
+                    assert state.first[name].tobytes() == reference.first[name].tobytes()
+                    assert state.second[name].tobytes() == reference.second[name].tobytes()
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        assert state.step == reference.step == 3
+
+    def test_chunks_cut_the_flat_parameters_every_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(training, "_ADAM_CHUNK", 5)
+        (p, _), grads = _adam_case(72)
+        for (_, t), g in zip(p.items(), grads[0]):
+            t.grad = g
+        chunks = training._adam_chunks(p, AdamState())
+        sizes = [sum(len(piece[1]) for piece in chunk) for chunk in chunks]
+        total = sum(t.size for _, t in p.items())
+        assert sizes == [5] * (total // 5) + ([total % 5] if total % 5 else [])
+        # w0 (12 elements) spans three chunks; the second chunk holds its
+        # middle only, and the third its end and the start of w1
+        assert [piece[0] for piece in chunks[1]] == ["w0"]
+        assert [piece[0] for piece in chunks[2]] == ["w0", "w1"]
+        for chunk in chunks:
+            for name, values, *_ in chunk:
+                assert np.shares_memory(values, p[name].values)
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_a_non_finite_gradient_moves_nothing(self, monkeypatch, scheduled):
+        monkeypatch.setattr(training, "_ADAM_CHUNK", 5)
+        monkeypatch.setattr(training, "_ADAM_POOL_MIN", 1 if scheduled else 1 << 62)
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(ag, "_pool", pool)
+        (p, _), grads = _adam_case(73)
+        state = AdamState()
+        try:
+            for (_, t), g in zip(p.items(), grads[0]):
+                t.grad = g
+            adam_step(p, state, lr=0.01, check_finite=True)
+            before = {name: t.values.copy() for name, t in p.items()}
+            moments = {name: state.first[name].copy() for name in before}
+            for bad in (np.nan, np.inf, -np.inf):
+                for (_, t), g in zip(p.items(), grads[1]):
+                    t.grad = g.copy()
+                p["w4"].grad[2, 3] = bad
+                with pytest.raises(FloatingPointError, match="'w4'"):
+                    adam_step(p, state, lr=0.01, check_finite=True)
+                assert state.step == 1
+                for name, t in p.items():
+                    assert t.values.tobytes() == before[name].tobytes()
+                    assert state.first[name].tobytes() == moments[name].tobytes()
+        finally:
+            pool.shutdown()
 
 
 class TestSchedules:
