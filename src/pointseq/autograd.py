@@ -9,7 +9,6 @@ cross-checks them against central finite differences.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -289,7 +288,8 @@ class BatchNormState:
 # A dense stack whose widest layer holds at least _POOL_MIN_ELEMENTS elements
 # runs its row-wise work in row tiles of about _TILE_ELEMENTS such elements on
 # the tile scheduler, and splits each weight gradient into blocks of
-# _GRAD_COLUMNS output columns
+# _GRAD_COLUMNS output columns; chunked work of _POOL_MIN_ELEMENTS elements or
+# more (Adam's) goes on the scheduler a chunk per tile
 _TILE_ELEMENTS = 1 << 17
 _POOL_MIN_ELEMENTS = 1 << 18
 _GRAD_COLUMNS = 64
@@ -319,13 +319,7 @@ def _tile_pool():
     return _pool
 
 
-def _helpers():
-    """How many helper threads join the calling thread on a tiled call."""
-    pool = _tile_pool()
-    return 0 if pool is None else pool._max_workers
-
-
-def _each_tile(bounds, fn):
+def _each_tile(bounds, fn, scratch=None):
     """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
 
     A caller-runs scheduler: the calling thread and up to one helper per
@@ -337,19 +331,28 @@ def _each_tile(bounds, fn):
     takes. A single tile, or any number on one CPU, runs on the calling
     thread alone and starts no thread.
 
+    With ``scratch``, a function of no arguments, the calling thread makes
+    one ``scratch()`` per runner before any tile runs, and each runner calls
+    ``fn(lo, hi, s)`` with its own ``s`` for every tile it takes, so tile
+    tasks need allocate nothing.
+
     A failing tile does not stop the others. The call returns once every
     started tile has finished, then raises the exception of the first
     failed tile in ``bounds`` order, if any.
     """
     if len(bounds) == 1:
-        fn(*bounds[0])
+        fn(*bounds[0], *(() if scratch is None else (scratch(),)))
         return
     pool = _tile_pool()
+    helpers = 0 if pool is None else min(pool._max_workers, len(bounds) - 1)
+    own = [() if scratch is None else (scratch(),) for _ in range(helpers + 1)]
     tiles = iter(enumerate(bounds))
     take = threading.Lock()
     failures = []
 
     def run():
+        with take:
+            extra = own.pop()
         while True:
             with take:
                 tile = next(tiles, None)
@@ -357,11 +360,10 @@ def _each_tile(bounds, fn):
                 return
             i, (lo, hi) = tile
             try:
-                fn(lo, hi)
+                fn(lo, hi, *extra)
             except Exception as exc:
                 failures.append((i, exc))
 
-    helpers = 0 if pool is None else min(pool._max_workers, len(bounds) - 1)
     started = [pool.submit(run) for _ in range(helpers)]
     run()
     running = [future for future in started if not future.cancel()]
@@ -370,6 +372,16 @@ def _each_tile(bounds, fn):
         future.result()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _chunk_tiles(count, elements):
+    """Tile bounds over ``count`` independent chunks of work that hold
+    ``elements`` elements in all: one tile per chunk, worked on the
+    scheduler, from _POOL_MIN_ELEMENTS elements on; else one tile of every
+    chunk, on the calling thread alone."""
+    if elements < _POOL_MIN_ELEMENTS:
+        return [(0, count)]
+    return [(k, k + 1) for k in range(count)]
 
 
 def _row_tiles(rows, group, width):
@@ -447,10 +459,9 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     and writes only the output rows (plus, when a graph is recorded, each
     layer's matmul output and the pool's winners). A layer's tile goes into
     one of two alternating scratch buffers, of the largest tile's size; the
-    calling thread allocates one pair per runner (itself and each helper)
-    and hands them to the tasks through a queue. The tile bounds are the
-    ones above, so the result is the same bits with or without a graph and
-    for any number of threads.
+    scheduler makes one pair per runner (the calling thread and each helper)
+    before any tile runs. The tile bounds are the ones above, so the result
+    is the same bits with or without a graph and for any number of threads.
     """
     constant = not isinstance(x, Tensor)
     x_values = np.asarray(x, dtype=np.float64) if constant else x.values
@@ -561,38 +572,30 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             saved.append((z, scale, shift, scale, inv_std, state.running_mean, None))
         a = None if pool is not None else np.empty((rows, width))
         # every layer but an unpooled last one writes its tile into one of two
-        # alternating scratch buffers; one pair per runner, made here so that
-        # the tile tasks allocate nothing
+        # alternating scratch buffers, a pair per runner
         buffered = len(layers) - (pool is None)
         span = max(hi - lo for lo, hi in tiles) * widest
-        sets = 1 if len(tiles) == 1 else min(len(tiles), _helpers() + 1)
-        free = queue.SimpleQueue()
-        for _ in range(sets):
-            free.put([np.empty(span) for _ in range(min(buffered, 2))])
 
-        def eval_tile(lo, hi):
-            buffers = free.get()
-            try:
-                n = hi - lo
-                rows_a = x_values[lo:hi]
-                for i, (weight, state) in enumerate(layers):
-                    z, scale, shift = saved[i][:3]
-                    if i < buffered:
-                        rows_y = buffers[i % 2][:n * state.dim].reshape(n, state.dim)
-                    else:
-                        rows_y = a[lo:hi]
-                    rows_z = rows_y if z is None else z[lo:hi]
-                    np.matmul(rows_a, weight.values, out=rows_z)
-                    np.multiply(rows_z, scale, out=rows_y)
-                    rows_y += shift
-                    np.maximum(rows_y, 0.0, out=rows_y)
-                    rows_a = rows_y
-                if pool is not None:
-                    pool_groups(rows_a.reshape(n // group, group, width), lo, hi)
-            finally:
-                free.put(buffers)
+        def eval_tile(lo, hi, buffers):
+            n = hi - lo
+            rows_a = x_values[lo:hi]
+            for i, (weight, state) in enumerate(layers):
+                z, scale, shift = saved[i][:3]
+                if i < buffered:
+                    rows_y = buffers[i % 2][:n * state.dim].reshape(n, state.dim)
+                else:
+                    rows_y = a[lo:hi]
+                rows_z = rows_y if z is None else z[lo:hi]
+                np.matmul(rows_a, weight.values, out=rows_z)
+                np.multiply(rows_z, scale, out=rows_y)
+                rows_y += shift
+                np.maximum(rows_y, 0.0, out=rows_y)
+                rows_a = rows_y
+            if pool is not None:
+                pool_groups(rows_a.reshape(n // group, group, width), lo, hi)
 
-        _each_tile(tiles, eval_tile)
+        _each_tile(tiles, eval_tile,
+                   lambda: [np.empty(span) for _ in range(min(buffered, 2))])
     if pool is not None:
         a = out.reshape(len(steps) * m, d)
     if not keep:

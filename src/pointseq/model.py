@@ -567,23 +567,22 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     return params, cfg
 
 
+# a record is checked in pieces of _CHECK_ELEMENTS values through one small
+# flag buffer: a flag array the size of a large record is a fresh mapping whose
+# page faults cost several times the check itself
+_CHECK_ELEMENTS = 1 << 15
+
+
 def _bad_record(records):
     """``(name, what)`` for the first of the ``(name, flat values)`` records
     that holds a NaN or infinite value, or a negative running variance; None
-    if every record is sound.
-
-    Records under 2**12 values are checked in one pass, since a NumPy call
-    per record would cost more than its values (a desk model has about 50
-    such records); larger ones are checked one by one, not copied.
-    """
-    small = [values for _, values in records if values.size < 1 << 12]
-    variances = [values for name, values in records if name.endswith(".running_var")]
-    if (np.isfinite(np.concatenate([np.empty(0), *small])).all()
-            and all(np.isfinite(values).all() for _, values in records if values.size >= 1 << 12)
-            and not (np.concatenate([np.empty(0), *variances]) < 0.0).any()):
-        return None
+    if every record is sound."""
+    flags = np.empty(_CHECK_ELEMENTS, dtype=bool)
     for name, values in records:
-        if not np.isfinite(values).all():
-            return name, "a non-finite value"
+        for lo in range(0, values.size, _CHECK_ELEMENTS):
+            piece = values[lo:lo + _CHECK_ELEMENTS]
+            if not np.isfinite(piece, out=flags[:piece.size]).all():
+                return name, "a non-finite value"
         if name.endswith(".running_var") and (values < 0.0).any():
             return name, "a negative variance"
+    return None

@@ -7,7 +7,6 @@ the same seed produce identical logs and identical parameters.
 
 from __future__ import annotations
 
-import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +61,8 @@ class AdamState:
 
 
 # Adam works through the parameters in chunks of at most _ADAM_CHUNK elements,
-# sized to stay in cache; a model of _ADAM_POOL_MIN parameters or more has
-# its chunks worked on the tile scheduler
+# sized to stay in cache
 _ADAM_CHUNK = 1 << 15
-_ADAM_POOL_MIN = 1 << 18
 
 
 def _adam_chunks(params: ModelParams, state: AdamState) -> list:
@@ -106,84 +103,68 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
 
 
 def adam_step(params: ModelParams, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              check_finite: bool = False) -> None:
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update from the accumulated gradients.
 
-    The update works through the parameters in chunks of at most 2**15
-    elements (see :func:`_adam_chunks`), each through its runner's two
-    scratch buffers of the largest piece's size, so it stays in cache and
+    Every gradient is checked first: a non-finite one raises
+    ``FloatingPointError`` naming its parameter before any parameter, moment
+    or the step count moves.
+
+    The check and the update work through the parameters in chunks of at
+    most 2**15 elements (see :func:`_adam_chunks`); the update goes through
+    two scratch buffers of the largest piece's size, so it stays in cache and
     allocates nothing per parameter. Every element goes through the same
     operations in the same order as in a whole-tensor update, so the result
-    is the same bits however the chunks fall. A model of 2**18 or more parameters has its
-    chunks worked on the tile scheduler (``autograd._each_tile``), one
-    scratch pair per runner; a smaller one runs on the calling thread and
-    starts no thread.
-
-    With ``check_finite``, every gradient is checked first, chunk by chunk on
-    the same runners, and a non-finite one raises ``FloatingPointError``
-    naming its parameter before any parameter, moment or the step count
-    moves.
+    is the same bits however the chunks fall. A model of 2**18 or more
+    parameters has its chunks worked on the tile scheduler, one scratch pair
+    per runner (``autograd._chunk_tiles``); a smaller one runs on the calling
+    thread and starts no thread.
     """
     chunks = _adam_chunks(params, state)
     sizes = [len(piece[-1]) for chunk in chunks for piece in chunk]
-    scheduled = sum(sizes) >= _ADAM_POOL_MIN
-    tiles = [(k, k + 1) for k in range(len(chunks))] if scheduled else [(0, len(chunks))]
+    tiles = ag._chunk_tiles(len(chunks), sum(sizes))
     span = max(sizes, default=0)
-    scratch = queue.SimpleQueue()
-    for _ in range(min(len(tiles), ag._helpers() + 1) if scheduled else 1):
-        scratch.put((np.empty(span), np.empty(span)))
 
-    def each_chunk(work):
-        # ``work(k, step, root)`` for every chunk k, with the runner's scratch
-        def task(lo, hi):
-            buffers = scratch.get()
-            try:
-                for k in range(lo, hi):
-                    work(k, *buffers)
-            finally:
-                scratch.put(buffers)
+    finite = np.ones(len(chunks), dtype=bool)
 
-        ag._each_tile(tiles, task)
-
-    if check_finite:
-        finite = np.ones(len(chunks), dtype=bool)
-
-        def check(k, step, root):
+    def check(lo, hi):
+        for k in range(lo, hi):
             for piece in chunks[k]:
                 if not np.isfinite(piece[-1]).all():
                     finite[k] = False
 
-        each_chunk(check)
-        if not finite.all():
-            bad = next(name for name, *_, g in chunks[int(np.argmin(finite))]
-                       if not np.isfinite(g).all())
-            raise FloatingPointError(f"parameter {bad!r} has a non-finite gradient")
+    ag._each_tile(tiles, check)
+    if not finite.all():
+        bad = next(name for name, *_, g in chunks[int(np.argmin(finite))]
+                   if not np.isfinite(g).all())
+        raise FloatingPointError(f"parameter {bad!r} has a non-finite gradient")
 
     state.step += 1
     t = state.step
     first_share, second_share = 1 - beta1, 1 - beta2
     first_unbias, second_unbias = 1 - beta1**t, 1 - beta2**t
 
-    def update(k, step_buffer, root_buffer):
-        for _, values, m, v, g in chunks[k]:
-            step, root = step_buffer[:len(g)], root_buffer[:len(g)]
-            m *= beta1
-            m += np.multiply(g, first_share, out=step)
-            v *= beta2
-            np.multiply(g, second_share, out=step)
-            step *= g
-            v += step
-            # lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, first_unbias, out=step)
-            step *= lr
-            np.divide(v, second_unbias, out=root)
-            np.sqrt(root, out=root)
-            root += eps
-            step /= root
-            values -= step
+    def update(lo, hi, buffers):
+        step_buffer, root_buffer = buffers
+        for k in range(lo, hi):
+            for _, values, m, v, g in chunks[k]:
+                step, root = step_buffer[:len(g)], root_buffer[:len(g)]
+                m *= beta1
+                m += np.multiply(g, first_share, out=step)
+                v *= beta2
+                np.multiply(g, second_share, out=step)
+                step *= g
+                v += step
+                # lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(m, first_unbias, out=step)
+                step *= lr
+                np.divide(v, second_unbias, out=root)
+                np.sqrt(root, out=root)
+                root += eps
+                step /= root
+                values -= step
 
-    each_chunk(update)
+    ag._each_tile(tiles, update, lambda: (np.empty(span), np.empty(span)))
 
 
 def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:
@@ -357,7 +338,7 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
     if not np.isfinite(loss.values):
         raise ConfigError(diverged)
     try:
-        adam_step(params, adam, lr, check_finite=True)
+        adam_step(params, adam, lr)
     except FloatingPointError as exc:
         raise ConfigError(diverged) from exc
     return float(loss.values)

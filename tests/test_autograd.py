@@ -935,6 +935,33 @@ class TestTiles:
         ag._each_tile([(0, 1), (1, 2)], task)
         assert ag._pool.submitted == ag._pool._max_workers + 1
 
+    def test_each_runner_works_with_its_own_scratch(self, tile_pool):
+        # the calling thread makes one scratch per runner before any tile
+        # runs; no two runners share one
+        made, used = [], {}
+
+        def scratch():
+            made.append(threading.get_ident())
+            return [len(made)]
+
+        def task(lo, hi, own):
+            time.sleep(0.002)
+            used.setdefault(own[0], set()).add(threading.get_ident())
+
+        ag._each_tile([(i, i + 1) for i in range(16)], task, scratch)
+        assert made == [threading.get_ident()] * (ag._pool._max_workers + 1)
+        assert all(len(idents) == 1 for idents in used.values())
+        assert len(set().union(*used.values())) == len(used)
+        made.clear()
+        ag._each_tile([(0, 3)], lambda lo, hi, own: used.update({"one": own}), scratch)
+        assert made == [threading.get_ident()] and used["one"] == [1]
+
+    def test_chunked_work_is_scheduled_from_the_stack_threshold(self, monkeypatch):
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 100)
+        assert ag._chunk_tiles(3, 99) == [(0, 3)]
+        assert ag._chunk_tiles(3, 100) == [(0, 1), (1, 2), (2, 3)]
+        assert ag._chunk_tiles(0, 0) == [(0, 0)]
+
     def test_a_tile_that_runs_tiles_itself_completes(self, tile_pool):
         # every worker may be busy with an outer tile when an inner call
         # asks for helpers; each inner call's own thread works its tiles
@@ -971,9 +998,9 @@ class TestTiles:
             with ag.no_grad():
                 ag.bn_mlp(x, layers, pool=(128, (64, 128)))
             params = model.ModelParams()
-            w = params.add("w", rng.normal(size=training._ADAM_POOL_MIN))
+            w = params.add("w", rng.normal(size=ag._POOL_MIN_ELEMENTS))
             w.grad = rng.normal(size=w.shape)
-            training.adam_step(params, training.AdamState(), lr=0.01, check_finite=True)
+            training.adam_step(params, training.AdamState(), lr=0.01)
             assert ag._pool is None
             print(threading.active_count())
             """)

@@ -863,8 +863,9 @@ class TestCheckpoint:
         assert str(path) in str(err.value)
         assert repr(key) in str(err.value)
 
-    @pytest.mark.parametrize("size", [3, 1 << 12])
+    @pytest.mark.parametrize("size", [3, 1 << 12, (1 << 15) + 5])
     def test_bad_values_are_found_in_small_and_large_records(self, size):
+        # the largest size puts c.weight's last value in a second check piece
         records = [("a.weight", np.ones(size)), ("b.running_var", np.ones(3)),
                    ("c.weight", np.ones(size))]
         assert model._bad_record(records) is None

@@ -176,7 +176,7 @@ class TestAdamChunks:
         # chunks of 5 and 8 elements end inside tensors and hold the ends of
         # several; with helpers, every chunk is a scheduler task
         monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
-        monkeypatch.setattr(training, "_ADAM_POOL_MIN", 1 if helpers else 1 << 62)
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 if helpers else 1 << 62)
         pool = ThreadPoolExecutor(helpers) if helpers else None
         monkeypatch.setattr(ag, "_pool", pool)
         (p, want), grads = _adam_case(71)
@@ -216,7 +216,7 @@ class TestAdamChunks:
     @pytest.mark.parametrize("scheduled", [False, True])
     def test_a_non_finite_gradient_moves_nothing(self, monkeypatch, scheduled):
         monkeypatch.setattr(training, "_ADAM_CHUNK", 5)
-        monkeypatch.setattr(training, "_ADAM_POOL_MIN", 1 if scheduled else 1 << 62)
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 if scheduled else 1 << 62)
         pool = ThreadPoolExecutor(2)
         monkeypatch.setattr(ag, "_pool", pool)
         (p, _), grads = _adam_case(73)
@@ -224,7 +224,7 @@ class TestAdamChunks:
         try:
             for (_, t), g in zip(p.items(), grads[0]):
                 t.grad = g
-            adam_step(p, state, lr=0.01, check_finite=True)
+            adam_step(p, state, lr=0.01)
             before = {name: t.values.copy() for name, t in p.items()}
             moments = {name: state.first[name].copy() for name in before}
             for bad in (np.nan, np.inf, -np.inf):
@@ -232,7 +232,7 @@ class TestAdamChunks:
                     t.grad = g.copy()
                 p["w4"].grad[2, 3] = bad
                 with pytest.raises(FloatingPointError, match="'w4'"):
-                    adam_step(p, state, lr=0.01, check_finite=True)
+                    adam_step(p, state, lr=0.01)
                 assert state.step == 1
                 for name, t in p.items():
                     assert t.values.tobytes() == before[name].tobytes()
