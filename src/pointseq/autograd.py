@@ -12,6 +12,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -287,12 +288,10 @@ class BatchNormState:
 
 # A dense stack whose widest layer holds at least _POOL_MIN_ELEMENTS elements
 # runs its row-wise work in row tiles of about _TILE_ELEMENTS such elements on
-# the tile scheduler, and splits each weight gradient into blocks of
-# _GRAD_COLUMNS output columns; chunked work of _POOL_MIN_ELEMENTS elements or
-# more (Adam's) goes on the scheduler a chunk per tile
+# the tile scheduler; chunked work of _POOL_MIN_ELEMENTS elements or more
+# (Adam's) goes on the scheduler a chunk per tile
 _TILE_ELEMENTS = 1 << 17
 _POOL_MIN_ELEMENTS = 1 << 18
-_GRAD_COLUMNS = 64
 
 # the scheduler's helper threads, made on first need (never with one CPU); a
 # forked child makes its own
@@ -399,6 +398,68 @@ def _row_tiles(rows, group, width):
     return list(zip(starts, starts[1:] + [rows]))
 
 
+def _runs(count, parts):
+    """``parts`` runs ``[(start, stop), ...]`` of consecutive indices that
+    split ``range(count)`` as evenly as they can."""
+    cuts = [k * count // parts for k in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _rows(buffer, n, d):
+    """The first ``n * d`` elements of a flat scratch buffer, as [n, d]."""
+    return buffer[:n * d].reshape(n, d)
+
+
+def _tile_sum(partials):
+    """Per-tile partials added up along axis 0 in tile order; a single
+    partial comes back as it is."""
+    return partials[0] if len(partials) == 1 else np.add.reduce(partials, axis=0)
+
+
+def _scratch_runner(make):
+    """``run(bounds, fn)``: :func:`_each_tile` with per-runner scratch from
+    ``make()``, where every call hands its runners the sets that earlier
+    calls made, and makes a new set only for a runner beyond those."""
+    sets = []
+
+    def run(bounds, fn):
+        taken = 0
+
+        def lend():
+            nonlocal taken
+            if taken == len(sets):
+                sets.append(make())
+            taken += 1
+            return sets[taken - 1]
+
+        _each_tile(bounds, fn, lend)
+
+    return run
+
+
+def _merge_moments(counts, stats):
+    """The (weighted) row count, mean and population variance of row tiles,
+    from each tile's count and ``stats[t] = (mean, sum of squared deviations
+    about that mean)``.
+
+    The tiles merge in order by the pairwise update of Chan, Golub & LeVeque
+    ("Algorithms for computing the sample variance", 1983), which loses no
+    precision to a mean far from zero. A tile of zero count adds nothing, and
+    a single tile's moments come back as they are.
+    """
+    live = [t for t, n in enumerate(counts) if n] or [0]
+    n = counts[live[0]]
+    mean, m2 = stats[live[0]]
+    for t in live[1:]:
+        total = n + counts[t]
+        share = counts[t] / total
+        delta = stats[t, 0] - mean
+        mean = mean + delta * share
+        m2 = m2 + stats[t, 1] + delta * delta * (n * share)
+        n = total
+    return n, mean, m2 / n
+
+
 def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, rng=None,
            pool=None) -> Tensor:
     """A stack of dense layers as one graph node.
@@ -427,32 +488,57 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     Per layer the node keeps only the normalized activations (the matmul
     output in eval mode), the batch-norm affine and the dropout mask; with a
     pool it keeps the winning row of every output, not the last activations.
-    The backward recomputes each layer's output from those in one
-    elementwise pass and never repeats a matmul: the activation
-    recomputation of Chen et al. (arXiv 1604.06174). A pooled stack reads
-    its last relu's mask at each winning row from the pooled output, which
-    is positive exactly where that relu's input was, so it recomputes no
-    last-layer activations at all. Parents are ``x``, then each layer's
-    weight, gamma and beta. An ``x`` passed as a plain array, not a
-    :class:`Tensor`, is a constant: it is no parent, and the backward skips
-    the first layer's input-gradient matmul. Under :func:`no_grad` nothing
-    is kept.
+    The backward recomputes each layer's output from those and never repeats
+    a matmul: the activation recomputation of Chen et al. (arXiv
+    1604.06174). A pooled stack reads its last relu's mask at each winning
+    row from the pooled output, which is positive exactly where that relu's
+    input was, so it recomputes no last-layer activations at all. Parents
+    are ``x``, then each layer's weight, gamma and beta. An ``x`` passed as a
+    plain array, not a :class:`Tensor`, is a constant: it is no parent, and
+    the backward skips the first layer's input-gradient matmul. Under
+    :func:`no_grad` nothing is kept.
 
-    A stack whose widest layer (input included) holds 2**18 or more
-    elements runs its row-wise work in row tiles of about 2**17 elements,
+    The rows are worked in row tiles: a stack whose widest layer (input
+    included) holds 2**18 or more elements in tiles of about 2**17 elements,
     whole pool groups each, on the caller-runs tile scheduler
-    (:func:`_each_tile`): the calling thread works the tiles together with
-    one helper thread per further CPU the process may run on. That covers
-    the matmuls, centring and squaring, the affine, relu and dropout, the
-    pool, the gradient routing and the batch-norm backward. Tile tasks
-    store their results only in arrays allocated before them. The column
-    reductions (batch moments, beta and gamma gradients) stay on the calling
-    thread in one pass each, dropout masks are drawn there, weight gradients
-    split by blocks of 64 output columns, and the tiles depend only on the
-    shapes, so the result is the same bits for any number of threads, and
-    the same as one tile wherever BLAS rounds a product independently of how
-    many rows or column blocks it is given. Smaller stacks are one tile on
-    the calling thread.
+    (:func:`_each_tile`), where the calling thread works the tiles together
+    with one helper thread per further CPU the process may run on; a smaller
+    stack in one tile on the calling thread. A tile task writes only its own
+    rows of arrays allocated before it, its runner's scratch (made once per
+    call and reused by each pass), and its own tile's partial results.
+
+    In training mode a layer takes two passes over the tiles. Pass A
+    multiplies the tile by the weight and, while the tile is in cache, takes
+    its (weighted) mean, leaves the deviations from that mean in place of
+    the product, and sums their squares. The calling thread merges the tiles'
+    moments in tile order by the update of Chan, Golub & LeVeque (1983),
+    which stays exact for a mean far from zero, then updates the running
+    statistics and draws the dropout mask. Pass B shifts each tile's
+    deviations to the stack's mean, normalizes them in place, and applies the
+    affine, relu and dropout into scratch. It runs in the same task as the
+    next layer's pass A, and the last layer's pass B writes the output or,
+    pooled, pools straight from scratch, so no layer's full output exists
+    but an unpooled stack's result.
+
+    The backward takes one pass per layer over one stored gradient buffer,
+    in which each tile owns a block of its own. A tile assembles its ``dz``
+    in scratch from the gradient in its block, recomputes the layer below's
+    activations over that gradient, and adds their product into a
+    weight-gradient partial. Then it writes ``dz @ W.T``, times the lower
+    relu and dropout masks, over the activations, and takes the lower
+    layer's partial sums of that gradient and of it times the normalized
+    activations, which give that layer's beta and gamma gradients.
+    Weight-gradient partials belong to runs of consecutive tiles: one per
+    tile, or fewer runs, so that one layer's partials hold at most an eighth
+    of its [rows, width] array. A pooled top layer takes its sums from the
+    pool winners alone, and each of its tiles spreads the winners' gradients
+    over a zeroed block. The calling thread adds all partials in tile order.
+
+    So a training result depends only on the shapes: it is the same bits for
+    any number of threads and any order in which the tiles run. A stack of
+    one tile does the arithmetic of whole-array operations, op for op; only
+    a pooled top layer's sums over the pool winners may give an exact zero
+    another sign than a sum over every row.
 
     Eval mode needs no column reduction, so one task per tile takes the tile
     through every layer's matmul, scale and shift and relu, then the pool,
@@ -462,6 +548,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     scheduler makes one pair per runner (the calling thread and each helper)
     before any tile runs. The tile bounds are the ones above, so the result
     is the same bits with or without a graph and for any number of threads.
+    An eval-mode graph's backward runs as one tile.
     """
     constant = not isinstance(x, Tensor)
     x_values = np.asarray(x, dtype=np.float64) if constant else x.values
@@ -498,8 +585,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                              f"groups of {group}")
 
     keep = _recording
-    total = rows if weights is None else weights.sum()
     tiles = _row_tiles(rows, group, widest)
+    each_tile = [(t, t + 1) for t in range(len(tiles))]
+    # scratch holds layer outputs only: the input never goes there
+    deepest = max(state.dim for _, state in layers)
+    span = max(hi - lo for lo, hi in tiles) * deepest
     if pool is not None:
         m, d = rows // group, width
         out = np.empty((len(steps), m, d))
@@ -518,77 +608,116 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             if t:
                 np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
 
-    # per layer: (x-hat or z, scale, shift, gain, inv_std, running mean, mask);
-    # the layer's relu input is x-hat * scale + shift in either mode
+    # one record per layer; its relu input is hat * scale + shift in either
+    # mode
     saved = []
     if training:
-        a = x_values
+        counts = ([hi - lo for lo, hi in tiles] if weights is None
+                  else [weights[lo:hi].sum() for lo, hi in tiles])
+        run = _scratch_runner(lambda: np.empty(span))
+
+        def activate(layer, t, rows_y):
+            # pass B over tile t: normalize the layer's deviations from the
+            # tile's mean in place, then its affine, relu and dropout into
+            # ``rows_y``
+            lo, hi = tiles[t]
+            hat = layer.hat[lo:hi]
+            if layer.offsets is not None:
+                hat -= layer.offsets[t]
+            hat /= layer.std
+            np.multiply(hat, layer.scale, out=rows_y)
+            rows_y += layer.shift
+            np.maximum(rows_y, 0.0, out=rows_y)
+            if layer.mask is not None:
+                rows_y *= layer.mask[lo:hi]
+            return rows_y
+
+        below = None
         for weight, state in layers:
             z = np.empty((rows, state.dim))
-            _each_tile(tiles, lambda lo, hi: np.matmul(a[lo:hi], weight.values, out=z[lo:hi]))
-            mean = z.mean(axis=0) if weights is None else (weights @ z) / total
-            # holds the squared deviations, then the layer's output
-            y = np.empty_like(z)
+            stats = np.empty((len(tiles), 2, state.dim))
 
-            def centre(lo, hi):
-                z[lo:hi] -= mean
-                np.multiply(z[lo:hi], z[lo:hi], out=y[lo:hi])
+            def pass_a(t, _, scratch):
+                # the layer below's pass B, the matmul, and the tile's
+                # (weighted) mean and squared deviations about it; the
+                # deviations stay in place of the matmul output
+                lo, hi = tiles[t]
+                if below is None:
+                    rows_a = x_values[lo:hi]
+                else:
+                    rows_a = activate(below, t, _rows(scratch, hi - lo, below.dim))
+                rows_z = np.matmul(rows_a, weight.values, out=z[lo:hi])
+                mean, m2 = stats[t]
+                if weights is None:
+                    np.add.reduce(rows_z, axis=0, out=mean)
+                else:
+                    np.matmul(weights[lo:hi], rows_z, out=mean)
+                if counts[t]:
+                    mean /= counts[t]
+                    rows_z -= mean
+                # the layer below's output is used up: its scratch takes the squares
+                squares = np.multiply(rows_z, rows_z, out=_rows(scratch, hi - lo, state.dim))
+                if weights is None:
+                    np.add.reduce(squares, axis=0, out=m2)
+                else:
+                    np.matmul(weights[lo:hi], squares, out=m2)
 
-            _each_tile(tiles, centre)
-            var = y.mean(axis=0) if weights is None else (weights @ y) / total
+            run(each_tile, pass_a)
+            total, mean, var = _merge_moments(counts, stats)
             state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
             state.running_var = (1.0 - momentum) * state.running_var + momentum * var
             std = np.sqrt(var + state.eps)
             inv_std = 1.0 / std
-            gain = state.gamma.values * inv_std
-            scale, shift = state.gamma.values.copy(), state.beta.values.copy()
             mask = None
             if drop:
                 mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
+            # what each tile's deviations lack of those from the stack's mean
+            offsets = None if len(tiles) == 1 else mean - stats[:, 0]
+            below = SimpleNamespace(weight=weight.values, dim=state.dim, hat=z, offsets=offsets,
+                                    std=std, scale=state.gamma.values.copy(),
+                                    shift=state.beta.values.copy(),
+                                    gain=state.gamma.values * inv_std, mask=mask)
+            saved.append(below)
+        if pool is None:
+            a = np.empty((rows, width))
 
-            def activate(lo, hi):
-                z[lo:hi] /= std
-                rows_y = np.multiply(z[lo:hi], scale, out=y[lo:hi])
-                rows_y += shift
-                np.maximum(rows_y, 0.0, out=rows_y)
-                if mask is not None:
-                    rows_y *= mask[lo:hi]
+        def pass_b(t, _, scratch):
+            lo, hi = tiles[t]
+            if pool is None:
+                activate(below, t, a[lo:hi])
+            else:
+                rows_y = activate(below, t, _rows(scratch, hi - lo, width))
+                pool_groups(rows_y.reshape(-1, group, width), lo, hi)
 
-            _each_tile(tiles, activate)
-            if keep:
-                saved.append((z, scale, shift, gain, inv_std, None, mask))
-            a = y
-        if pool is not None:
-            blocks = a.reshape(m, group, d)
-            _each_tile(tiles, lambda lo, hi: pool_groups(blocks[lo // group:hi // group], lo, hi))
+        run(each_tile, pass_b)
     else:
         # batch norm is one fixed scale and shift per column, so each tile
         # runs through every layer and the pool while it is in cache
-        for _, state in layers:
+        for weight, state in layers:
             inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
             scale = state.gamma.values * inv_std
             shift = state.beta.values - state.running_mean * scale
-            z = np.empty((rows, state.dim)) if keep else None
-            saved.append((z, scale, shift, scale, inv_std, state.running_mean, None))
+            saved.append(SimpleNamespace(
+                weight=weight.values, dim=state.dim,
+                hat=np.empty((rows, state.dim)) if keep else None, scale=scale, shift=shift,
+                gain=scale, inv_std=inv_std, center=state.running_mean, mask=None))
         a = None if pool is not None else np.empty((rows, width))
         # every layer but an unpooled last one writes its tile into one of two
         # alternating scratch buffers, a pair per runner
         buffered = len(layers) - (pool is None)
-        span = max(hi - lo for lo, hi in tiles) * widest
 
         def eval_tile(lo, hi, buffers):
             n = hi - lo
             rows_a = x_values[lo:hi]
-            for i, (weight, state) in enumerate(layers):
-                z, scale, shift = saved[i][:3]
+            for i, layer in enumerate(saved):
                 if i < buffered:
-                    rows_y = buffers[i % 2][:n * state.dim].reshape(n, state.dim)
+                    rows_y = _rows(buffers[i % 2], n, layer.dim)
                 else:
                     rows_y = a[lo:hi]
-                rows_z = rows_y if z is None else z[lo:hi]
-                np.matmul(rows_a, weight.values, out=rows_z)
-                np.multiply(rows_z, scale, out=rows_y)
-                rows_y += shift
+                rows_z = rows_y if layer.hat is None else layer.hat[lo:hi]
+                np.matmul(rows_a, layer.weight, out=rows_z)
+                np.multiply(rows_z, layer.scale, out=rows_y)
+                rows_y += layer.shift
                 np.maximum(rows_y, 0.0, out=rows_y)
                 rows_a = rows_y
             if pool is not None:
@@ -601,140 +730,179 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     if not keep:
         return Tensor(a)
 
-    def relu_input(layer, y, positive, lo, hi):
-        # the layer's relu input into rows [lo, hi) of ``y``, and where it is > 0
-        hat, scale, shift = layer[:3]
-        rows_y = np.multiply(hat[lo:hi], scale, out=y[lo:hi])
-        rows_y += shift
-        np.greater(rows_y, 0.0, out=positive[lo:hi])
+    def beta_gamma_sums(layer, rows_g, hat, sums, buffer):
+        # the column sums of a layer's gradient and of the gradient times its
+        # normalized activations: ``hat`` itself in training mode, made from
+        # the matmul output ``hat`` in eval mode
+        np.add.reduce(rows_g, axis=0, out=sums[0])
+        if training:
+            product = np.multiply(rows_g, hat, out=buffer)
+        else:
+            product = np.subtract(hat, layer.center, out=buffer)
+            product *= layer.inv_std
+            product *= rows_g
+        np.add.reduce(product, axis=0, out=sums[1])
 
     def route(g):
-        # the pooled gradient at each prefix's winning rows, times the last
-        # relu's mask there, read from the pooled output
-        routed = np.zeros((m, group, d))
-        carry, won = np.empty((m, d)), np.empty((m, d))
-        flag = np.empty((m, d), dtype=bool)
+        # the pooled gradient owed to each prefix's winning row, times the
+        # last relu's mask there, read from the pooled output: [groups,
+        # prefixes, d], in row order within each group. Walking the prefixes
+        # from the longest down, ``carry`` is the gradient owed to prefix t's
+        # running max, which either rows [k_{t-1}, k_t) or the shorter prefix
+        # won
+        owed = np.empty((m, len(steps), d))
+        carry = g[-1].copy()
+        for t in range(len(steps) - 1, -1, -1):
+            won = owed[:, t]
+            if t:
+                took = out[t] > out[t - 1]
+                won[...] = 0.0
+                np.copyto(won, carry, where=took)
+                np.copyto(carry, 0.0, where=took)
+                carry += g[t - 1]
+            else:
+                won[...] = carry
+            won *= out[t] > 0.0
+        return owed
 
-        def route_tile(lo, hi):
-            s = slice(lo // group, hi // group)
-            # walk the prefixes from the longest down: ``carry`` is the
-            # gradient owed to prefix t's running max, which either rows
-            # [k_{t-1}, k_t) or the shorter prefix won
-            carry[s] = g[-1, s]
-            for t in range(len(steps) - 1, -1, -1):
-                k0, k1 = steps[t]
-                if t:
-                    took = np.greater(out[t, s], out[t - 1, s], out=flag[s])
-                    rows_won = won[s]
-                    rows_won[...] = 0.0
-                    np.copyto(rows_won, carry[s], where=took)
-                    np.copyto(carry[s], 0.0, where=took)
-                    carry[s] += g[t - 1, s]
-                else:
-                    rows_won = carry[s]
-                rows_won *= np.greater(out[t, s], 0.0, out=flag[s])
-                np.put_along_axis(routed[s, k0:k1], winners[t][s], rows_won[:, None, :], axis=1)
-
-        _each_tile(tiles, route_tile)
-        return routed.reshape(rows, d)
-
-    def weight_grad(a, dz):
-        n = dz.shape[1]
-        if len(tiles) == 1 or n < 2 * _GRAD_COLUMNS:
-            return a.T @ dz
-        starts = list(range(0, n - _GRAD_COLUMNS + 1, _GRAD_COLUMNS))
-        gw = np.empty((a.shape[1], n))
-        _each_tile(list(zip(starts, starts[1:] + [n])),
-                   lambda lo, hi: np.matmul(a.T, dz[:, lo:hi], out=gw[:, lo:hi]))
-        return gw
-
-    def gate(g, positive, mask, owned):
-        # ``g`` times the relu's and the dropout's masks; in place only when
-        # owned, since a gradient handed in may be shared
-        gated = g if owned else np.empty_like(g)
-
-        def gate_tile(lo, hi):
-            rows_g = gated[lo:hi]
-            if positive is not None:
-                np.multiply(g[lo:hi], positive[lo:hi], out=rows_g)
-            if mask is not None:
-                rows_g *= mask[lo:hi]
-
-        _each_tile(tiles, gate_tile)
-        return gated
+    def winner_rows(t, first, stop):
+        # the row of prefix t's winner in every column of groups [first, stop)
+        starts = np.arange(first, stop)[:, None] * group + steps[t][0]
+        return winners[t][first:stop, 0] + starts
 
     def grad_fn(g):
+        passes = tiles if training else [(0, rows)]
+        each_pass = [(t, t + 1) for t in range(len(passes))]
+        # weight-gradient partials: one per run of consecutive tiles, as many
+        # runs as keep one layer's partials within an eighth of its
+        # [rows, width] array
+        runs = [_runs(len(passes), max(1, min(len(passes), rows // (8 * layer.weight.shape[0]))))
+                for layer in saved]
+        grad_span = max((layer.weight.size for layer, layer_runs in zip(saved, runs)
+                         if len(layer_runs) < len(passes)), default=0)
+        top = saved[-1]
+        # the gradient of the layer at hand sits in one buffer, where tile
+        # [lo, hi) owns elements [lo, hi) * deepest: the tile reads the
+        # gradient there as [hi - lo, width], then writes the layer below's
+        # over it
+        store = np.empty(rows * deepest)
+
+        def stored(lo, hi, dim):
+            return _rows(store[lo * deepest:hi * deepest], hi - lo, dim)
+
+        # per runner: dz, a relu's mask and a weight-gradient product
+        most = max(hi - lo for lo, hi in passes)
+        run = _scratch_runner(lambda: (np.empty(most * deepest),
+                                       np.empty(most * deepest, dtype=bool),
+                                       np.empty(grad_span)))
         if pool is None:
-            # the last relu's mask, from its recomputed input
-            positive = np.empty(g.shape, dtype=bool)
-            y = np.empty(g.shape)
-            _each_tile(tiles, lambda lo, hi: relu_input(saved[-1], y, positive, lo, hi))
-            del y
-            owned = False
+            sums = np.empty((len(passes), 2, top.dim))
+
+            def gate_top(t, _, scratch):
+                # the last relu's and dropout's masks on the gradient handed in
+                lo, hi = passes[t]
+                relu_in = _rows(scratch[0], hi - lo, top.dim)
+                positive = _rows(scratch[1], hi - lo, top.dim)
+                np.multiply(top.hat[lo:hi], top.scale, out=relu_in)
+                relu_in += top.shift
+                np.greater(relu_in, 0.0, out=positive)
+                rows_g = np.multiply(g[lo:hi], positive, out=stored(lo, hi, top.dim))
+                if top.mask is not None:
+                    rows_g *= top.mask[lo:hi]
+                beta_gamma_sums(top, rows_g, top.hat[lo:hi], sums[t], relu_in)
+
+            run(each_pass, gate_top)
         else:
-            g, positive, owned = route(g.reshape(out.shape)), None, True
+            owed, columns = route(g.reshape(out.shape)), np.arange(d)
+            hats = np.empty_like(owed)
+            for t in range(len(steps)):
+                found = winner_rows(t, 0, m)
+                if top.mask is not None:
+                    owed[:, t] *= top.mask[found, columns]
+                hats[:, t] = top.hat[found, columns]
+            sums = np.empty((1, 2, d))
+            hats = hats.reshape(-1, d)
+            beta_gamma_sums(top, owed.reshape(-1, d), hats, sums[0], hats)
+            del hats
+        dbeta, dgamma = _tile_sum(sums)
+
         param_grads = []
-        for i in range(len(layers) - 1, -1, -1):
-            hat, _, _, gain, inv_std, center, mask = saved[i]
-            if positive is not None or mask is not None:
-                g = gate(g, positive, mask, owned)
-            positive = None
-            dbeta = g.sum(axis=0)
-            dz = np.empty_like(g)
+        gx = None
+        for i in range(len(saved) - 1, -1, -1):
+            layer = saved[i]
+            lower = saved[i - 1] if i else None
+            fan_in = layer.weight.shape[0]
             if training:
-                _each_tile(tiles, lambda lo, hi: np.multiply(g[lo:hi], hat[lo:hi],
-                                                             out=dz[lo:hi]))
-                dgamma = dz.sum(axis=0)
                 gamma_share, beta_share = dgamma / total, dbeta / total
+            partials = np.empty((len(runs[i]), *layer.weight.shape))
+            if lower is not None:
+                sums = np.empty((len(passes), 2, lower.dim))
+            elif not constant:
+                gx = np.empty((rows, fan_in))
 
-                def assemble(lo, hi):
-                    # the batch moments depend on the input as well: remove the
-                    # gradient's (weighted) column mean and its component along
-                    # the normalized column
-                    rows_dz = np.multiply(hat[lo:hi], gamma_share, out=dz[lo:hi])
-                    rows_dz += beta_share
-                    if weights is not None:
-                        rows_dz *= weights[lo:hi, None]
-                    np.subtract(g[lo:hi], rows_dz, out=rows_dz)
-                    rows_dz *= gain
-            else:
-                def normalized(lo, hi):
-                    rows_dz = np.subtract(hat[lo:hi], center, out=dz[lo:hi])
-                    rows_dz *= inv_std
-                    rows_dz *= g[lo:hi]
+            def layer_pass(k, _, scratch):
+                dz_buffer, positive_buffer, product = scratch
+                first, stop = runs[i][k]
+                for t in range(first, stop):
+                    lo, hi = passes[t]
+                    n = hi - lo
+                    if layer is top and pool is not None:
+                        # each owed gradient at its winning row, zero elsewhere
+                        rows_g = stored(lo, hi, d)
+                        rows_g[...] = 0.0
+                        for step in range(len(steps)):
+                            found = winner_rows(step, lo // group, hi // group)
+                            rows_g[found - lo, columns] = owed[lo // group:hi // group, step]
+                    else:
+                        rows_g = stored(lo, hi, layer.dim)
+                    dz = _rows(dz_buffer, n, layer.dim)
+                    if training:
+                        # the batch moments depend on the input as well: remove
+                        # the gradient's (weighted) column mean and its
+                        # component along the normalized column
+                        np.multiply(layer.hat[lo:hi], gamma_share, out=dz)
+                        dz += beta_share
+                        if weights is not None:
+                            dz *= weights[lo:hi, None]
+                        np.subtract(rows_g, dz, out=dz)
+                        dz *= layer.gain
+                    else:
+                        np.multiply(rows_g, layer.gain, out=dz)
+                    if lower is None:
+                        rows_a = x_values[lo:hi]
+                    else:
+                        # the layer below's output, over the rows of the
+                        # gradient just used, and where its relu passed
+                        rows_a = stored(lo, hi, lower.dim)
+                        positive = _rows(positive_buffer, n, lower.dim)
+                        np.multiply(lower.hat[lo:hi], lower.scale, out=rows_a)
+                        rows_a += lower.shift
+                        np.greater(rows_a, 0.0, out=positive)
+                        np.maximum(rows_a, 0.0, out=rows_a)
+                        if lower.mask is not None:
+                            rows_a *= lower.mask[lo:hi]
+                    if t == first:
+                        np.matmul(rows_a.T, dz, out=partials[k])
+                    else:
+                        partials[k] += np.matmul(rows_a.T, dz,
+                                                 out=_rows(product, fan_in, layer.dim))
+                    if lower is not None:
+                        # the layer below's gradient, over its output
+                        rows_below = np.matmul(dz, layer.weight.T, out=rows_a)
+                        rows_below *= positive
+                        if lower.mask is not None:
+                            rows_below *= lower.mask[lo:hi]
+                        beta_gamma_sums(lower, rows_below, lower.hat[lo:hi], sums[t],
+                                        _rows(dz_buffer, n, lower.dim))
+                    elif gx is not None:
+                        np.matmul(dz, layer.weight.T, out=gx[lo:hi])
 
-                _each_tile(tiles, normalized)
-                dgamma = dz.sum(axis=0)
-
-                def assemble(lo, hi):
-                    np.multiply(g[lo:hi], gain, out=dz[lo:hi])
-
-            _each_tile(tiles, assemble)
-            del g
-            if i:
-                below = saved[i - 1]
-                a = np.empty((rows, layers[i - 1][1].dim))
-                positive = np.empty(a.shape, dtype=bool)
-
-                def recompute(lo, hi):
-                    relu_input(below, a, positive, lo, hi)
-                    np.maximum(a[lo:hi], 0.0, out=a[lo:hi])
-                    if below[-1] is not None:
-                        a[lo:hi] *= below[-1][lo:hi]
-
-                _each_tile(tiles, recompute)
-            else:
-                a = x_values
-            param_grads[:0] = (weight_grad(a, dz), dgamma, dbeta)
-            del a
-            if not i and constant:
-                return tuple(param_grads)
-            g = np.empty((rows, layers[i][0].shape[0]))
-            weight_t = layers[i][0].values.T
-            _each_tile(tiles, lambda lo, hi: np.matmul(dz[lo:hi], weight_t, out=g[lo:hi]))
-            del dz
-            owned = True
-        return (g, *param_grads)
+            run([(k, k + 1) for k in range(len(runs[i]))], layer_pass)
+            param_grads[:0] = (_tile_sum(partials), dgamma, dbeta)
+            del partials
+            if lower is not None:
+                dbeta, dgamma = _tile_sum(sums)
+        return tuple(param_grads) if constant else (gx, *param_grads)
 
     parents = [] if constant else [x]
     for weight, state in layers:

@@ -183,6 +183,8 @@ def load_run_config(path=None, sets=(), seed=None, out=None) -> RunConfig:
                 parser.read_file(handle, source=str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         for section in parser.sections():

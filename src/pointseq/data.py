@@ -72,6 +72,8 @@ def load_point_file(path) -> PointCloud:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read point file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     coords: list[list[float]] = []
     labels: list[int] = []
     width = 0
@@ -175,6 +177,8 @@ def load_manifest(path) -> DatasetManifest:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     base = os.path.dirname(os.path.abspath(path))
     header: dict[str, str] = {}
     records: list[tuple[int, str, str, str]] = []
@@ -358,7 +362,8 @@ def generate_synthetic(spec: SyntheticSpec, count: int) -> list[PointCloud]:
     """``count`` independent clouds from the spec's generator.
 
     Deterministic per (kind, seed); Gaussian noise of the given amplitude is
-    added before unit-ball normalization.
+    added before unit-ball normalization. Noise that gives a coordinate that is
+    not finite or exceeds 2**510 is a :class:`ConfigError`.
     """
     rng = np.random.default_rng([_KINDS.index(spec.kind), spec.seed])
     out = []
@@ -373,6 +378,11 @@ def generate_synthetic(spec: SyntheticSpec, count: int) -> list[PointCloud]:
             pts, labels = oriented_disc(rng, spec.points), None
         if spec.noise > 0.0:
             pts = pts + rng.normal(scale=spec.noise, size=pts.shape)
+            # the rule point files follow: a larger coordinate could overflow
+            # the unit-ball radius
+            if not (np.abs(pts) <= _MAX_COORDINATE).all():
+                raise ConfigError(f"data.noise = {spec.noise} gives point coordinates that "
+                                  "are not finite or exceed 2**510")
         out.append(normalize_unit_ball(PointCloud(pts, labels)))
     return out
 

@@ -1,5 +1,6 @@
 """Engine tests: frozen arithmetic examples plus finite-difference oracles."""
 
+import gc
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -834,11 +836,44 @@ def tile_pool(request, monkeypatch):
         pool.shutdown()
 
 
+def _assert_close_to_scale(got, want, tol=1e-12):
+    """Every entry of ``got`` within ``tol`` of ``want``'s largest magnitude
+    (an absolute 1e-14 where that is below 1e-14), as TestFusedStacks
+    compares whole models."""
+    scale = np.abs(want).max() if np.size(want) else 0.0
+    atol = tol * scale if scale > 1e-14 else 1e-14
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+# every training variant of STACK_CASES over 24 rows in tiles of 8 elements;
+# a weighted, pooled and dropped-out stack of 96 rows whose weight-gradient
+# partials each cover a run of several tiles; and the area block's shape at
+# the shipped tile size
+TRAIN_TILE_CASES = [(24, (4, 5), _stack_kwargs(weights, pool, dropout, rows=24), 8)
+                    for training, weights, pool, dropout in STACK_CASES if training]
+TRAIN_TILE_CASES += [
+    (96, (4, 5), _stack_kwargs("uneven", (4, (2, 4)), 0.3, rows=96), 8),
+    (4096, (64, 128), {"pool": (128, (16, 64, 128)), "weights": np.arange(4096) % 4 + 1.0},
+     1 << 17),
+]
+TRAIN_TILE_IDS = [i for (training, *_), i in zip(STACK_CASES, STACK_IDS) if training]
+TRAIN_TILE_IDS += ["runs_of_tiles", "area_block"]
+
+
+def _reversed_tiles(bounds, fn, scratch=None):
+    """``_each_tile`` on the calling thread alone, last tile first."""
+    for lo, hi in reversed(bounds):
+        fn(lo, hi, *(() if scratch is None else (scratch(),)))
+
+
 class TestTiles:
     @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
     def test_several_tiles_give_the_bits_of_one(self, tile_pool, training, weights, pool,
                                                 dropout):
-        # 24 rows: 6 groups of 4 or 3 groups of 8, so every case has 3 or more tiles
+        # 24 rows: 6 groups of 4 or 3 groups of 8, so every case has 3 or more
+        # tiles. Eval mode takes no column sum, so its tiles give one tile's
+        # bits; training adds per-tile partial sums in tile order, which round
+        # otherwise than one sum over every row
         arrays = _stack_arrays(31, 24, (4, 5))
         kwargs = _stack_kwargs(weights, pool, dropout, rows=24)
         tile_pool(False)
@@ -849,15 +884,18 @@ class TestTiles:
         several = _stack_run(arrays, training, **kwargs)
         assert ag._pool.submitted > 0
         for got, want in zip(several, one):
-            assert got.tobytes() == want.tobytes()
+            if training:
+                _assert_close_to_scale(got, want)
+            else:
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("training", [True, False])
     def test_reference_widths_split_weight_gradients(self, tile_pool, training):
         # the area block's shape at the shipped tile size: groups of 128 rows,
-        # layers 64 and 128 wide, so four tiles of 1024 rows, and the last
-        # weight gradient splits into two blocks of 64 columns. (BLAS may
-        # round much smaller products differently, so this case keeps the
-        # real tile size.)
+        # layers 64 and 128 wide, so four tiles of 1024 rows, each with a
+        # weight-gradient partial of its own in training. (BLAS may round
+        # much smaller products differently, so this case keeps the real
+        # tile size.)
         arrays = _stack_arrays(33, 4096, (64, 128))
         kwargs = {"pool": (128, (16, 64, 128)), "weights": np.arange(4096) % 4 + 1.0}
         tile_pool(False)
@@ -867,7 +905,94 @@ class TestTiles:
         several = _stack_run(arrays, training, **kwargs)
         assert ag._pool.submitted > 0
         for got, want in zip(several, one):
-            assert got.tobytes() == want.tobytes()
+            if training:
+                _assert_close_to_scale(got, want)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows,widths,kwargs,tile", TRAIN_TILE_CASES, ids=TRAIN_TILE_IDS)
+    def test_training_bits_depend_on_no_schedule(self, monkeypatch, rows, widths, kwargs, tile):
+        # the same tiles on the calling thread alone, with 1, 2 or 4 helpers,
+        # and one by one from the last: the same values, running statistics
+        # and gradients, bit for bit
+        arrays = _stack_arrays(36, rows, widths)
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
+        group = 1 if kwargs["pool"] is None else kwargs["pool"][0]
+        assert len(ag._row_tiles(rows, group, max(widths))) >= 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runs = []
+        try:
+            for helpers in (0, 1, 2, 4):
+                threads = CountingPool(helpers) if helpers else None
+                monkeypatch.setattr(ag, "_tile_pool", lambda threads=threads: threads)
+                try:
+                    runs.append(_stack_run(arrays, True, **kwargs))
+                finally:
+                    if threads is not None:
+                        threads.shutdown()
+                assert threads is None or threads.submitted > 0
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(ag, "_each_tile", _reversed_tiles)
+        runs.append(_stack_run(arrays, True, **kwargs))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("layout", ["far_from_zero", "far_apart"])
+    def test_moments_of_distant_tiles_match_the_reference(self, monkeypatch, layout, weighted):
+        # four tiles of 8 rows with unit spread inside each. The first layer
+        # adds 1e6 times a constant input column, so its outputs sit about
+        # 1e6 from zero ("far_from_zero", tiles a few units apart) or about
+        # 1e6 apart ("far_apart"). A merge of per-tile sums of z and z**2
+        # would cancel away most digits of the first case's variance
+        rows = 32
+        rng = np.random.default_rng(37)
+        arrays = _stack_arrays(37, rows, (4, 5))
+        tile = np.arange(rows) // 8
+        x = arrays[0]
+        if layout == "far_from_zero":
+            x[:, 0] = 1.0
+            x[:, 1] += 3.0 * tile
+        else:
+            x[:, 0] = tile
+        arrays[1][0] = 1e6 * rng.uniform(0.5, 1.5, 4)
+        kwargs = {"weights": np.arange(rows) % 3 + 1.0} if weighted else {}
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 8 * 5)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", 8 * 5)
+        monkeypatch.setattr(ag, "_tile_pool", lambda: None)
+        assert ag._row_tiles(rows, 1, 5) == [(lo, lo + 8) for lo in range(0, rows, 8)]
+        got = _stack_run(arrays, True, **kwargs)
+        want = _stack_run(arrays, True, reference_bn_mlp, **kwargs)
+        for g, w in zip(got, want):
+            _assert_close_to_scale(g, w, 1e-9)
+
+    def test_a_tile_of_zero_weight_adds_nothing(self, monkeypatch):
+        # the rows of a tile whose weights are all zero count in no moment,
+        # and still normalize by the stack's
+        arrays = _stack_arrays(39, 24, (4, 5))
+        weights = np.arange(24) % 3 + 1.0
+        weights[8:16] = 0.0
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 8 * 5)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", 8 * 5)
+        assert ag._row_tiles(24, 1, 5) == [(0, 8), (8, 16), (16, 24)]
+        got = _stack_run(arrays, True, weights=weights)
+        want = _stack_run(arrays, True, reference_bn_mlp, weights=weights)
+        for g, w in zip(got, want):
+            _assert_close_to_scale(g, w)
+
+    @pytest.mark.parametrize("pool,weighted", [(None, False), ((4, (2, 4)), True)],
+                             ids=["unpooled", "pooled_weighted"])
+    def test_dropout_stack_matches_finite_differences(self, tile_pool, pool, weighted):
+        tile_pool(True)
+        assert len(ag._row_tiles(24, 1 if pool is None else pool[0], 4)) >= 3
+        weights = np.arange(24) % 3 + 1.0 if weighted else None
+        check_op_gradient(*_bn_gradient_case(761, 24, None, True, (4, 3), pool=pool,
+                                             weights=weights, dropout=0.3))
+        assert ag._pool.submitted > 0
 
     @pytest.mark.parametrize("rows,widths,kwargs,tile", EVAL_TILE_CASES, ids=EVAL_TILE_IDS)
     def test_evaluation_without_a_graph_gives_the_bits_of_one_tile(self, tile_pool, rows,
@@ -1030,6 +1155,52 @@ class TestTiles:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) > 1
+
+
+# (rows, widths, pool, tile elements): the area block's layers in tiles of one
+# pool group, and wide layers over tiles of 16 rows, where a weight-gradient
+# partial per tile would hold four [rows, widest] arrays
+BACKWARD_MEMORY_CASES = [
+    (16384, (64, 128, 128), (128, (16, 64, 128)), 1 << 14),
+    (4096, (64, 256), (16, (16,)), 1 << 12),
+]
+
+
+class TestTrainingBackwardMemory:
+    @pytest.mark.parametrize("rows,widths,pool,tile", BACKWARD_MEMORY_CASES,
+                             ids=["area_block", "wide_layers"])
+    def test_backward_holds_one_full_array(self, monkeypatch, rows, widths, pool, tile):
+        # beyond what the forward keeps, the backward of a tiled training
+        # stack on three runners allocates one [rows, widest] gradient store,
+        # the weight-gradient partials of one layer at a time (at most an
+        # eighth of that layer's [rows, width] array), and tile- or
+        # pool-output-sized change: together under 1 + 1/8 + 1/4 of a
+        # [rows, widest] array
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
+        helpers = CountingPool(2)
+        monkeypatch.setattr(ag, "_pool", helpers)
+        assert len(ag._row_tiles(rows, pool[0], max(widths))) >= 64
+        arrays = _stack_arrays(38, rows, widths)
+        layers = _stack_layers([ag.Tensor(a) for a in arrays[1:]])
+        weights = np.arange(rows) % 3 + 1.0
+        try:
+            out = ag.bn_mlp(arrays[0], layers, True, weights=weights, pool=pool)
+            g = np.random.default_rng(39).uniform(-1, 1, out.shape)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                grads = out.grad_fn(g)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            helpers.shutdown()
+        assert helpers.submitted > 0
+        assert len(grads) == 3 * len(widths)
+        full = rows * max(widths) * 8
+        assert peak <= full * (1 + 1 / 8 + 1 / 4), f"{peak} bytes, {peak / full:.2f} arrays"
 
 
 def _lstm_arrays(seed, steps, rows, saturate=False):

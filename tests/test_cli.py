@@ -183,6 +183,32 @@ class TestTrainCommand:
         assert "(line 5)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["point_file", "manifest"])
+    def test_data_file_not_utf8_exits_3_naming_it(self, tmp_path, capsys, target):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), *TINY_CLS]) == 0
+        manifest = data_dir / "manifest.txt"
+        bad = data_dir / "test_cube_000.pts" if target == "point_file" else manifest
+        bad.write_bytes(bad.read_bytes() + b"0 0 \xff\n")
+        assert _train(tmp_path / "run", ["--set", f"data.manifest={manifest}"]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_config_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_bytes(b"[train]\nepochs = 1\n# \xe9t\xe9\n")
+        assert main(["train", "--out", str(tmp_path / "run"), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {config} is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_noise_that_overflows_the_coordinates_exits_2_naming_it(self, tmp_path, capsys):
+        assert _train(tmp_path / "run", ["--set", "data.noise=1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "data.noise = 1e+308 gives point coordinates that are not finite" in err
+        assert "Traceback" not in err
+
 def _manifest_without(tmp_path, split, config=TINY_CLS):
     """A materialized synthetic manifest with every ``split`` record removed."""
     data_dir = tmp_path / "data"
