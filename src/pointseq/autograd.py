@@ -557,7 +557,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     if not layers:
         raise ShapeError("a dense stack needs at least one layer")
     rows, width = x_values.shape
-    widest = width
+    width_in = widest = width
     for weight, state in layers:
         if weight.ndim != 2 or weight.shape != (width, state.dim):
             raise ShapeError(f"layer weight of shape {weight.shape} does not map width "
@@ -782,13 +782,13 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                          if len(layer_runs) < len(passes)), default=0)
         top = saved[-1]
         # the gradient of the layer at hand sits in one buffer, where tile
-        # [lo, hi) owns elements [lo, hi) * deepest: the tile reads the
-        # gradient there as [hi - lo, width], then writes the layer below's
-        # over it
-        store = np.empty(rows * deepest)
+        # [lo, hi) owns rows [lo, hi): the tile reads the gradient there as
+        # [hi - lo, width], then writes the layer below's over it. The input
+        # gradient, last, takes the buffer's first columns
+        store = np.empty((rows, deepest if constant else max(deepest, width_in)))
 
         def stored(lo, hi, dim):
-            return _rows(store[lo * deepest:hi * deepest], hi - lo, dim)
+            return _rows(store[lo:hi].reshape(-1), hi - lo, dim)
 
         # per runner: dz, a relu's mask and a weight-gradient product
         most = max(hi - lo for lo, hi in passes)
@@ -838,7 +838,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             if lower is not None:
                 sums = np.empty((len(passes), 2, lower.dim))
             elif not constant:
-                gx = np.empty((rows, fan_in))
+                gx = store[:, :fan_in]
 
             def layer_pass(k, _, scratch):
                 dz_buffer, positive_buffer, product = scratch
