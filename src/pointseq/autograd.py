@@ -8,6 +8,7 @@ cross-checks them against central finite differences.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -52,10 +53,10 @@ def no_grad():
     backward closure, and every array only it held, is freed as soon as the
     op returns; :func:`bn_mlp` does not even compute what its backward would
     need. An eval-mode :func:`bn_mlp` then holds no full-size intermediate at
-    all: each row tile passes through every layer and the pool in scratch
-    buffers of its own tile's size, one pair for the calling thread and one
-    for each helper thread of the tile scheduler. The previous mode comes
-    back when the block exits, also by an exception.
+    all: each row tile passes through every layer and the pool in the
+    scratch buffers of the thread that works it, which that thread keeps
+    for its next call. The previous mode comes back when the block exits,
+    also by an exception.
     """
     global _recording
     previous, _recording = _recording, False
@@ -318,7 +319,7 @@ def _tile_pool():
     return _pool
 
 
-def _each_tile(bounds, fn, scratch=None):
+def _each_tile(bounds, fn):
     """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
 
     A caller-runs scheduler: the calling thread and up to one helper per
@@ -328,30 +329,23 @@ def _each_tile(bounds, fn, scratch=None):
     not scheduled stalls nothing, and a tile that itself calls
     ``_each_tile`` cannot deadlock: its own caller works every tile no helper
     takes. A single tile, or any number on one CPU, runs on the calling
-    thread alone and starts no thread.
-
-    With ``scratch``, a function of no arguments, the calling thread makes
-    one ``scratch()`` per runner before any tile runs, and each runner calls
-    ``fn(lo, hi, s)`` with its own ``s`` for every tile it takes, so tile
-    tasks need allocate nothing.
+    thread alone and starts no thread. A task takes its working buffers
+    from :func:`_scratch`, which gives each thread its own.
 
     A failing tile does not stop the others. The call returns once every
     started tile has finished, then raises the exception of the first
     failed tile in ``bounds`` order, if any.
     """
     if len(bounds) == 1:
-        fn(*bounds[0], *(() if scratch is None else (scratch(),)))
+        fn(*bounds[0])
         return
     pool = _tile_pool()
     helpers = 0 if pool is None else min(pool._max_workers, len(bounds) - 1)
-    own = [() if scratch is None else (scratch(),) for _ in range(helpers + 1)]
     tiles = iter(enumerate(bounds))
     take = threading.Lock()
     failures = []
 
     def run():
-        with take:
-            extra = own.pop()
         while True:
             with take:
                 tile = next(tiles, None)
@@ -359,7 +353,7 @@ def _each_tile(bounds, fn, scratch=None):
                 return
             i, (lo, hi) = tile
             try:
-                fn(lo, hi, *extra)
+                fn(lo, hi)
             except Exception as exc:
                 failures.append((i, exc))
 
@@ -406,7 +400,7 @@ def _runs(count, parts):
 
 
 def _rows(buffer, n, d):
-    """The first ``n * d`` elements of a flat scratch buffer, as [n, d]."""
+    """The first ``n * d`` elements of a flat buffer, as [n, d]."""
     return buffer[:n * d].reshape(n, d)
 
 
@@ -416,25 +410,34 @@ def _tile_sum(partials):
     return partials[0] if len(partials) == 1 else np.add.reduce(partials, axis=0)
 
 
-def _scratch_runner(make):
-    """``run(bounds, fn)``: :func:`_each_tile` with per-runner scratch from
-    ``make()``, where every call hands its runners the sets that earlier
-    calls made, and makes a new set only for a runner beyond those."""
-    sets = []
+# each thread's scratch buffers by (slot, dtype): see _scratch
+_held = threading.local()
+# private mappings, so a forked child writes to copies of its own
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
-    def run(bounds, fn):
-        taken = 0
 
-        def lend():
-            nonlocal taken
-            if taken == len(sets):
-                sets.append(make())
-            taken += 1
-            return sets[taken - 1]
+def _scratch(slot, n, d=1, dtype=np.float64):
+    """The calling thread's scratch buffer ``slot`` of ``dtype``, as an [n, d]
+    view.
 
-        _each_tile(bounds, fn, lend)
+    Every tile task takes its working buffers here. A thread's buffers live
+    as long as the thread and only grow, so no two threads ever share one,
+    and a task allocates nothing once its thread has worked a tile as large.
+    The one rule: a task never uses one slot for two arrays it needs at
+    once, and never runs tiled work while it holds a slot, since its own
+    thread would work some of those tiles in the same buffers. Nothing in
+    the program nests tiled work.
 
-    return run
+    Each buffer is an anonymous memory mapping of its own, not heap memory:
+    a long-lived heap block keeps the heap from shrinking below it, so the
+    large arrays of later calls would grow the heap past it.
+    """
+    buffers = vars(_held)
+    buffer = buffers.get((slot, dtype))
+    if buffer is None or len(buffer) < n * d:
+        size = max(n * d, 1) * np.dtype(dtype).itemsize
+        buffer = buffers[slot, dtype] = np.frombuffer(mmap.mmap(-1, size, **_PRIVATE), dtype)
+    return _rows(buffer, n, d)
 
 
 def _merge_moments(counts, stats):
@@ -504,8 +507,8 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     (:func:`_each_tile`), where the calling thread works the tiles together
     with one helper thread per further CPU the process may run on; a smaller
     stack in one tile on the calling thread. A tile task writes only its own
-    rows of arrays allocated before it, its runner's scratch (made once per
-    call and reused by each pass), and its own tile's partial results.
+    rows of arrays allocated before it, its thread's :func:`_scratch`
+    buffers, and its own tile's partial results.
 
     In training mode a layer takes two passes over the tiles. Pass A
     multiplies the tile by the weight and, while the tile is in cache, takes
@@ -544,10 +547,9 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     through every layer's matmul, scale and shift and relu, then the pool,
     and writes only the output rows (plus, when a graph is recorded, each
     layer's matmul output and the pool's winners). A layer's tile goes into
-    one of two alternating scratch buffers, of the largest tile's size; the
-    scheduler makes one pair per runner (the calling thread and each helper)
-    before any tile runs. The tile bounds are the ones above, so the result
-    is the same bits with or without a graph and for any number of threads.
+    one of two scratch slots, alternating. The tile bounds are the ones
+    above, so the result is the same bits with or without a graph and for
+    any number of threads.
     An eval-mode graph's backward runs as one tile.
     """
     constant = not isinstance(x, Tensor)
@@ -587,23 +589,24 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     keep = _recording
     tiles = _row_tiles(rows, group, widest)
     each_tile = [(t, t + 1) for t in range(len(tiles))]
-    # scratch holds layer outputs only: the input never goes there
-    deepest = max(state.dim for _, state in layers)
-    span = max(hi - lo for lo, hi in tiles) * deepest
     if pool is not None:
         m, d = rows // group, width
         out = np.empty((len(steps), m, d))
-        winners = [np.empty((m, 1, d), dtype=np.intp) for _ in steps] if keep else None
+        winners = [np.empty((m, d), dtype=np.intp) for _ in steps] if keep else None
 
-    def pool_groups(blocks, lo, hi):
+    def pool_groups(blocks, lo, hi, free):
         # the prefix maxima of the groups in rows [lo, hi), whose last
         # outputs ``blocks`` holds as [groups, group, d]. Every output is >= +0
-        # after the relu (or NaN), so its max is the winner's value bit for bit
+        # after the relu (or NaN), so its max is the winner's value bit for
+        # bit. The winners come from each window's transpose in the scratch
+        # slot ``free``: argmax over a last axis makes no temporary
         s = slice(lo // group, hi // group)
         for t, (k0, k1) in enumerate(steps):
             window = blocks[:, k0:k1]
             if keep:
-                np.argmax(window, axis=1, out=winners[t][s], keepdims=True)
+                moved = _scratch(free, len(blocks) * d, k1 - k0).reshape(-1, d, k1 - k0)
+                np.copyto(moved, window.transpose(0, 2, 1))
+                np.argmax(moved, axis=2, out=winners[t][s])
             np.max(window, axis=1, out=out[t, s])
             if t:
                 np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
@@ -614,7 +617,6 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     if training:
         counts = ([hi - lo for lo, hi in tiles] if weights is None
                   else [weights[lo:hi].sum() for lo, hi in tiles])
-        run = _scratch_runner(lambda: np.empty(span))
 
         def activate(layer, t, rows_y):
             # pass B over tile t: normalize the layer's deviations from the
@@ -637,7 +639,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             z = np.empty((rows, state.dim))
             stats = np.empty((len(tiles), 2, state.dim))
 
-            def pass_a(t, _, scratch):
+            def pass_a(t, _):
                 # the layer below's pass B, the matmul, and the tile's
                 # (weighted) mean and squared deviations about it; the
                 # deviations stay in place of the matmul output
@@ -645,7 +647,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 if below is None:
                     rows_a = x_values[lo:hi]
                 else:
-                    rows_a = activate(below, t, _rows(scratch, hi - lo, below.dim))
+                    rows_a = activate(below, t, _scratch(0, hi - lo, below.dim))
                 rows_z = np.matmul(rows_a, weight.values, out=z[lo:hi])
                 mean, m2 = stats[t]
                 if weights is None:
@@ -655,14 +657,14 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 if counts[t]:
                     mean /= counts[t]
                     rows_z -= mean
-                # the layer below's output is used up: its scratch takes the squares
-                squares = np.multiply(rows_z, rows_z, out=_rows(scratch, hi - lo, state.dim))
+                # the layer below's output is used up: its slot takes the squares
+                squares = np.multiply(rows_z, rows_z, out=_scratch(0, hi - lo, state.dim))
                 if weights is None:
                     np.add.reduce(squares, axis=0, out=m2)
                 else:
                     np.matmul(weights[lo:hi], squares, out=m2)
 
-            run(each_tile, pass_a)
+            _each_tile(each_tile, pass_a)
             total, mean, var = _merge_moments(counts, stats)
             state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
             state.running_var = (1.0 - momentum) * state.running_var + momentum * var
@@ -681,15 +683,15 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         if pool is None:
             a = np.empty((rows, width))
 
-        def pass_b(t, _, scratch):
+        def pass_b(t, _):
             lo, hi = tiles[t]
             if pool is None:
                 activate(below, t, a[lo:hi])
             else:
-                rows_y = activate(below, t, _rows(scratch, hi - lo, width))
-                pool_groups(rows_y.reshape(-1, group, width), lo, hi)
+                rows_y = activate(below, t, _scratch(0, hi - lo, width))
+                pool_groups(rows_y.reshape(-1, group, width), lo, hi, 1)
 
-        run(each_tile, pass_b)
+        _each_tile(each_tile, pass_b)
     else:
         # batch norm is one fixed scale and shift per column, so each tile
         # runs through every layer and the pool while it is in cache
@@ -702,18 +704,15 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 hat=np.empty((rows, state.dim)) if keep else None, scale=scale, shift=shift,
                 gain=scale, inv_std=inv_std, center=state.running_mean, mask=None))
         a = None if pool is not None else np.empty((rows, width))
-        # every layer but an unpooled last one writes its tile into one of two
-        # alternating scratch buffers, a pair per runner
+        # every layer but an unpooled last one writes its tile into scratch
+        # slot 0 or 1, alternating
         buffered = len(layers) - (pool is None)
 
-        def eval_tile(lo, hi, buffers):
+        def eval_tile(lo, hi):
             n = hi - lo
             rows_a = x_values[lo:hi]
             for i, layer in enumerate(saved):
-                if i < buffered:
-                    rows_y = _rows(buffers[i % 2], n, layer.dim)
-                else:
-                    rows_y = a[lo:hi]
+                rows_y = _scratch(i % 2, n, layer.dim) if i < buffered else a[lo:hi]
                 rows_z = rows_y if layer.hat is None else layer.hat[lo:hi]
                 np.matmul(rows_a, layer.weight, out=rows_z)
                 np.multiply(rows_z, layer.scale, out=rows_y)
@@ -721,10 +720,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 np.maximum(rows_y, 0.0, out=rows_y)
                 rows_a = rows_y
             if pool is not None:
-                pool_groups(rows_a.reshape(n // group, group, width), lo, hi)
+                # the slot the last layer's input held is free
+                pool_groups(rows_a.reshape(n // group, group, width), lo, hi, len(saved) % 2)
 
-        _each_tile(tiles, eval_tile,
-                   lambda: [np.empty(span) for _ in range(min(buffered, 2))])
+        _each_tile(tiles, eval_tile)
     if pool is not None:
         a = out.reshape(len(steps) * m, d)
     if not keep:
@@ -768,7 +767,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     def winner_rows(t, first, stop):
         # the row of prefix t's winner in every column of groups [first, stop)
         starts = np.arange(first, stop)[:, None] * group + steps[t][0]
-        return winners[t][first:stop, 0] + starts
+        return winners[t][first:stop] + starts
 
     def grad_fn(g):
         passes = tiles if training else [(0, rows)]
@@ -778,9 +777,8 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         # [rows, width] array
         runs = [_runs(len(passes), max(1, min(len(passes), rows // (8 * layer.weight.shape[0]))))
                 for layer in saved]
-        grad_span = max((layer.weight.size for layer, layer_runs in zip(saved, runs)
-                         if len(layer_runs) < len(passes)), default=0)
         top = saved[-1]
+        deepest = max(layer.dim for layer in saved)
         # the gradient of the layer at hand sits in one buffer, where tile
         # [lo, hi) owns rows [lo, hi): the tile reads the gradient there as
         # [hi - lo, width], then writes the layer below's over it. The input
@@ -790,19 +788,14 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         def stored(lo, hi, dim):
             return _rows(store[lo:hi].reshape(-1), hi - lo, dim)
 
-        # per runner: dz, a relu's mask and a weight-gradient product
-        most = max(hi - lo for lo, hi in passes)
-        run = _scratch_runner(lambda: (np.empty(most * deepest),
-                                       np.empty(most * deepest, dtype=bool),
-                                       np.empty(grad_span)))
         if pool is None:
             sums = np.empty((len(passes), 2, top.dim))
 
-            def gate_top(t, _, scratch):
+            def gate_top(t, _):
                 # the last relu's and dropout's masks on the gradient handed in
                 lo, hi = passes[t]
-                relu_in = _rows(scratch[0], hi - lo, top.dim)
-                positive = _rows(scratch[1], hi - lo, top.dim)
+                relu_in = _scratch(0, hi - lo, top.dim)
+                positive = _scratch(0, hi - lo, top.dim, bool)
                 np.multiply(top.hat[lo:hi], top.scale, out=relu_in)
                 relu_in += top.shift
                 np.greater(relu_in, 0.0, out=positive)
@@ -811,7 +804,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                     rows_g *= top.mask[lo:hi]
                 beta_gamma_sums(top, rows_g, top.hat[lo:hi], sums[t], relu_in)
 
-            run(each_pass, gate_top)
+            _each_tile(each_pass, gate_top)
         else:
             owed, columns = route(g.reshape(out.shape)), np.arange(d)
             hats = np.empty_like(owed)
@@ -840,8 +833,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             elif not constant:
                 gx = store[:, :fan_in]
 
-            def layer_pass(k, _, scratch):
-                dz_buffer, positive_buffer, product = scratch
+            def layer_pass(k, _):
                 first, stop = runs[i][k]
                 for t in range(first, stop):
                     lo, hi = passes[t]
@@ -855,7 +847,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                             rows_g[found - lo, columns] = owed[lo // group:hi // group, step]
                     else:
                         rows_g = stored(lo, hi, layer.dim)
-                    dz = _rows(dz_buffer, n, layer.dim)
+                    dz = _scratch(0, n, layer.dim)
                     if training:
                         # the batch moments depend on the input as well: remove
                         # the gradient's (weighted) column mean and its
@@ -874,7 +866,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         # the layer below's output, over the rows of the
                         # gradient just used, and where its relu passed
                         rows_a = stored(lo, hi, lower.dim)
-                        positive = _rows(positive_buffer, n, lower.dim)
+                        positive = _scratch(0, n, lower.dim, bool)
                         np.multiply(lower.hat[lo:hi], lower.scale, out=rows_a)
                         rows_a += lower.shift
                         np.greater(rows_a, 0.0, out=positive)
@@ -885,7 +877,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         np.matmul(rows_a.T, dz, out=partials[k])
                     else:
                         partials[k] += np.matmul(rows_a.T, dz,
-                                                 out=_rows(product, fan_in, layer.dim))
+                                                 out=_scratch(1, fan_in, layer.dim))
                     if lower is not None:
                         # the layer below's gradient, over its output
                         rows_below = np.matmul(dz, layer.weight.T, out=rows_a)
@@ -893,11 +885,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         if lower.mask is not None:
                             rows_below *= lower.mask[lo:hi]
                         beta_gamma_sums(lower, rows_below, lower.hat[lo:hi], sums[t],
-                                        _rows(dz_buffer, n, lower.dim))
+                                        _scratch(0, n, lower.dim))
                     elif gx is not None:
                         np.matmul(dz, layer.weight.T, out=gx[lo:hi])
 
-            run([(k, k + 1) for k in range(len(runs[i]))], layer_pass)
+            _each_tile([(k, k + 1) for k in range(len(runs[i]))], layer_pass)
             param_grads[:0] = (_tile_sum(partials), dgamma, dbeta)
             del partials
             if lower is not None:

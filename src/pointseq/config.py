@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -212,6 +213,26 @@ def parse_set_flag(text: str) -> tuple[str, str]:
     return dotted_key.strip(), raw.strip()
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _synthetic_bytes(cfg: RunConfig) -> int:
+    """About the most memory the synthetic set takes: every cloud's float64
+    points (and int64 part labels), plus the largest temporaries of one
+    cloud's neighborhood search, its [m, points] float64 distances and
+    [m, points] argpartition indices."""
+    dc, classification = cfg.data, cfg.model.task == "classification"
+    # a classification set draws each count once per class, of three
+    clouds = (dc.train_count + dc.test_count) * (3 if classification else 1)
+    per_point = 24 if classification else 32
+    return dc.points * (clouds * per_point + 16 * cfg.model.m)
+
+
 def validate_run_config(cfg: RunConfig) -> None:
     mc, tc = cfg.model, cfg.train
     if mc.task not in TASKS:
@@ -263,3 +284,9 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(f"data.noise must be non-negative, got {dc.noise}")
     if dc.train_count < 1 or dc.test_count < 1:
         raise ConfigError("data.train_count and data.test_count must be at least 1")
+    need, memory = _synthetic_bytes(cfg), _physical_memory()
+    if not dc.manifest and memory is not None and need > memory:
+        raise ConfigError(
+            f"data.points = {dc.points} needs about {need / 2**30:.1f} GiB "
+            f"for the synthetic set and its neighborhood search, more than the "
+            f"{memory / 2**30:.1f} GiB of physical memory")

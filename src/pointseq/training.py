@@ -111,26 +111,24 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
     or the step count moves.
 
     The check and the update work through the parameters in chunks of at
-    most 2**15 elements (see :func:`_adam_chunks`); the update goes through
-    two scratch buffers of the largest piece's size, so it stays in cache and
-    allocates nothing per parameter. Every element goes through the same
-    operations in the same order as in a whole-tensor update, so the result
-    is the same bits however the chunks fall. A model of 2**18 or more
-    parameters has its chunks worked on the tile scheduler, one scratch pair
-    per runner (``autograd._chunk_tiles``); a smaller one runs on the calling
-    thread and starts no thread.
+    most 2**15 elements (see :func:`_adam_chunks`), so each chunk stays in
+    cache. Both work in the scratch buffers of the thread that runs the
+    chunk (``autograd._scratch``) and allocate nothing per parameter. Every
+    element goes through the same operations in the same order as in a
+    whole-tensor update, so the result is the same bits however the chunks
+    fall. A model of 2**18 or more parameters has its chunks worked on the
+    tile scheduler (``autograd._chunk_tiles``); a smaller one runs on the
+    calling thread and starts no thread.
     """
     chunks = _adam_chunks(params, state)
-    sizes = [len(piece[-1]) for chunk in chunks for piece in chunk]
-    tiles = ag._chunk_tiles(len(chunks), sum(sizes))
-    span = max(sizes, default=0)
+    tiles = ag._chunk_tiles(len(chunks), sum(len(g) for chunk in chunks for *_, g in chunk))
 
     finite = np.ones(len(chunks), dtype=bool)
 
     def check(lo, hi):
         for k in range(lo, hi):
-            for piece in chunks[k]:
-                if not np.isfinite(piece[-1]).all():
+            for *_, g in chunks[k]:
+                if not np.isfinite(g, out=ag._scratch(0, len(g), dtype=bool)[:, 0]).all():
                     finite[k] = False
 
     ag._each_tile(tiles, check)
@@ -144,11 +142,10 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
     first_share, second_share = 1 - beta1, 1 - beta2
     first_unbias, second_unbias = 1 - beta1**t, 1 - beta2**t
 
-    def update(lo, hi, buffers):
-        step_buffer, root_buffer = buffers
+    def update(lo, hi):
         for k in range(lo, hi):
             for _, values, m, v, g in chunks[k]:
-                step, root = step_buffer[:len(g)], root_buffer[:len(g)]
+                step, root = ag._scratch(0, len(g))[:, 0], ag._scratch(1, len(g))[:, 0]
                 m *= beta1
                 m += np.multiply(g, first_share, out=step)
                 v *= beta2
@@ -164,7 +161,7 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
                 step /= root
                 values -= step
 
-    ag._each_tile(tiles, update, lambda: (np.empty(span), np.empty(span)))
+    ag._each_tile(tiles, update)
 
 
 def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:

@@ -9,7 +9,6 @@ import textwrap
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from helpers import (
     sum_reduce,
 )
 from pointseq import autograd as ag
+from pointseq import model, training
 from pointseq.errors import ConfigError, DataError, ShapeError
 
 # Added by a pass-through layer's batch norm and taken off after its pool, so
@@ -791,18 +791,6 @@ class TestBnMlp:
             ag.bn_mlp(np.ones(3), [])
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A helper pool that counts the helpers it is asked for."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submitted = 0
-
-    def submit(self, fn, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(fn, *args, **kwargs)
-
-
 # every eval variant of STACK_CASES over 24 rows in tiles of 8 elements, and
 # the area block's shape at the shipped tile size (BLAS may round much smaller
 # products differently)
@@ -814,26 +802,18 @@ EVAL_TILE_IDS.append("area_block")
 
 
 @pytest.fixture(params=[1, 2, 4], ids=["1_worker", "2_workers", "4_workers"])
-def tile_pool(request, monkeypatch):
-    """Yields ``split(on, tile=8)``, which makes stacks of ``tile`` or more
+def tile_pool(request, monkeypatch, helper_pool):
+    """Returns ``split(on, tile=8)``, which makes stacks of ``tile`` or more
     elements run in tiles of about ``tile`` elements on the calling thread
-    and 1, 2 or 4 helper threads, or, with ``on`` false, every stack one
-    tile. Threads switch as often as the interpreter allows, so a lost or
-    mixed-up tile would show."""
-    pool = CountingPool(request.param)
+    and 1, 2 or 4 helper threads (see ``helper_pool``), or, with ``on``
+    false, every stack one tile."""
+    helper_pool(request.param)
 
     def split(on, tile=8):
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile if on else 1 << 62)
         monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
 
-    monkeypatch.setattr(ag, "_pool", pool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield split
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown()
+    return split
 
 
 def _assert_close_to_scale(got, want, tol=1e-12):
@@ -860,10 +840,10 @@ TRAIN_TILE_IDS = [i for (training, *_), i in zip(STACK_CASES, STACK_IDS) if trai
 TRAIN_TILE_IDS += ["runs_of_tiles", "area_block"]
 
 
-def _reversed_tiles(bounds, fn, scratch=None):
+def _reversed_tiles(bounds, fn):
     """``_each_tile`` on the calling thread alone, last tile first."""
     for lo, hi in reversed(bounds):
-        fn(lo, hi, *(() if scratch is None else (scratch(),)))
+        fn(lo, hi)
 
 
 class TestTiles:
@@ -911,7 +891,8 @@ class TestTiles:
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows,widths,kwargs,tile", TRAIN_TILE_CASES, ids=TRAIN_TILE_IDS)
-    def test_training_bits_depend_on_no_schedule(self, monkeypatch, rows, widths, kwargs, tile):
+    def test_training_bits_depend_on_no_schedule(self, monkeypatch, helper_pool, rows, widths,
+                                                 kwargs, tile):
         # the same tiles on the calling thread alone, with 1, 2 or 4 helpers,
         # and one by one from the last: the same values, running statistics
         # and gradients, bit for bit
@@ -920,21 +901,11 @@ class TestTiles:
         monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
         group = 1 if kwargs["pool"] is None else kwargs["pool"][0]
         assert len(ag._row_tiles(rows, group, max(widths))) >= 3
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         runs = []
-        try:
-            for helpers in (0, 1, 2, 4):
-                threads = CountingPool(helpers) if helpers else None
-                monkeypatch.setattr(ag, "_tile_pool", lambda threads=threads: threads)
-                try:
-                    runs.append(_stack_run(arrays, True, **kwargs))
-                finally:
-                    if threads is not None:
-                        threads.shutdown()
-                assert threads is None or threads.submitted > 0
-        finally:
-            sys.setswitchinterval(interval)
+        for helpers in (0, 1, 2, 4):
+            threads = helper_pool(helpers)
+            runs.append(_stack_run(arrays, True, **kwargs))
+            assert threads is None or threads.submitted > 0
         monkeypatch.setattr(ag, "_each_tile", _reversed_tiles)
         runs.append(_stack_run(arrays, True, **kwargs))
         for run in runs[1:]:
@@ -1060,26 +1031,92 @@ class TestTiles:
         ag._each_tile([(0, 1), (1, 2)], task)
         assert ag._pool.submitted == ag._pool._max_workers + 1
 
-    def test_each_runner_works_with_its_own_scratch(self, tile_pool):
-        # the calling thread makes one scratch per runner before any tile
-        # runs; no two runners share one
-        made, used = [], {}
+    def test_no_two_threads_share_a_scratch_buffer(self, tile_pool):
+        # every thread has buffers of its own, one per slot, and gets the same
+        # ones back on its next call
+        got = []
 
-        def scratch():
-            made.append(threading.get_ident())
-            return [len(made)]
+        def task(lo, hi):
+            time.sleep(0.005)
+            buffers = (ag._scratch(0, 4), ag._scratch(1, 4), ag._scratch(0, 4, dtype=bool))
+            got.append((threading.get_ident(), tuple(b.ctypes.data for b in buffers)))
 
-        def task(lo, hi, own):
-            time.sleep(0.002)
-            used.setdefault(own[0], set()).add(threading.get_ident())
+        for _ in range(2):
+            ag._each_tile([(i, i + 1) for i in range(16)], task)
+        owned = dict(got)
+        assert len(owned) > 1
+        assert all(owned[ident] == addresses for ident, addresses in got)
+        addresses = [address for per_thread in owned.values() for address in per_thread]
+        assert len(set(addresses)) == len(addresses)
 
-        ag._each_tile([(i, i + 1) for i in range(16)], task, scratch)
-        assert made == [threading.get_ident()] * (ag._pool._max_workers + 1)
-        assert all(len(idents) == 1 for idents in used.values())
-        assert len(set().union(*used.values())) == len(used)
-        made.clear()
-        ag._each_tile([(0, 3)], lambda lo, hi, own: used.update({"one": own}), scratch)
-        assert made == [threading.get_ident()] and used["one"] == [1]
+    @pytest.mark.parametrize("work", ["eval_area_block", "adam_step"])
+    def test_a_repeated_call_allocates_no_scratch(self, helper_pool, work):
+        # the second of two identical calls works in the scratch the first
+        # made, and allocates its results and bookkeeping only: less than
+        # half of one tile's (or Adam chunk's) scratch buffer
+        helper_pool(0)
+        if work == "eval_area_block":
+            arrays = _stack_arrays(40, 4096, (64, 128))
+            assert len(ag._row_tiles(4096, 128, 128)) == 4
+
+            def call():
+                _eval_output(arrays, pool=(128, (16, 64, 128)))
+
+            buffer = 1024 * 128 * 8
+        else:
+            params = model.ModelParams()
+            w = params.add("w", np.random.default_rng(40).normal(size=ag._POOL_MIN_ELEMENTS))
+            w.grad = np.random.default_rng(41).normal(size=w.shape)
+            state = training.AdamState()
+            assert len(training._adam_chunks(params, state)) > 1
+
+            def call():
+                training.adam_step(params, state, lr=0.01)
+
+            buffer = training._ADAM_CHUNK * 8
+        call()
+        held = dict(vars(ag._held))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer / 2, f"{peak} bytes"
+        assert vars(ag._held).keys() == held.keys()
+        assert all(vars(ag._held)[key] is kept for key, kept in held.items())
+
+    def test_scratch_views_reuse_and_grow_one_buffer_per_slot(self):
+        # in a new thread, which holds no scratch yet
+        views = {}
+
+        def take():
+            views["first"] = ag._scratch(0, 3, 4)
+            views["smaller"] = ag._scratch(0, 2, 5)
+            views["larger"] = ag._scratch(0, 5, 5)
+            views["again"] = ag._scratch(0, 2)
+            views["other_slot"] = ag._scratch(1, 2)
+            views["mask"] = ag._scratch(0, 2, 3, dtype=bool)
+
+        thread = threading.Thread(target=take)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        shapes = {name: view.shape for name, view in views.items()}
+        assert shapes == {"first": (3, 4), "smaller": (2, 5), "larger": (5, 5),
+                          "again": (2, 1), "other_slot": (2, 1), "mask": (2, 3)}
+        assert views["mask"].dtype == bool
+        assert all(view.dtype == np.float64 for name, view in views.items() if name != "mask")
+        assert all(view.flags.c_contiguous for view in views.values())
+        base = views["first"].ctypes.data
+        # a smaller view reuses the buffer; a larger one replaces it, and
+        # later views reuse that
+        assert views["smaller"].ctypes.data == base
+        assert views["larger"].ctypes.data != base
+        assert views["again"].ctypes.data == views["larger"].ctypes.data
+        for name in ("other_slot", "mask"):
+            assert not np.shares_memory(views[name], views["larger"])
 
     def test_chunked_work_is_scheduled_from_the_stack_threshold(self, monkeypatch):
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 100)
@@ -1169,7 +1206,8 @@ BACKWARD_MEMORY_CASES = [
 class TestTrainingBackwardMemory:
     @pytest.mark.parametrize("rows,widths,pool,tile", BACKWARD_MEMORY_CASES,
                              ids=["area_block", "wide_layers"])
-    def test_backward_holds_one_full_array(self, monkeypatch, rows, widths, pool, tile):
+    def test_backward_holds_one_full_array(self, monkeypatch, helper_pool, rows, widths, pool,
+                                           tile):
         # beyond what the forward keeps, the backward of a tiled training
         # stack on three runners allocates one [rows, widest] gradient store,
         # the weight-gradient partials of one layer at a time (at most an
@@ -1178,25 +1216,21 @@ class TestTrainingBackwardMemory:
         # [rows, widest] array
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile)
         monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
-        helpers = CountingPool(2)
-        monkeypatch.setattr(ag, "_pool", helpers)
+        helpers = helper_pool(2)
         assert len(ag._row_tiles(rows, pool[0], max(widths))) >= 64
         arrays = _stack_arrays(38, rows, widths)
         layers = _stack_layers([ag.Tensor(a) for a in arrays[1:]])
         weights = np.arange(rows) % 3 + 1.0
+        out = ag.bn_mlp(arrays[0], layers, True, weights=weights, pool=pool)
+        g = np.random.default_rng(39).uniform(-1, 1, out.shape)
+        gc.collect()
+        tracemalloc.start()
         try:
-            out = ag.bn_mlp(arrays[0], layers, True, weights=weights, pool=pool)
-            g = np.random.default_rng(39).uniform(-1, 1, out.shape)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                grads = out.grad_fn(g)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            before = tracemalloc.get_traced_memory()[0]
+            grads = out.grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
-            helpers.shutdown()
+            tracemalloc.stop()
         assert helpers.submitted > 0
         assert len(grads) == 3 * len(widths)
         full = rows * max(widths) * 8

@@ -230,6 +230,12 @@ class TestSizeLimits:
             capsys.readouterr().err
         )
 
+    def test_synthetic_points_beyond_physical_memory_exit_2(self, tmp_path, capsys):
+        code = main(["train", *DESK_CLS, "--out", str(tmp_path),
+                     "--set", "data.points=1000000000000"])
+        assert code == 2
+        assert "data.points = 1000000000000 needs about" in capsys.readouterr().err
+
     def test_largest_scale_beyond_synthetic_points_exits_2(self, tmp_path, capsys):
         code = main(["train", *DESK_CLS, "--out", str(tmp_path), "--set", "model.scales=4,80"])
         assert code == 2

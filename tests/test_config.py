@@ -206,6 +206,16 @@ class TestValidation:
         self._reject("at least 1", **{"data.train_count": 0})
         self._reject("at least 1", **{"data.test_count": 0})
 
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_synthetic_points_beyond_physical_memory(self, task):
+        # checked from the sizes alone, before anything is drawn
+        self._reject(r"data.points = 1000000000000 needs about .* GiB of physical memory",
+                     **{"model.task": task, "data.points": 10**12})
+        # a manifest run draws no synthetic set
+        cfg = RunConfig()
+        cfg.data.manifest, cfg.data.points = "data/manifest.txt", 10**12
+        validate_run_config(cfg)
+
     def test_aggregators_cover_the_five_variants(self):
         assert AGGREGATORS == (
             "attention_ed", "no_attention", "no_decoder", "concat", "max_pool"

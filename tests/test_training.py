@@ -4,7 +4,6 @@ import gc
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -172,28 +171,24 @@ def _adam_case(seed):
 class TestAdamChunks:
     @pytest.mark.parametrize("helpers", [0, 1, 2, 4])
     @pytest.mark.parametrize("chunk", [5, 8, 1 << 15])
-    def test_matches_the_per_parameter_update_bit_for_bit(self, monkeypatch, chunk, helpers):
+    def test_matches_the_per_parameter_update_bit_for_bit(self, monkeypatch, helper_pool, chunk,
+                                                          helpers):
         # chunks of 5 and 8 elements end inside tensors and hold the ends of
         # several; with helpers, every chunk is a scheduler task
         monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 if helpers else 1 << 62)
-        pool = ThreadPoolExecutor(helpers) if helpers else None
-        monkeypatch.setattr(ag, "_pool", pool)
+        helper_pool(helpers)
         (p, want), grads = _adam_case(71)
         state, reference = AdamState(), AdamState()
-        try:
-            for step_grads in grads:
-                for (_, t), (_, w), g in zip(p.items(), want.items(), step_grads):
-                    t.grad, w.grad = g.copy(), g.copy()
-                adam_step(p, state, lr=0.01)
-                reference_adam_step(want, reference, lr=0.01)
-                for (name, t), (_, w) in zip(p.items(), want.items()):
-                    assert t.values.tobytes() == w.values.tobytes(), name
-                    assert state.first[name].tobytes() == reference.first[name].tobytes()
-                    assert state.second[name].tobytes() == reference.second[name].tobytes()
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for step_grads in grads:
+            for (_, t), (_, w), g in zip(p.items(), want.items(), step_grads):
+                t.grad, w.grad = g.copy(), g.copy()
+            adam_step(p, state, lr=0.01)
+            reference_adam_step(want, reference, lr=0.01)
+            for (name, t), (_, w) in zip(p.items(), want.items()):
+                assert t.values.tobytes() == w.values.tobytes(), name
+                assert state.first[name].tobytes() == reference.first[name].tobytes()
+                assert state.second[name].tobytes() == reference.second[name].tobytes()
         assert state.step == reference.step == 3
 
     def test_chunks_cut_the_flat_parameters_every_chunk_size(self, monkeypatch):
@@ -214,31 +209,27 @@ class TestAdamChunks:
                 assert np.shares_memory(values, p[name].values)
 
     @pytest.mark.parametrize("scheduled", [False, True])
-    def test_a_non_finite_gradient_moves_nothing(self, monkeypatch, scheduled):
+    def test_a_non_finite_gradient_moves_nothing(self, monkeypatch, helper_pool, scheduled):
         monkeypatch.setattr(training, "_ADAM_CHUNK", 5)
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 if scheduled else 1 << 62)
-        pool = ThreadPoolExecutor(2)
-        monkeypatch.setattr(ag, "_pool", pool)
+        helper_pool(2)
         (p, _), grads = _adam_case(73)
         state = AdamState()
-        try:
-            for (_, t), g in zip(p.items(), grads[0]):
-                t.grad = g
-            adam_step(p, state, lr=0.01)
-            before = {name: t.values.copy() for name, t in p.items()}
-            moments = {name: state.first[name].copy() for name in before}
-            for bad in (np.nan, np.inf, -np.inf):
-                for (_, t), g in zip(p.items(), grads[1]):
-                    t.grad = g.copy()
-                p["w4"].grad[2, 3] = bad
-                with pytest.raises(FloatingPointError, match="'w4'"):
-                    adam_step(p, state, lr=0.01)
-                assert state.step == 1
-                for name, t in p.items():
-                    assert t.values.tobytes() == before[name].tobytes()
-                    assert state.first[name].tobytes() == moments[name].tobytes()
-        finally:
-            pool.shutdown()
+        for (_, t), g in zip(p.items(), grads[0]):
+            t.grad = g
+        adam_step(p, state, lr=0.01)
+        before = {name: t.values.copy() for name, t in p.items()}
+        moments = {name: state.first[name].copy() for name in before}
+        for bad in (np.nan, np.inf, -np.inf):
+            for (_, t), g in zip(p.items(), grads[1]):
+                t.grad = g.copy()
+            p["w4"].grad[2, 3] = bad
+            with pytest.raises(FloatingPointError, match="'w4'"):
+                adam_step(p, state, lr=0.01)
+            assert state.step == 1
+            for name, t in p.items():
+                assert t.values.tobytes() == before[name].tobytes()
+                assert state.first[name].tobytes() == moments[name].tobytes()
 
 
 class TestSchedules:
@@ -640,9 +631,9 @@ class TestMemoryGuard:
         assert sequences.shape == (cfg.num_scales * len(geoms) * cfg.m, cfg.feature_dim)
         assert held <= budget, f"area block keeps {held} bytes, budget {budget:.0f}"
 
-    def test_evaluation_area_block_never_holds_a_full_layer(self, monkeypatch):
+    def test_evaluation_area_block_never_holds_a_full_layer(self, monkeypatch, helper_pool):
         # eval runs each row tile through the whole stack and its pool in
-        # per-worker scratch buffers, so at no moment does a [rows, widest]
+        # per-thread scratch buffers, so at no moment does a [rows, widest]
         # array exist
         cfg = tiny_cfg(m=32, scales=(8, 16, 32), area_hidden=(32, 64), feature_dim=64)
         rng = np.random.default_rng(62)
@@ -653,8 +644,7 @@ class TestMemoryGuard:
         tile = 1 << 12
         monkeypatch.setattr(ag, "_TILE_ELEMENTS", tile)
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", tile)
-        pool = ThreadPoolExecutor(2)
-        monkeypatch.setattr(ag, "_pool", pool)
+        helper_pool(2)
         assert len(ag._row_tiles(rows, cfg.scales[-1], widest)) >= 8
         budget = rows * widest * 8
         gc.collect()
@@ -666,7 +656,6 @@ class TestMemoryGuard:
                 peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-            pool.shutdown()
         assert sequences.shape == (cfg.num_scales * len(geoms) * cfg.m, cfg.feature_dim)
         assert peak < budget, f"eval area block peaks at {peak} bytes, budget {budget}"
 
