@@ -290,7 +290,7 @@ class BatchNormState:
 # A dense stack whose widest layer holds at least _POOL_MIN_ELEMENTS elements
 # runs its row-wise work in row tiles of about _TILE_ELEMENTS such elements on
 # the tile scheduler; chunked work of _POOL_MIN_ELEMENTS elements or more
-# (Adam's) goes on the scheduler a chunk per tile
+# (Adam's) goes on the scheduler a chunk per task
 _TILE_ELEMENTS = 1 << 17
 _POOL_MIN_ELEMENTS = 1 << 18
 
@@ -319,41 +319,41 @@ def _tile_pool():
     return _pool
 
 
-def _each_tile(bounds, fn):
-    """Call ``fn(lo, hi)`` for every ``(lo, hi)`` in ``bounds``.
+def _each_tile(count, fn):
+    """Call ``fn(i)`` for every task index ``i`` in ``range(count)``.
 
     A caller-runs scheduler: the calling thread and up to one helper per
-    further CPU (never more helpers than tiles after the first) take tiles
+    further CPU (never more helpers than tasks after the first) take indices
     from one shared iterator until it runs out. The calling thread then
     cancels every helper that has not started yet, so a helper the host has
-    not scheduled stalls nothing, and a tile that itself calls
-    ``_each_tile`` cannot deadlock: its own caller works every tile no helper
-    takes. A single tile, or any number on one CPU, runs on the calling
-    thread alone and starts no thread. A task takes its working buffers
-    from :func:`_scratch`, which gives each thread its own.
+    not scheduled stalls nothing, and a task that itself calls
+    ``_each_tile`` cannot deadlock: its own caller works every task no helper
+    takes. A single task, or any number on one CPU, runs on the calling
+    thread alone and starts no thread. Each caller indexes its own list of
+    tiles or runs, and a task takes its working buffers from
+    :func:`_scratch`, which gives each thread its own.
 
-    A failing tile does not stop the others. The call returns once every
-    started tile has finished, then raises the exception of the first
-    failed tile in ``bounds`` order, if any.
+    A failing task does not stop the others. The call returns once every
+    started task has finished, then raises the exception of the failed task
+    of lowest index, if any.
     """
-    if len(bounds) == 1:
-        fn(*bounds[0])
+    if count == 1:
+        fn(0)
         return
     pool = _tile_pool()
-    helpers = 0 if pool is None else min(pool._max_workers, len(bounds) - 1)
-    tiles = iter(enumerate(bounds))
+    helpers = 0 if pool is None else min(pool._max_workers, count - 1)
+    tasks = iter(range(count))
     take = threading.Lock()
     failures = []
 
     def run():
         while True:
             with take:
-                tile = next(tiles, None)
-            if tile is None:
+                i = next(tasks, None)
+            if i is None:
                 return
-            i, (lo, hi) = tile
             try:
-                fn(lo, hi)
+                fn(i)
             except Exception as exc:
                 failures.append((i, exc))
 
@@ -368,13 +368,11 @@ def _each_tile(bounds, fn):
 
 
 def _chunk_tiles(count, elements):
-    """Tile bounds over ``count`` independent chunks of work that hold
-    ``elements`` elements in all: one tile per chunk, worked on the
-    scheduler, from _POOL_MIN_ELEMENTS elements on; else one tile of every
+    """Runs ``[(start, stop), ...]`` over ``count`` independent chunks of work
+    that hold ``elements`` elements in all: a run per chunk, each a task on
+    the scheduler, from _POOL_MIN_ELEMENTS elements on; else one run of every
     chunk, on the calling thread alone."""
-    if elements < _POOL_MIN_ELEMENTS:
-        return [(0, count)]
-    return [(k, k + 1) for k in range(count)]
+    return _runs(count, 1 if elements < _POOL_MIN_ELEMENTS else count)
 
 
 def _row_tiles(rows, group, width):
@@ -588,7 +586,6 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     keep = _recording
     tiles = _row_tiles(rows, group, widest)
-    each_tile = [(t, t + 1) for t in range(len(tiles))]
     if pool is not None:
         m, d = rows // group, width
         out = np.empty((len(steps), m, d))
@@ -639,7 +636,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             z = np.empty((rows, state.dim))
             stats = np.empty((len(tiles), 2, state.dim))
 
-            def pass_a(t, _):
+            def pass_a(t):
                 # the layer below's pass B, the matmul, and the tile's
                 # (weighted) mean and squared deviations about it; the
                 # deviations stay in place of the matmul output
@@ -664,7 +661,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 else:
                     np.matmul(weights[lo:hi], squares, out=m2)
 
-            _each_tile(each_tile, pass_a)
+            _each_tile(len(tiles), pass_a)
             total, mean, var = _merge_moments(counts, stats)
             state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
             state.running_var = (1.0 - momentum) * state.running_var + momentum * var
@@ -683,7 +680,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         if pool is None:
             a = np.empty((rows, width))
 
-        def pass_b(t, _):
+        def pass_b(t):
             lo, hi = tiles[t]
             if pool is None:
                 activate(below, t, a[lo:hi])
@@ -691,7 +688,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 rows_y = activate(below, t, _scratch(0, hi - lo, width))
                 pool_groups(rows_y.reshape(-1, group, width), lo, hi, 1)
 
-        _each_tile(each_tile, pass_b)
+        _each_tile(len(tiles), pass_b)
     else:
         # batch norm is one fixed scale and shift per column, so each tile
         # runs through every layer and the pool while it is in cache
@@ -708,7 +705,8 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         # slot 0 or 1, alternating
         buffered = len(layers) - (pool is None)
 
-        def eval_tile(lo, hi):
+        def eval_tile(t):
+            lo, hi = tiles[t]
             n = hi - lo
             rows_a = x_values[lo:hi]
             for i, layer in enumerate(saved):
@@ -723,7 +721,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 # the slot the last layer's input held is free
                 pool_groups(rows_a.reshape(n // group, group, width), lo, hi, len(saved) % 2)
 
-        _each_tile(tiles, eval_tile)
+        _each_tile(len(tiles), eval_tile)
     if pool is not None:
         a = out.reshape(len(steps) * m, d)
     if not keep:
@@ -771,7 +769,6 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     def grad_fn(g):
         passes = tiles if training else [(0, rows)]
-        each_pass = [(t, t + 1) for t in range(len(passes))]
         # weight-gradient partials: one per run of consecutive tiles, as many
         # runs as keep one layer's partials within an eighth of its
         # [rows, width] array
@@ -791,7 +788,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         if pool is None:
             sums = np.empty((len(passes), 2, top.dim))
 
-            def gate_top(t, _):
+            def gate_top(t):
                 # the last relu's and dropout's masks on the gradient handed in
                 lo, hi = passes[t]
                 relu_in = _scratch(0, hi - lo, top.dim)
@@ -804,7 +801,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                     rows_g *= top.mask[lo:hi]
                 beta_gamma_sums(top, rows_g, top.hat[lo:hi], sums[t], relu_in)
 
-            _each_tile(each_pass, gate_top)
+            _each_tile(len(passes), gate_top)
         else:
             owed, columns = route(g.reshape(out.shape)), np.arange(d)
             hats = np.empty_like(owed)
@@ -833,7 +830,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             elif not constant:
                 gx = store[:, :fan_in]
 
-            def layer_pass(k, _):
+            def layer_pass(k):
                 first, stop = runs[i][k]
                 for t in range(first, stop):
                     lo, hi = passes[t]
@@ -889,7 +886,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                     elif gx is not None:
                         np.matmul(dz, layer.weight.T, out=gx[lo:hi])
 
-            _each_tile([(k, k + 1) for k in range(len(runs[i]))], layer_pass)
+            _each_tile(len(runs[i]), layer_pass)
             param_grads[:0] = (_tile_sum(partials), dgamma, dbeta)
             del partials
             if lower is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -42,6 +43,18 @@ __all__ = ["main", "build_arg_parser", "ABLATE_AXES"]
 ABLATE_AXES = ("M", "T", "rnn-hidden", "aggregation", "lr")
 
 
+def _tolerance(text: str) -> float:
+    """A positive finite number: nan, inf or a bound of 0 or less would make
+    every gradient pass or every one fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointseq",
@@ -60,6 +73,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text, description=text)
         if name == "ablate":
             cmd.add_argument("axis", choices=ABLATE_AXES, help="which axis to sweep")
+        if name == "gradcheck":
+            cmd.add_argument("--tolerance", type=_tolerance, default=1e-4, metavar="X",
+                             help="failure threshold, a positive finite number (default 1e-4)")
         cmd.add_argument("--config", metavar="PATH", help="configuration file")
         cmd.add_argument(
             "--set",
@@ -71,10 +87,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", metavar="DIR", help="output directory (run.out)")
         cmd.add_argument("--seed", type=int, metavar="N", help="train and data seed")
-        cmd.add_argument(
-            "--tolerance", type=float, metavar="X",
-            help="gradcheck failure threshold (default 1e-4)",
-        )
     return parser
 
 
@@ -225,7 +237,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
-    tolerance = args.tolerance if args.tolerance is not None else 1e-4
     _echo_config(cfg)
     checks = (
         ("classification", classification_gradient_check),
@@ -240,8 +251,8 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
             print(f"  {name:<{width}}  {report[name]:.3e}")
         print(f"{label} worst: {worst:.3e}")
         worst_overall = max(worst_overall, worst)
-    ok = worst_overall < tolerance
-    print(f"tolerance {tolerance:g}: {'PASS' if ok else 'FAIL'}")
+    ok = worst_overall < args.tolerance
+    print(f"tolerance {args.tolerance:g}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

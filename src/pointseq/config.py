@@ -233,8 +233,40 @@ def _synthetic_bytes(cfg: RunConfig) -> int:
     return dc.points * (clouds * per_point + 16 * cfg.model.m)
 
 
-def validate_run_config(cfg: RunConfig) -> None:
-    mc, tc = cfg.model, cfg.train
+def _json_value(default, value):
+    """A JSON ``value`` in the type of the field ``default``, or None where it
+    has another: a bool is no number, an int may stand for a float, a float
+    must be finite, and a tuple field lists ints."""
+    if isinstance(default, tuple):
+        items = [_json_value(0, v) for v in value] if isinstance(value, list) else [None]
+        return None if None in items else tuple(items)
+    if isinstance(default, float):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return float(value) if number and math.isfinite(value) else None
+    return value if type(value) is type(default) else None
+
+
+def model_config_from_dict(raw) -> ModelConfig:
+    """The model config a JSON object holds, checked as the [model] section
+    of a config file is: a known key, a value of its field's type, then
+    :func:`validate_model_config`. A missing key keeps its default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the model config must be a JSON object, got {raw!r}")
+    cfg = ModelConfig()
+    known = {f.name for f in fields(cfg)}
+    for key, value in raw.items():
+        if key not in known:
+            raise ConfigError(f"unknown configuration key model.{key}")
+        typed = _json_value(getattr(cfg, key), value)
+        if typed is None:
+            raise ConfigError(f"model.{key}: {value!r} is not of the type of "
+                              f"its default {getattr(cfg, key)!r}")
+        setattr(cfg, key, typed)
+    validate_model_config(cfg)
+    return cfg
+
+
+def validate_model_config(mc: ModelConfig) -> None:
     if mc.task not in TASKS:
         raise ConfigError(f"model.task must be one of {TASKS}, got {mc.task!r}")
     if mc.aggregator not in AGGREGATORS:
@@ -263,6 +295,11 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(f"model.dropout must be in [0, 1), got {mc.dropout}")
     if mc.bn_eps <= 0.0:
         raise ConfigError("model.bn_eps must be positive")
+
+
+def validate_run_config(cfg: RunConfig) -> None:
+    validate_model_config(cfg.model)
+    tc = cfg.train
     if tc.lr <= 0.0 or tc.lr_floor <= 0.0:
         raise ConfigError("train.lr and train.lr_floor must be positive")
     if tc.batch_size < 1:

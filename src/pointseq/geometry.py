@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "PointCloud",
     "Centroids",
-    "ScaleSpec",
-    "MultiScaleGrouping",
     "normalize_unit_ball",
     "farthest_point_sample",
     "knn_search",
@@ -63,38 +61,6 @@ class Centroids:
 
     def __len__(self):
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Strictly increasing neighborhood sizes, smallest to largest."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
-        if not sizes:
-            raise ValueError("at least one scale is required")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"scales must be positive, got {sizes}")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError(f"scales must be strictly increasing, got {sizes}")
-
-    def __len__(self):
-        return len(self.sizes)
-
-
-@dataclass(frozen=True)
-class MultiScaleGrouping:
-    """Per-region neighbor indices, nested across scales.
-
-    ``neighbor_indices[j]`` holds the largest-scale neighborhood of region j
-    in ascending distance order; each smaller scale is a prefix of it.
-    """
-
-    neighbor_indices: np.ndarray
-    scales: ScaleSpec
 
 
 def _stable_mean(points):
@@ -247,6 +213,7 @@ def brute_force_knn(cloud: PointCloud, query_point, k) -> np.ndarray:
     return order[:k].astype(np.int64)
 
 
-def group_areas(cloud: PointCloud, centroids: Centroids, scales: ScaleSpec) -> MultiScaleGrouping:
-    """Multi-scale areas around each centroid; scales nest by construction."""
-    return MultiScaleGrouping(knn_search(cloud, centroids.coords, scales.sizes[-1]), scales)
+def group_areas(cloud: PointCloud, centroids: Centroids, k) -> np.ndarray:
+    """[m, k] indices of each centroid's area at the largest scale ``k``, in
+    ascending distance order: a smaller scale's area is a prefix of its row."""
+    return knn_search(cloud, centroids.coords, k)

@@ -16,11 +16,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import BatchNormState, Tensor
-from .config import ModelConfig
-from .errors import DataError, ShapeError
+from .config import ModelConfig, model_config_from_dict
+from .errors import ConfigError, DataError, ShapeError
 from .geometry import (
     PointCloud,
-    ScaleSpec,
     farthest_point_sample,
     group_areas,
     nearest_candidates,
@@ -204,8 +203,7 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
     every scale; scale t's areas are its first k_t points per region.
     """
     centroids = farthest_point_sample(cloud, cfg.m)
-    grouping = group_areas(cloud, centroids, ScaleSpec(cfg.scales))
-    idx = grouping.neighbor_indices[:, : cfg.scales[-1]]
+    idx = group_areas(cloud, centroids, cfg.scales[-1])
     areas = cloud.points[idx] - centroids.coords[:, None, :]
     relative = [areas[:, :k] for k in cfg.scales]
     interp = None
@@ -439,24 +437,10 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
 _MAGIC = b"PSEQCKPT"
 _VERSION = 2
 
-_TUPLE_FIELDS = {
-    "scales", "area_hidden", "agg_widths", "head_widths",
-    "seg_prop1_widths", "seg_prop2_widths", "seg_head_widths",
-}
-
 
 def _config_to_dict(cfg: ModelConfig) -> dict:
     return {f.name: list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v
             for f in fields(cfg)}
-
-
-def _config_from_dict(raw: dict) -> ModelConfig:
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise DataError(f"checkpoint config has unknown fields: {sorted(unknown)}")
-    kwargs = {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in raw.items()}
-    return ModelConfig(**kwargs)
 
 
 def _records(params: ModelParams):
@@ -493,9 +477,10 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A file that is not a checkpoint, whose records do not match its config,
+    A file that is not a checkpoint, whose header config fails the checks of
+    a config file's [model] section, whose records do not match its config,
     or that holds a non-finite value or a negative running variance raises a
-    DataError naming the file (and the record).
+    DataError naming the file (and the key or record).
     """
     try:
         with open(path, "rb") as handle:
@@ -518,13 +503,18 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != _VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<I", take(4, "header length"))
     try:
         header = json.loads(bytes(take(header_len, "header")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"corrupt checkpoint {path}: bad header ({exc})") from exc
-    cfg = _config_from_dict(header.get("config", {}))
+    if not isinstance(header, dict):
+        raise DataError(f"corrupt checkpoint {path}: header is not a JSON object")
+    try:
+        cfg = model_config_from_dict(header.get("config", {}))
+    except ConfigError as exc:
+        raise DataError(f"corrupt checkpoint {path}: header config: {exc}") from None
     params = build_params(cfg)
     expected = dict(_records(params))
     (count,) = struct.unpack("<Q", take(8, "record count"))

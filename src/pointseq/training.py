@@ -68,13 +68,13 @@ _ADAM_CHUNK = 1 << 15
 def _adam_chunks(params: ModelParams, state: AdamState) -> list:
     """The parameters cut into chunks of at most ``_ADAM_CHUNK`` elements.
 
-    The flat parameters, in order, are cut every ``_ADAM_CHUNK`` elements, so
-    a large tensor spans several chunks and a chunk may hold the ends of
-    several small ones. Each chunk is a list of ``(name, values, first,
-    second, grad)`` pieces: flat views of one parameter's values and moments
-    and of its gradient over the same element range. Moments start at zero.
+    Each parameter is cut on its own, every ``_ADAM_CHUNK`` elements of its
+    flat values, so no chunk spans two parameters. A chunk is one ``(name,
+    values, first, second, grad)`` tuple: flat views of the parameter's
+    values and moments and of its gradient over the chunk's element range.
+    Moments start at zero.
     """
-    chunks, pieces, room = [], [], _ADAM_CHUNK
+    chunks = []
     for name, tensor in params.items():
         values, g = tensor.values, tensor.grad
         if g is None:
@@ -87,18 +87,8 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
             m = state.first[name] = np.zeros(values.shape)
             state.second[name] = np.zeros(values.shape)
         flat = (values.ravel(), m.ravel(), state.second[name].ravel(), g.ravel())
-        lo, size = 0, values.size
-        while lo < size:
-            hi = min(size, lo + room)
-            pieces.append((name, *flat) if hi - lo == size else
-                          (name, *(a[lo:hi] for a in flat)))
-            room -= hi - lo
-            lo = hi
-            if not room:
-                chunks.append(pieces)
-                pieces, room = [], _ADAM_CHUNK
-    if pieces:
-        chunks.append(pieces)
+        chunks += [(name, *(a[lo:lo + _ADAM_CHUNK] for a in flat))
+                   for lo in range(0, values.size, _ADAM_CHUNK)]
     return chunks
 
 
@@ -110,31 +100,29 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
     ``FloatingPointError`` naming its parameter before any parameter, moment
     or the step count moves.
 
-    The check and the update work through the parameters in chunks of at
+    The check and the update work through each parameter in chunks of at
     most 2**15 elements (see :func:`_adam_chunks`), so each chunk stays in
     cache. Both work in the scratch buffers of the thread that runs the
     chunk (``autograd._scratch``) and allocate nothing per parameter. Every
     element goes through the same operations in the same order as in a
     whole-tensor update, so the result is the same bits however the chunks
-    fall. A model of 2**18 or more parameters has its chunks worked on the
-    tile scheduler (``autograd._chunk_tiles``); a smaller one runs on the
-    calling thread and starts no thread.
+    fall. A model of 2**18 or more parameters has each chunk worked as a
+    task of the tile scheduler (``autograd._chunk_tiles``); a smaller one
+    runs on the calling thread and starts no thread.
     """
     chunks = _adam_chunks(params, state)
-    tiles = ag._chunk_tiles(len(chunks), sum(len(g) for chunk in chunks for *_, g in chunk))
+    runs = ag._chunk_tiles(len(chunks), sum(len(g) for *_, g in chunks))
 
     finite = np.ones(len(chunks), dtype=bool)
 
-    def check(lo, hi):
-        for k in range(lo, hi):
-            for *_, g in chunks[k]:
-                if not np.isfinite(g, out=ag._scratch(0, len(g), dtype=bool)[:, 0]).all():
-                    finite[k] = False
+    def check(r):
+        for k in range(*runs[r]):
+            g = chunks[k][-1]
+            finite[k] = np.isfinite(g, out=ag._scratch(0, len(g), dtype=bool)[:, 0]).all()
 
-    ag._each_tile(tiles, check)
+    ag._each_tile(len(runs), check)
     if not finite.all():
-        bad = next(name for name, *_, g in chunks[int(np.argmin(finite))]
-                   if not np.isfinite(g).all())
+        bad = chunks[int(np.argmin(finite))][0]
         raise FloatingPointError(f"parameter {bad!r} has a non-finite gradient")
 
     state.step += 1
@@ -142,26 +130,25 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
     first_share, second_share = 1 - beta1, 1 - beta2
     first_unbias, second_unbias = 1 - beta1**t, 1 - beta2**t
 
-    def update(lo, hi):
-        for k in range(lo, hi):
-            for _, values, m, v, g in chunks[k]:
-                step, root = ag._scratch(0, len(g))[:, 0], ag._scratch(1, len(g))[:, 0]
-                m *= beta1
-                m += np.multiply(g, first_share, out=step)
-                v *= beta2
-                np.multiply(g, second_share, out=step)
-                step *= g
-                v += step
-                # lr * m_hat / (sqrt(v_hat) + eps)
-                np.divide(m, first_unbias, out=step)
-                step *= lr
-                np.divide(v, second_unbias, out=root)
-                np.sqrt(root, out=root)
-                root += eps
-                step /= root
-                values -= step
+    def update(r):
+        for _, values, m, v, g in chunks[slice(*runs[r])]:
+            step, root = ag._scratch(0, len(g))[:, 0], ag._scratch(1, len(g))[:, 0]
+            m *= beta1
+            m += np.multiply(g, first_share, out=step)
+            v *= beta2
+            np.multiply(g, second_share, out=step)
+            step *= g
+            v += step
+            # lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, first_unbias, out=step)
+            step *= lr
+            np.divide(v, second_unbias, out=root)
+            np.sqrt(root, out=root)
+            root += eps
+            step /= root
+            values -= step
 
-    ag._each_tile(tiles, update)
+    ag._each_tile(len(runs), update)
 
 
 def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:

@@ -840,10 +840,10 @@ TRAIN_TILE_IDS = [i for (training, *_), i in zip(STACK_CASES, STACK_IDS) if trai
 TRAIN_TILE_IDS += ["runs_of_tiles", "area_block"]
 
 
-def _reversed_tiles(bounds, fn):
-    """``_each_tile`` on the calling thread alone, last tile first."""
-    for lo, hi in reversed(bounds):
-        fn(lo, hi)
+def _reversed_tiles(count, fn):
+    """``_each_tile`` on the calling thread alone, last task first."""
+    for i in reversed(range(count)):
+        fn(i)
 
 
 class TestTiles:
@@ -1002,33 +1002,33 @@ class TestTiles:
         # started tile has finished
         started, finished = set(), set()
 
-        def task(lo, hi):
-            started.add(lo)
-            if lo in (1, 5):
-                # the later tile fails first; the first in bounds order wins
-                time.sleep(0.02 if lo == 1 else 0.0)
-                raise FloatingPointError(f"tile {lo}")
+        def task(i):
+            started.add(i)
+            if i in (1, 5):
+                # the later tile fails first; the lowest index wins
+                time.sleep(0.02 if i == 1 else 0.0)
+                raise FloatingPointError(f"tile {i}")
             time.sleep(0.01)
-            finished.add(lo)
+            finished.add(i)
 
         with pytest.raises(FloatingPointError, match="tile 1"):
-            ag._each_tile([(i, i + 1) for i in range(8)], task)
+            ag._each_tile(8, task)
         assert started == set(range(8))
         assert finished == started - {1, 5}
 
     def test_every_tile_runs_once_and_the_caller_works_too(self, tile_pool):
         ran = []
 
-        def task(lo, hi):
+        def task(i):
             time.sleep(0.002)
-            ran.append((lo, threading.get_ident()))
+            ran.append((i, threading.get_ident()))
 
-        ag._each_tile([(i, i + 1) for i in range(16)], task)
-        assert sorted(lo for lo, _ in ran) == list(range(16))
+        ag._each_tile(16, task)
+        assert sorted(i for i, _ in ran) == list(range(16))
         assert threading.get_ident() in {ident for _, ident in ran}
         # one helper per worker of the pool, never more than tiles after the first
         assert ag._pool.submitted == ag._pool._max_workers
-        ag._each_tile([(0, 1), (1, 2)], task)
+        ag._each_tile(2, task)
         assert ag._pool.submitted == ag._pool._max_workers + 1
 
     def test_no_two_threads_share_a_scratch_buffer(self, tile_pool):
@@ -1036,13 +1036,13 @@ class TestTiles:
         # ones back on its next call
         got = []
 
-        def task(lo, hi):
+        def task(i):
             time.sleep(0.005)
             buffers = (ag._scratch(0, 4), ag._scratch(1, 4), ag._scratch(0, 4, dtype=bool))
             got.append((threading.get_ident(), tuple(b.ctypes.data for b in buffers)))
 
         for _ in range(2):
-            ag._each_tile([(i, i + 1) for i in range(16)], task)
+            ag._each_tile(16, task)
         owned = dict(got)
         assert len(owned) > 1
         assert all(owned[ident] == addresses for ident, addresses in got)
@@ -1129,12 +1129,10 @@ class TestTiles:
         # asks for helpers; each inner call's own thread works its tiles
         ran = []
 
-        def outer(lo, hi):
-            ag._each_tile([(4 * lo + j, 4 * lo + j + 1) for j in range(4)],
-                          lambda a, b: ran.append(a))
+        def outer(i):
+            ag._each_tile(4, lambda j: ran.append(4 * i + j))
 
-        runner = threading.Thread(target=ag._each_tile,
-                                  args=([(i, i + 1) for i in range(4)], outer), daemon=True)
+        runner = threading.Thread(target=ag._each_tile, args=(4, outer), daemon=True)
         runner.start()
         runner.join(timeout=30)
         assert not runner.is_alive()

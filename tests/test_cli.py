@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, outputs, and reproducibility."""
 
+import json
 import os
 import subprocess
 import sys
@@ -59,6 +60,41 @@ TINY_SEG = [
 
 def _train(out, extra=(), config=TINY_CLS):
     return main(["train", "--out", str(out), *config, *extra])
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of a checkpoint trained on TINY_CLS."""
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    assert _train(out) == 0
+    return (out / "checkpoint.bin").read_bytes()
+
+
+def _with_header(blob, edit):
+    """The checkpoint ``blob`` with its header JSON replaced by
+    ``edit(header)``: magic(8) + version(4) + header_len(4) + header + rest."""
+    size = int.from_bytes(blob[12:16], "little")
+    text = json.dumps(edit(json.loads(blob[16:16 + size]))).encode("utf-8")
+    return blob[:12] + len(text).to_bytes(4, "little") + text + blob[16 + size:]
+
+
+def _set_config(key, value):
+    def edit(header):
+        header["config"][key] = value
+        return header
+    return edit
+
+
+# (edit of the header, the key the error names, or None)
+BAD_HEADERS = {
+    "scales_not_a_list": (_set_config("scales", 5), "model.scales"),
+    "string_inside_scales": (_set_config("scales", [2, "4"]), "model.scales"),
+    "m_a_string": (_set_config("m", "eight"), "model.m"),
+    "m_a_bool": (_set_config("m", True), "model.m"),
+    "m_zero": (_set_config("m", 0), "model.m"),
+    "header_a_list": (lambda header: [], None),
+    "config_a_list": (lambda header: {**header, "config": [1]}, None),
+}
 
 
 class TestTrainCommand:
@@ -330,6 +366,18 @@ class TestEvalCommand:
         assert f"{path}: record '{name}.running_var' holds a non-finite value" in captured.err
         assert "loss=" not in captured.out
 
+    @pytest.mark.parametrize("case", BAD_HEADERS)
+    def test_bad_header_config_exits_3_naming_the_file(self, tmp_path, capsys,
+                                                       tiny_checkpoint, case):
+        edit, key = BAD_HEADERS[case]
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(_with_header(tiny_checkpoint, edit))
+        assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
+        err = capsys.readouterr().err
+        assert f"corrupt checkpoint {path}: header" in err
+        assert key is None or key in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
         capsys.readouterr()
@@ -363,6 +411,20 @@ class TestGradcheckCommand:
     def test_unreachable_tolerance_fails_with_exit_1(self, capsys):
         assert main(["gradcheck", "--tolerance", "1e-12"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["gradcheck", f"--tolerance={value}"])
+        assert err.value.code == 2
+        assert "--tolerance: must be a positive finite number" in capsys.readouterr().err
+
+    def test_only_gradcheck_takes_a_tolerance(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--out", str(tmp_path), *TINY_CLS, "--tolerance", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tolerance 5" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.log").exists()
 
 
 class TestAblateCommand:

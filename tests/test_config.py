@@ -9,6 +9,7 @@ from pointseq.config import (
     apply_setting,
     dump_run_config,
     load_run_config,
+    model_config_from_dict,
     parse_set_flag,
     validate_run_config,
 )
@@ -220,3 +221,28 @@ class TestValidation:
         assert AGGREGATORS == (
             "attention_ed", "no_attention", "no_decoder", "concat", "max_pool"
         )
+
+
+class TestModelConfigFromDict:
+    def test_a_saved_config_comes_back_equal(self):
+        cfg = ModelConfig(task="segmentation", m=8, scales=(2, 4), dropout=0.25)
+        raw = {name: list(value) if isinstance(value, tuple) else value
+               for name, value in vars(cfg).items()}
+        assert model_config_from_dict(raw) == cfg
+        assert model_config_from_dict({}) == ModelConfig()
+
+    def test_an_int_stands_for_a_float(self):
+        cfg = model_config_from_dict({"dropout": 0})
+        assert cfg.dropout == 0.0 and isinstance(cfg.dropout, float)
+
+    @pytest.mark.parametrize("key,value", [
+        ("bn_eps", float("nan")), ("dropout", float("inf")), ("dropout", True),
+        ("interp_k", 3.0), ("task", 1), ("head_widths", [64, 32.0]), ("bogus", 1),
+    ])
+    def test_a_value_of_another_type_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            model_config_from_dict({key: value})
+
+    def test_the_model_rules_apply(self):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            model_config_from_dict({"scales": [4, 4]})

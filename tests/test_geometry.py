@@ -42,15 +42,6 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             geo.PointCloud(np.zeros((2, 3)), labels=[1])
 
-    def test_scale_spec_strictly_increasing(self):
-        geo.ScaleSpec((16, 32, 64, 128))
-        with pytest.raises(ValueError):
-            geo.ScaleSpec((16, 16))
-        with pytest.raises(ValueError):
-            geo.ScaleSpec((32, 16))
-        with pytest.raises(ValueError):
-            geo.ScaleSpec(())
-
 
 class TestNormalizeUnitBall:
     def test_two_point_example(self):
@@ -315,36 +306,36 @@ class TestGroupAreas:
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, 64)
         centroids = geo.farthest_point_sample(cloud, 6)
-        grouping = geo.group_areas(cloud, centroids, geo.ScaleSpec((4, 8, 16)))
+        grouping = geo.group_areas(cloud, centroids, 16)
         # each smaller scale's own search equals a prefix of the largest area
-        assert grouping.neighbor_indices.shape == (6, 16)
+        assert grouping.shape == (6, 16)
         for k in (4, 8):
             small = geo.knn_search(cloud, centroids.coords, k)
-            np.testing.assert_array_equal(grouping.neighbor_indices[:, :k], small)
+            np.testing.assert_array_equal(grouping[:, :k], small)
 
     def test_eight_point_cloud_against_brute_force(self):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, 8)
         centroids = geo.farthest_point_sample(cloud, 2)
-        grouping = geo.group_areas(cloud, centroids, geo.ScaleSpec((2, 4)))
+        grouping = geo.group_areas(cloud, centroids, 4)
         for j in range(2):
-            for t, k in enumerate((2, 4)):
+            for k in (2, 4):
                 expect = knn_exhaustive(cloud.points, centroids.coords[j], k)
-                np.testing.assert_array_equal(grouping.neighbor_indices[j, :k], expect)
+                np.testing.assert_array_equal(grouping[j, :k], expect)
 
     def test_scale_exceeding_cloud_rejected(self):
         cloud = geo.PointCloud(np.eye(3))
         centroids = geo.farthest_point_sample(cloud, 1)
         with pytest.raises(ValueError):
-            geo.group_areas(cloud, centroids, geo.ScaleSpec((2, 4)))
+            geo.group_areas(cloud, centroids, 4)
 
     def test_k_equals_n_exhausts_cloud(self):
         rng = np.random.default_rng(10)
         cloud = random_cloud(rng, 12)
         centroids = geo.farthest_point_sample(cloud, 3)
-        grouping = geo.group_areas(cloud, centroids, geo.ScaleSpec((4, 12)))
+        grouping = geo.group_areas(cloud, centroids, 12)
         for j in range(3):
-            assert sorted(grouping.neighbor_indices[j, :12].tolist()) == list(range(12))
+            assert sorted(grouping[j, :12].tolist()) == list(range(12))
 
 
 def relative_areas(points, m, scales):
@@ -391,17 +382,17 @@ class TestPermutationInvariance:
         perm = rng.permutation(n)
         shuffled = geo.PointCloud(base.points[perm])
 
-        m, scales = 5, geo.ScaleSpec((3, 7))
+        m, scales = 5, (3, 7)
         cent_a = geo.farthest_point_sample(base, m)
         cent_b = geo.farthest_point_sample(shuffled, m)
         np.testing.assert_array_equal(cent_a.coords, cent_b.coords)
 
-        group_a = geo.group_areas(base, cent_a, scales)
-        group_b = geo.group_areas(shuffled, cent_b, scales)
+        group_a = geo.group_areas(base, cent_a, scales[-1])
+        group_b = geo.group_areas(shuffled, cent_b, scales[-1])
         for j in range(m):
-            for k in scales.sizes:
-                coords_a = base.points[group_a.neighbor_indices[j, :k]]
-                coords_b = shuffled.points[group_b.neighbor_indices[j, :k]]
+            for k in scales:
+                coords_a = base.points[group_a[j, :k]]
+                coords_b = shuffled.points[group_b[j, :k]]
                 np.testing.assert_array_equal(coords_a, coords_b)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -173,8 +173,8 @@ class TestAdamChunks:
     @pytest.mark.parametrize("chunk", [5, 8, 1 << 15])
     def test_matches_the_per_parameter_update_bit_for_bit(self, monkeypatch, helper_pool, chunk,
                                                           helpers):
-        # chunks of 5 and 8 elements end inside tensors and hold the ends of
-        # several; with helpers, every chunk is a scheduler task
+        # chunks of 5 and 8 elements end inside tensors; with helpers, every
+        # chunk is a scheduler task
         monkeypatch.setattr(training, "_ADAM_CHUNK", chunk)
         monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 if helpers else 1 << 62)
         helper_pool(helpers)
@@ -196,17 +196,25 @@ class TestAdamChunks:
         (p, _), grads = _adam_case(72)
         for (_, t), g in zip(p.items(), grads[0]):
             t.grad = g
-        chunks = training._adam_chunks(p, AdamState())
-        sizes = [sum(len(piece[1]) for piece in chunk) for chunk in chunks]
-        total = sum(t.size for _, t in p.items())
-        assert sizes == [5] * (total // 5) + ([total % 5] if total % 5 else [])
-        # w0 (12 elements) spans three chunks; the second chunk holds its
-        # middle only, and the third its end and the start of w1
-        assert [piece[0] for piece in chunks[1]] == ["w0"]
-        assert [piece[0] for piece in chunks[2]] == ["w0", "w1"]
-        for chunk in chunks:
-            for name, values, *_ in chunk:
-                assert np.shares_memory(values, p[name].values)
+        state = AdamState()
+        chunks = training._adam_chunks(p, state)
+        # each parameter is cut on its own: w0 (12 elements) into 5, 5 and 2
+        sizes = [(name, len(values)) for name, values, *_ in chunks]
+        assert sizes == [(name, size) for name, t in p.items()
+                         for size in [5] * (t.size // 5) + [t.size % 5] * (t.size % 5 > 0)]
+        # no chunk spans two parameters, and every element is covered once,
+        # at the same offset in the values, both moments and the gradient
+        covered = {name: np.zeros(t.size, dtype=int) for name, t in p.items()}
+        for name, *views in chunks:
+            owners = [p[name].values, state.first[name], state.second[name], p[name].grad]
+            starts = {(view.ctypes.data - owner.ctypes.data) // 8
+                      for view, owner in zip(views, owners)}
+            assert len(starts) == 1
+            start = starts.pop()
+            covered[name][start:start + len(views[0])] += 1
+            for other, t in p.items():
+                assert np.shares_memory(views[0], t.values) == (other == name)
+        assert all((count == 1).all() for count in covered.values())
 
     @pytest.mark.parametrize("scheduled", [False, True])
     def test_a_non_finite_gradient_moves_nothing(self, monkeypatch, helper_pool, scheduled):
