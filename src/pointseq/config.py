@@ -190,7 +190,7 @@ def load_run_config(path=None, sets=(), seed=None, out=None) -> RunConfig:
             raise ConfigError(f"malformed config file: {exc}") from exc
         for section in parser.sections():
             if section not in _SECTIONS:
-                raise ConfigError(f"unknown configuration section [{section}]")
+                raise ConfigError(f"config file {path}: unknown configuration section [{section}]")
             for key, raw in parser.items(section):
                 _assign(getattr(cfg, section), key, raw, f"{section}.{key}")
     for dotted_key, raw in sets:

@@ -30,7 +30,6 @@ __all__ = [
     "ModelParams",
     "ForwardContext",
     "CloudGeometry",
-    "EncoderTrace",
     "build_params",
     "prepare_cloud",
     "area_pooled_feature",
@@ -259,64 +258,44 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
     return ag.reshape(pooled, (cfg.feature_dim,))
 
 
-@dataclass
-class EncoderTrace:
-    """Recurrent encoder hidden states, [steps*rows, hidden], stacked by step
-    as :func:`autograd.lstm` returns them; rows are regions."""
-
-    states: Tensor
-    steps: int
-
-    def last(self) -> Tensor:
-        """The final step's [rows, hidden] states, sliced off as a new node."""
-        rows = self.states.shape[0] // self.steps
-        return ag.slice_axis(self.states, 0, (self.steps - 1) * rows, self.steps * rows)
-
-
-def _encode(stacked, steps, params: ModelParams) -> EncoderTrace:
-    states = ag.lstm(stacked, steps, params["encoder.weight"], params["encoder.bias"])
-    return EncoderTrace(states, steps)
-
-
-def encode_sequence(sequence, params: ModelParams) -> EncoderTrace:
-    """Run the encoder over one region's [steps, feature] sequence."""
+def encode_sequence(sequence, params: ModelParams) -> Tensor:
+    """Run the encoder over one region's [steps, feature] sequence and return
+    its [steps, hidden] hidden states, one row per step."""
     sequence = ag.tensor(sequence)
     if sequence.ndim != 2 or sequence.shape[0] < 1:
         raise ShapeError(f"encode_sequence expects [steps >= 1, features], got {sequence.shape}")
-    return _encode(sequence, sequence.shape[0], params)
+    return ag.lstm(sequence, sequence.shape[0], params["encoder.weight"], params["encoder.bias"])
 
 
-def attention_scores(decoder_hidden, trace: EncoderTrace, score_weight) -> Tensor:
+def attention_scores(decoder_hidden, states, score_weight) -> Tensor:
     """Attention over encoder steps: softmax of bilinear alignment scores.
 
-    ``decoder_hidden`` is [rows, hidden]; the result is a [rows, steps] leaf.
+    ``decoder_hidden`` is [rows, hidden]; ``states`` stacks one [rows, hidden]
+    block per step, as :func:`encode_sequence` returns them, so the steps
+    are ``len(states) // rows``. States that do not split into whole steps
+    raise a ShapeError. The result is a [rows, steps] leaf.
     """
-    _, alpha = ag.attend(decoder_hidden, trace.states, trace.steps, score_weight)
+    decoder_hidden, states = ag.tensor(decoder_hidden), ag.tensor(states)
+    steps = states.shape[0] // decoder_hidden.shape[0]
+    _, alpha = ag.attend(decoder_hidden, states, steps, score_weight)
     return ag.tensor(alpha)
 
 
-def _decode_regions(trace: EncoderTrace, params: ModelParams):
-    """Batched one-step decoder with content attention over encoder states.
-
-    Returns the [rows, feature] region features, the [rows, steps] attention
-    weights (an array), and the attended [rows, hidden] context.
-    """
-    # one decoder step from a zero state, fed the last encoder state
-    dec_hidden = ag.lstm(trace.last(), 1, params["decoder.weight"], params["decoder.bias"])
-    context, alpha = ag.attend(dec_hidden, trace.states, trace.steps,
-                               params["attn_score.weight"])
-    combined = ag.tanh(ag.matmul(ag.concat([context, dec_hidden], axis=1),
-                                 params["attn_combine.weight"]))
-    region = ag.matmul(combined, params["region_out_proj.weight"])
-    return region, alpha, context
-
-
 def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Collapse the scale-stacked sequences into one [rows, region_dim] matrix."""
+    """Collapse the scale-stacked sequences into one [rows, region_dim] matrix.
+
+    ``max_pool`` and ``concat`` combine the scales directly. The recurrent
+    aggregators run the encoder LSTM over the scales; ``no_decoder`` returns
+    its last state. Otherwise one decoder step from a zero state reads that
+    last state: ``no_attention`` projects the decoder state, and
+    ``attention_ed`` attends from it over every encoder state, then projects
+    tanh of the combined context and decoder state.
+    """
+    steps = cfg.num_scales
+    rows = sequences.shape[0] // steps
     if cfg.aggregator in ("max_pool", "concat"):
-        rows = sequences.shape[0] // cfg.num_scales
         per_scale = [ag.slice_axis(sequences, 0, t * rows, (t + 1) * rows)
-                     for t in range(cfg.num_scales)]
+                     for t in range(steps)]
         if cfg.aggregator == "concat":
             stacked = ag.concat(per_scale, axis=1)
             return ag.matmul(stacked, params["concat_proj.weight"]) + params["concat_proj.bias"]
@@ -324,14 +303,17 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
         for s in per_scale[1:]:
             out = ag.maximum(out, s)
         return out
-    trace = _encode(sequences, cfg.num_scales, params)
+    states = ag.lstm(sequences, steps, params["encoder.weight"], params["encoder.bias"])
+    last = ag.slice_axis(states, 0, (steps - 1) * rows, steps * rows)
     if cfg.aggregator == "no_decoder":
-        return trace.last()
+        return last
+    dec_hidden = ag.lstm(last, 1, params["decoder.weight"], params["decoder.bias"])
     if cfg.aggregator == "no_attention":
-        dec_hidden = ag.lstm(trace.last(), 1, params["decoder.weight"], params["decoder.bias"])
         return ag.matmul(dec_hidden, params["decoder_out_proj.weight"])
-    region, _alpha, _context = _decode_regions(trace, params)
-    return region
+    context, _alpha = ag.attend(dec_hidden, states, steps, params["attn_score.weight"])
+    combined = ag.tanh(ag.matmul(ag.concat([context, dec_hidden], axis=1),
+                                 params["attn_combine.weight"]))
+    return ag.matmul(combined, params["region_out_proj.weight"])
 
 
 def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
@@ -395,13 +377,11 @@ def interpolation_weights(targets, sources, k: int) -> np.ndarray:
     return weights
 
 
-def interpolate_features(targets, sources, features, k: int):
-    """Features carried from ``sources`` onto ``targets`` by inverse-square
-    distance over the k nearest sources. Differentiable in ``features``."""
-    w = interpolation_weights(targets, sources, k)
-    if isinstance(features, Tensor):
-        return ag.matmul(ag.tensor(w), features)
-    return w @ np.asarray(features, dtype=np.float64)
+def interpolate_features(targets, sources, features, k: int) -> np.ndarray:
+    """Features carried from ``sources`` onto ``targets``: the
+    :func:`interpolation_weights` over the k nearest sources times the
+    [sources, width] ``features`` array."""
+    return interpolation_weights(targets, sources, k) @ np.asarray(features, dtype=np.float64)
 
 
 def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):

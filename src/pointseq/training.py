@@ -335,8 +335,8 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
     For classification ``*_labels`` are per-cloud class ids; for segmentation
     they are ignored and per-point labels ride in the clouds themselves.
     """
-    if not train_clouds:
-        raise ConfigError("training requires at least one cloud")
+    if not train_clouds or not test_clouds:
+        raise ConfigError("training requires at least one train and one test cloud")
     rng = np.random.default_rng(tcfg.seed)
     params = build_params(cfg, rng)
     adam = AdamState()
@@ -404,10 +404,6 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
             best_epoch = epoch
             best_snapshot = params.snapshot()
 
-    if best_snapshot is None:
-        best_snapshot = params.snapshot()
-        best_epoch = 0
-        best_metric = float("nan")
     return TrainResult(params, cfg, history, lines, best_epoch, best_metric, best_snapshot)
 
 

@@ -1,0 +1,92 @@
+"""Malformed-input corpus: seeded byte flips and truncations of a valid desk
+checkpoint, point file, manifest and config file, each run through
+``pointseq eval`` in-process.
+
+Every case must exit 0, 2 or 3 and print no traceback; a flip can leave a
+file valid, so exit 0 is allowed. An exit of 2 or 3 must name the damaged
+file, or, for the config file, a key.
+"""
+
+import random
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+
+from pointseq.cli import main
+
+DESK_CLS = Path(__file__).resolve().parent.parent / "configs" / "desk_classification.ini"
+# one train and one test cloud per class keeps every case a few milliseconds
+SMALL = ["--set", "data.train_count=1", "--set", "data.test_count=1"]
+
+# the damaged file of each kind, relative to a copy of the valid tree
+TARGETS = {
+    "checkpoint": "run/checkpoint.bin",
+    "point_file": "data/test_cube_000.pts",
+    "manifest": "data/manifest.txt",
+    "config": "config.ini",
+}
+SEEDS = range(30)
+KEY = re.compile(r"\b(run|model|train|data|ablate)\.[a-z_]+")
+
+
+def flip(blob, rng):
+    """``blob`` with one to three bytes XOR-ed with a non-zero byte: half the
+    draws flip anywhere, half in the first 512 bytes, where a checkpoint
+    keeps its header."""
+    out = bytearray(blob)
+    span = len(out) if rng.random() < 0.5 else min(len(out), 512)
+    for _ in range(rng.randint(1, 3)):
+        out[rng.randrange(span)] ^= rng.randint(1, 255)
+    return bytes(out)
+
+
+def truncate(blob, rng):
+    """The first ``0 <= n < len(blob)`` bytes of ``blob``."""
+    return blob[:rng.randrange(len(blob))]
+
+
+MUTATIONS = {"flip": flip, "truncate": truncate}
+
+
+@pytest.fixture(scope="module")
+def valid_tree(tmp_path_factory):
+    """A config file, a small desk dataset as point files with their
+    manifest, and a checkpoint trained on it for one epoch."""
+    root = tmp_path_factory.mktemp("valid")
+    shutil.copyfile(DESK_CLS, root / "config.ini")
+    config = ["--config", str(root / "config.ini"), *SMALL]
+    assert main(["synth", "--out", str(root / "data"), *config]) == 0
+    assert main(["train", "--out", str(root / "run"), *config,
+                 "--set", f"data.manifest={root / 'data' / 'manifest.txt'}",
+                 "--set", "train.epochs=1"]) == 0
+    return root
+
+
+def _eval(root):
+    return main(["eval", "--config", str(root / "config.ini"), "--out", str(root / "run"),
+                 "--set", f"data.manifest={root / 'data' / 'manifest.txt'}"])
+
+
+def test_the_valid_tree_evaluates(valid_tree, capsys):
+    assert _eval(valid_tree) == 0
+    assert "samples=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("kind", TARGETS)
+def test_damaged_input_exits_cleanly_naming_it(valid_tree, tmp_path, capsys,
+                                               kind, mutation, seed):
+    root = tmp_path / "tree"
+    shutil.copytree(valid_tree, root)
+    target = root / TARGETS[kind]
+    rng = random.Random(f"{kind}-{mutation}-{seed}")
+    target.write_bytes(MUTATIONS[mutation](target.read_bytes(), rng))
+    code = _eval(root)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert str(target) in err or KEY.search(err), err

@@ -12,10 +12,9 @@ from pointseq.config import ModelConfig
 from pointseq.errors import DataError, ShapeError
 from pointseq.geometry import PointCloud
 from pointseq.model import (
-    EncoderTrace,
     ForwardContext,
     ModelParams,
-    _decode_regions,
+    _region_features,
     area_pooled_feature,
     attention_scores,
     build_params,
@@ -39,7 +38,6 @@ from helpers import (
     reference_bn_mlp,
     reference_lstm,
     reference_lstm_step,
-    sum_reduce,
 )
 from pointseq import model
 
@@ -205,15 +203,15 @@ class TestEncodeSequence:
         p = build_params(cfg, np.random.default_rng(11))
         rng = np.random.default_rng(12)
         seq = rng.normal(size=(2, cfg.feature_dim))
-        trace = encode_sequence(seq, p)
-        assert trace.steps == 2
+        states = encode_sequence(seq, p)
+        assert states.shape == (2, cfg.hidden_dim)
 
         h = np.zeros((1, cfg.hidden_dim))
         c = np.zeros((1, cfg.hidden_dim))
         for t in range(2):
             h_t, c_t = reference_lstm_step(h, c, seq[t : t + 1], p["encoder.weight"],
                                            p["encoder.bias"])
-            assert_array_equal(trace.states.values[t : t + 1], h_t.values)
+            assert_array_equal(states.values[t : t + 1], h_t.values)
             h, c = h_t.values, c_t.values
 
     def test_rejects_flat_input(self):
@@ -223,8 +221,8 @@ class TestEncodeSequence:
 
 
 def trace_of(states):
-    """An encoder trace over one row per step, from a list of [1, h] states."""
-    return EncoderTrace(ag.tensor(np.concatenate(states, axis=0)), len(states))
+    """Encoder states over one row per step, from a list of [1, h] states."""
+    return ag.tensor(np.concatenate(states, axis=0))
 
 
 class TestAttention:
@@ -271,41 +269,27 @@ class TestAttention:
             e = np.exp(scores - scores.max())
             assert_allclose(alpha.values, [e / e.sum()], rtol=1e-12)
 
+    def test_states_that_do_not_split_over_the_query_rows_raise(self):
+        # three state rows over two query rows is no whole number of steps
+        states = np.random.default_rng(6).normal(size=(3, 2))
+        with pytest.raises(ShapeError):
+            attention_scores(np.ones((2, 2)), states, np.eye(2))
+
 
 class TestDecodeRegion:
     def test_shapes_and_distribution(self):
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(31))
         seq = np.random.default_rng(32).normal(size=(2, cfg.feature_dim))
-        region, alpha, context = _decode_regions(encode_sequence(seq, p), p)
+        region = _region_features(ag.tensor(seq), p, cfg)
         assert region.shape == (1, cfg.feature_dim)
-        assert alpha.shape == (1, 2)
-        assert context.shape == (1, cfg.hidden_dim)
-        assert_allclose(alpha.sum(), 1.0, atol=1e-12)
-
-    def test_context_is_attention_average_of_states(self):
-        cfg = tiny_cls_config()
-        p = build_params(cfg, np.random.default_rng(33))
-        seq = np.random.default_rng(34).normal(size=(3, cfg.feature_dim))
-        trace = encode_sequence(seq, p)
-        _, alpha, context = _decode_regions(trace, p)
-        assert_allclose(context.values, alpha @ trace.states.values, rtol=1e-12, atol=1e-14)
-
-    def test_single_step_context_equals_first_state(self):
-        cfg = tiny_cls_config()
-        p = build_params(cfg, np.random.default_rng(35))
-        seq = np.random.default_rng(36).normal(size=(1, cfg.feature_dim))
-        trace = encode_sequence(seq, p)
-        _, alpha, context = _decode_regions(trace, p)
-        assert_array_equal(alpha, [[1.0]])
-        assert_array_equal(context.values, trace.states.values)
 
     def test_zero_output_projection_zeroes_feature(self):
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(37))
         p["region_out_proj.weight"].values[...] = 0.0
         seq = np.random.default_rng(38).normal(size=(2, cfg.feature_dim))
-        region, _, _ = _decode_regions(encode_sequence(seq, p), p)
+        region = _region_features(ag.tensor(seq), p, cfg)
         assert_array_equal(region.values, np.zeros((1, cfg.feature_dim)))
 
     def test_decoder_steps_once_per_forward(self, monkeypatch):
@@ -644,16 +628,6 @@ class TestInterpolation:
             interpolation_weights(t, s, k=2)
         with pytest.raises(ValueError, match="finite"):
             interpolation_weights(s, t, k=2)
-
-    def test_feature_carry_differentiable(self):
-        rng = np.random.default_rng(53)
-        t = rng.normal(size=(5, 3))
-        s = rng.normal(size=(4, 3))
-        f = ag.tensor(rng.normal(size=(4, 2)))
-        out = interpolate_features(t, s, f, k=2)
-        ag.backward(sum_reduce(out))
-        w = interpolation_weights(t, s, k=2)
-        assert_allclose(f.grad, w.T @ np.ones((5, 2)), rtol=1e-12)
 
 
 class TestAggregateGlobal:

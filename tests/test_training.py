@@ -605,6 +605,24 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train([], [], [], [], tiny_cfg(), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_empty_test_split_rejected_before_any_work(self, task, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("parameters were built before the splits were checked")
+
+        monkeypatch.setattr(training, "build_params", no_work)
+        rng = np.random.default_rng(41)
+        if task == "classification":
+            cfg = tiny_cfg()
+            clouds, labels = two_class_clouds(2, 16, rng)
+        else:
+            cfg = seg_cfg()
+            clouds = [PointCloud(pts, labels=(pts[:, 2] > 0).astype(int))
+                      for pts in rng.normal(size=(2, 16, 3))]
+            labels = None
+        with pytest.raises(ConfigError, match="test cloud"):
+            train(clouds, labels, [], [], cfg, TrainConfig(epochs=1))
+
 
 def seg_cfg(**over):
     return tiny_cfg(task="segmentation", num_parts=2, seg_point_width=8,
