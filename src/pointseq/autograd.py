@@ -489,15 +489,16 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     Per layer the node keeps only the normalized activations (the matmul
     output in eval mode), the batch-norm affine and the dropout mask; with a
     pool it keeps the winning row of every output, not the last activations.
-    The backward recomputes each layer's output from those and never repeats
-    a matmul: the activation recomputation of Chen et al. (arXiv
-    1604.06174). A pooled stack reads its last relu's mask at each winning
-    row from the pooled output, which is positive exactly where that relu's
-    input was, so it recomputes no last-layer activations at all. Parents
-    are ``x``, then each layer's weight, gamma and beta. An ``x`` passed as a
-    plain array, not a :class:`Tensor`, is a constant: it is no parent, and
-    the backward skips the first layer's input-gradient matmul. Under
-    :func:`no_grad` nothing is kept.
+    The backward recomputes each layer's output from those and repeats no
+    matmul but a constant-fed first layer's (see below): the activation
+    recomputation of Chen et al. (arXiv 1604.06174). A pooled stack reads
+    its last relu's mask at each winning row from the pooled output, which
+    is positive exactly where that relu's input was, so it recomputes no
+    last-layer activations at all. Parents are ``x``, then each layer's
+    weight, gamma and beta. An ``x`` passed as a plain array, not a
+    :class:`Tensor`, is a constant: it is no parent, and the backward skips
+    the first layer's input-gradient matmul. Under :func:`no_grad` nothing
+    is kept.
 
     The rows are worked in row tiles: a stack whose widest layer (input
     included) holds 2**18 or more elements in tiles of about 2**17 elements,
@@ -521,19 +522,37 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     pooled, pools straight from scratch, so no layer's full output exists
     but an unpooled stack's result.
 
-    The backward takes one pass per layer over one stored gradient buffer,
-    in which each tile owns a block of its own. A tile assembles its ``dz``
-    in scratch from the gradient in its block, recomputes the layer below's
-    activations over that gradient, and adds their product into a
-    weight-gradient partial. Then it writes ``dz @ W.T``, times the lower
-    relu and dropout masks, over the activations, and takes the lower
-    layer's partial sums of that gradient and of it times the normalized
-    activations, which give that layer's beta and gamma gradients.
-    Weight-gradient partials belong to runs of consecutive tiles: one per
-    tile, or fewer runs, so that one layer's partials hold at most an eighth
-    of its [rows, width] array. A pooled top layer takes its sums from the
-    pool winners alone, and each of its tiles spreads the winners' gradients
-    over a zeroed block. The calling thread adds all partials in tile order.
+    In a stack of two or more layers, a first layer fed by a constant keeps
+    no [rows, width] block at all: its pass A multiplies each tile into
+    scratch, and its pass B and the backward remake each tile's normalized
+    rows by the same matmul of the same input rows, minus the same tile mean
+    and offset, over the same std. That matmul is 3 columns deep in the area
+    block, and every value, gradient and running statistic keeps its bits.
+
+    The backward takes one pass per layer over one gradient buffer, in which
+    each tile owns a block of its own. A tile assembles its ``dz`` in scratch
+    from the gradient in its block, recomputes the layer below's activations
+    over that gradient, and adds their product into a weight-gradient
+    partial. Then it writes ``dz @ W.T``, times the lower relu and dropout
+    masks, over the activations, and takes the lower layer's partial sums of
+    that gradient and of it times the normalized activations, which give
+    that layer's beta and gamma gradients. Weight-gradient partials belong
+    to runs of consecutive tiles: one per tile, or fewer runs, so that one
+    layer's partials hold at most an eighth of its [rows, width] array. A
+    pooled top layer takes its sums from the pool winners alone, and each of
+    its tiles spreads the winners' gradients over a zeroed block. The
+    calling thread adds all partials in tile order.
+
+    Where that buffer comes from: a pooled training stack whose layers, and
+    whose input if it takes a gradient, are no wider than its top layer
+    writes every gradient over the top layer's normalized activations, which
+    a tile reads, in its own rows, only before it first writes there; it
+    spreads the winners' gradients in a scratch slot instead. In the spirit
+    of In-Place Activated BatchNorm (Rota Bulo et al., CVPR 2018), that
+    reuse spends the saved activations, so such a stack runs its backward
+    once: a second raises ``RuntimeError``. Every other stack, unpooled or
+    in eval mode, allocates a [rows, widest] buffer per backward and may
+    run it again.
 
     So a training result depends only on the shapes: it is the same bits for
     any number of threads and any order in which the tiles run. A stack of
@@ -547,8 +566,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     layer's matmul output and the pool's winners). A layer's tile goes into
     one of two scratch slots, alternating. The tile bounds are the ones
     above, so the result is the same bits with or without a graph and for
-    any number of threads.
-    An eval-mode graph's backward runs as one tile.
+    any number of threads. An eval-mode graph's backward runs as one tile.
     """
     constant = not isinstance(x, Tensor)
     x_values = np.asarray(x, dtype=np.float64) if constant else x.values
@@ -615,15 +633,33 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         counts = ([hi - lo for lo, hi in tiles] if weights is None
                   else [weights[lo:hi].sum() for lo, hi in tiles])
 
-        def activate(layer, t, rows_y):
-            # pass B over tile t: normalize the layer's deviations from the
-            # tile's mean in place, then its affine, relu and dropout into
-            # ``rows_y``
-            lo, hi = tiles[t]
-            hat = layer.hat[lo:hi]
+        def normalize(layer, t, hat):
+            # tile t's deviations from its own mean, shifted to the stack's
+            # mean and scaled by its std, in place
             if layer.offsets is not None:
                 hat -= layer.offsets[t]
             hat /= layer.std
+            return hat
+
+        def remake(layer, t, slot):
+            # tile t's normalized activations of a layer that kept no block,
+            # in scratch ``slot``: pass A's matmul and centring and pass B's
+            # normalizing again, on the same rows
+            lo, hi = tiles[t]
+            hat = np.matmul(x_values[lo:hi], layer.weight, out=_scratch(slot, hi - lo, layer.dim))
+            if counts[t]:
+                hat -= layer.means[t]
+            return normalize(layer, t, hat)
+
+        def activate(layer, t, rows_y):
+            # pass B over tile t: normalize the layer's deviations from the
+            # tile's mean, in place (or remade in scratch slot 1), then its
+            # affine, relu and dropout into ``rows_y``
+            lo, hi = tiles[t]
+            if layer.hat is None:
+                hat = remake(layer, t, 1)
+            else:
+                hat = normalize(layer, t, layer.hat[lo:hi])
             np.multiply(hat, layer.scale, out=rows_y)
             rows_y += layer.shift
             np.maximum(rows_y, 0.0, out=rows_y)
@@ -632,20 +668,24 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             return rows_y
 
         below = None
-        for weight, state in layers:
-            z = np.empty((rows, state.dim))
+        for i, (weight, state) in enumerate(layers):
+            # a first layer fed by a constant, below other layers, keeps no
+            # block: ``remake`` redoes its tiles from the input
+            z = None if i == 0 and constant and len(layers) > 1 else np.empty((rows, state.dim))
             stats = np.empty((len(tiles), 2, state.dim))
 
             def pass_a(t):
                 # the layer below's pass B, the matmul, and the tile's
                 # (weighted) mean and squared deviations about it; the
-                # deviations stay in place of the matmul output
+                # deviations stay in place of the matmul output (in scratch
+                # slot 1 for a layer that keeps no block)
                 lo, hi = tiles[t]
                 if below is None:
                     rows_a = x_values[lo:hi]
                 else:
                     rows_a = activate(below, t, _scratch(0, hi - lo, below.dim))
-                rows_z = np.matmul(rows_a, weight.values, out=z[lo:hi])
+                rows_z = np.matmul(rows_a, weight.values,
+                                   out=_scratch(1, hi - lo, state.dim) if z is None else z[lo:hi])
                 mean, m2 = stats[t]
                 if weights is None:
                     np.add.reduce(rows_z, axis=0, out=mean)
@@ -669,11 +709,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             inv_std = 1.0 / std
             mask = None
             if drop:
-                mask = (rng.random(z.shape) >= dropout) / (1.0 - dropout)
+                mask = (rng.random((rows, state.dim)) >= dropout) / (1.0 - dropout)
             # what each tile's deviations lack of those from the stack's mean
             offsets = None if len(tiles) == 1 else mean - stats[:, 0]
-            below = SimpleNamespace(weight=weight.values, dim=state.dim, hat=z, offsets=offsets,
-                                    std=std, scale=state.gamma.values.copy(),
+            below = SimpleNamespace(weight=weight.values, dim=state.dim, hat=z, means=stats[:, 0],
+                                    offsets=offsets, std=std, scale=state.gamma.values.copy(),
                                     shift=state.beta.values.copy(),
                                     gain=state.gamma.values * inv_std, mask=mask)
             saved.append(below)
@@ -767,7 +807,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         starts = np.arange(first, stop)[:, None] * group + steps[t][0]
         return winners[t][first:stop] + starts
 
+    spent = False
+
     def grad_fn(g):
+        nonlocal spent
         passes = tiles if training else [(0, rows)]
         # weight-gradient partials: one per run of consecutive tiles, as many
         # runs as keep one layer's partials within an eighth of its
@@ -775,15 +818,33 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         runs = [_runs(len(passes), max(1, min(len(passes), rows // (8 * layer.weight.shape[0]))))
                 for layer in saved]
         top = saved[-1]
-        deepest = max(layer.dim for layer in saved)
+        widest_g = max(layer.dim for layer in saved)
+        if not constant:
+            widest_g = max(widest_g, width_in)
         # the gradient of the layer at hand sits in one buffer, where tile
         # [lo, hi) owns rows [lo, hi): the tile reads the gradient there as
         # [hi - lo, width], then writes the layer below's over it. The input
-        # gradient, last, takes the buffer's first columns
-        store = np.empty((rows, deepest if constant else max(deepest, width_in)))
+        # gradient, last, takes the buffer's first columns. A pooled training
+        # stack no wider than its top layer takes the top layer's normalized
+        # activations as that buffer: a tile reads its own rows of them once,
+        # before it writes there, so they are spent
+        if training and pool is not None and widest_g == top.dim:
+            if spent:
+                raise RuntimeError("bn_mlp: a pooled training stack's backward spends its saved "
+                                   "activations, so it runs only once; run the forward again")
+            spent = True
+            store = top.hat
+        else:
+            store = np.empty((rows, widest_g))
 
         def stored(lo, hi, dim):
             return _rows(store[lo:hi].reshape(-1), hi - lo, dim)
+
+        def normalized(layer, t):
+            # a layer's kept activations over pass t, or, for a layer that
+            # kept none (training only), its tile remade in scratch slot 2
+            lo, hi = passes[t]
+            return remake(layer, t, 2) if layer.hat is None else layer.hat[lo:hi]
 
         if pool is None:
             sums = np.empty((len(passes), 2, top.dim))
@@ -836,8 +897,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                     lo, hi = passes[t]
                     n = hi - lo
                     if layer is top and pool is not None:
-                        # each owed gradient at its winning row, zero elsewhere
-                        rows_g = stored(lo, hi, d)
+                        # each owed gradient at its winning row, zero elsewhere:
+                        # in training, in scratch slot 1, as the buffer may be
+                        # the activations read below
+                        rows_g = _scratch(1, n, d) if training else stored(lo, hi, d)
                         rows_g[...] = 0.0
                         for step in range(len(steps)):
                             found = winner_rows(step, lo // group, hi // group)
@@ -849,7 +912,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         # the batch moments depend on the input as well: remove
                         # the gradient's (weighted) column mean and its
                         # component along the normalized column
-                        np.multiply(layer.hat[lo:hi], gamma_share, out=dz)
+                        np.multiply(normalized(layer, t), gamma_share, out=dz)
                         dz += beta_share
                         if weights is not None:
                             dz *= weights[lo:hi, None]
@@ -864,7 +927,8 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         # gradient just used, and where its relu passed
                         rows_a = stored(lo, hi, lower.dim)
                         positive = _scratch(0, n, lower.dim, bool)
-                        np.multiply(lower.hat[lo:hi], lower.scale, out=rows_a)
+                        lower_hat = normalized(lower, t)
+                        np.multiply(lower_hat, lower.scale, out=rows_a)
                         rows_a += lower.shift
                         np.greater(rows_a, 0.0, out=positive)
                         np.maximum(rows_a, 0.0, out=rows_a)
@@ -881,7 +945,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         rows_below *= positive
                         if lower.mask is not None:
                             rows_below *= lower.mask[lo:hi]
-                        beta_gamma_sums(lower, rows_below, lower.hat[lo:hi], sums[t],
+                        beta_gamma_sums(lower, rows_below, lower_hat, sums[t],
                                         _scratch(0, n, lower.dim))
                     elif gx is not None:
                         np.matmul(dz, layer.weight.T, out=gx[lo:hi])
@@ -1097,9 +1161,11 @@ def backward(loss) -> None:
     from ``loss`` (every tensor without a ``grad_fn``, parameters included).
 
     ``loss`` must be a scalar. Gradients add into any existing ``.grad``
-    buffers, so repeated calls without zeroing accumulate. Intermediate nodes
-    keep ``.grad`` unset: each one's gradient is dropped as soon as its
-    ``grad_fn`` has used it.
+    buffers, so repeated calls without zeroing accumulate, except through a
+    pooled training :func:`bn_mlp` stack that writes its gradients over its
+    saved activations: a second call through one raises ``RuntimeError``.
+    Intermediate nodes keep ``.grad`` unset: each one's gradient is dropped
+    as soon as its ``grad_fn`` has used it.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")

@@ -125,7 +125,8 @@ def _load_dataset(cfg: RunConfig, task: str) -> _Dataset:
         manifest = load_manifest(cfg.data.manifest)
         if manifest.task != task:
             raise ConfigError(
-                f"manifest task {manifest.task!r} does not match the model task {task!r}"
+                f"manifest {cfg.data.manifest} task {manifest.task!r} does not match the "
+                f"model task {task!r}"
             )
         train_clouds, train_labels = manifest.split("train")
         test_clouds, test_labels = manifest.split("test")
@@ -162,19 +163,22 @@ def _check_splits(cfg: RunConfig, ds: _Dataset, splits) -> None:
             raise DataError(f"manifest {cfg.data.manifest} has no {split} records")
 
 
-def _check_dims(model_cfg, ds: _Dataset, task: str) -> None:
+def _check_dims(model_cfg, cfg: RunConfig, ds: _Dataset, task: str) -> None:
+    """The model's class or part count must match the data's; a mismatch
+    names the manifest the data come from, if any, as well as the key."""
+    source = f"manifest {cfg.data.manifest}" if cfg.data.manifest else "the dataset"
     if task == "classification":
         if model_cfg.num_classes != len(ds.names):
             raise ConfigError(
-                f"model.num_classes={model_cfg.num_classes} but the dataset "
+                f"model.num_classes={model_cfg.num_classes} but {source} "
                 f"declares {len(ds.names)} classes"
             )
     else:
         top = max(hi for _, hi in ds.part_ranges.values())
         if model_cfg.num_parts != top:
             raise ConfigError(
-                f"model.num_parts={model_cfg.num_parts} but the dataset's "
-                f"part ids reach {top}"
+                f"model.num_parts={model_cfg.num_parts} but the part ids of {source} "
+                f"reach {top}"
             )
 
 
@@ -184,7 +188,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     task = cfg.model.task
     ds = _load_dataset(cfg, task)
     _check_splits(cfg, ds, ("train", "test"))
-    _check_dims(cfg.model, ds, task)
+    _check_dims(cfg.model, cfg, ds, task)
     _check_cloud_sizes(cfg.model, cfg, ds)
     result = train(
         ds.train_clouds, ds.train_labels, ds.test_clouds, ds.test_labels,
@@ -207,7 +211,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     _echo_config(cfg)
     params, model_cfg = load_checkpoint(os.path.join(out, "checkpoint.bin"))
     ds = _load_dataset(cfg, model_cfg.task)
-    _check_dims(model_cfg, ds, model_cfg.task)
+    _check_dims(model_cfg, cfg, ds, model_cfg.task)
     _check_splits(cfg, ds, ("test",))
     _check_cloud_sizes(model_cfg, cfg, ds)
     geoms = [prepare_cloud(c, model_cfg) for c in ds.test_clouds]
@@ -294,7 +298,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     values = _axis_values(cfg, args.axis)
     ds = _load_dataset(cfg, task)
     _check_splits(cfg, ds, ("train", "test"))
-    _check_dims(cfg.model, ds, task)
+    _check_dims(cfg.model, cfg, ds, task)
     runs = []
     for value in values:
         run_cfg = copy.deepcopy(cfg)

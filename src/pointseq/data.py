@@ -53,6 +53,12 @@ __all__ = [
 # point files
 
 
+def _cut(text, limit=80):
+    """``text``, or its first ``limit`` characters and its length when it is
+    longer, so an error message never repeats a huge field of a file."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 # Centred on the mean, coordinates of at most this magnitude lie within
 # 2**511 of it, so a point's squared distance stays below 3 * 2**1022 and
 # the unit-ball radius is finite
@@ -97,15 +103,15 @@ def load_point_file(path) -> PointCloud:
                 value = float(col)
             except ValueError:
                 raise ParseError(
-                    f"cannot parse coordinate {col!r}", path=path, line=lineno
+                    f"cannot parse coordinate {_cut(repr(col))}", path=path, line=lineno
                 ) from None
             if not math.isfinite(value):
                 raise ParseError(
-                    f"non-finite coordinate {col!r}", path=path, line=lineno
+                    f"non-finite coordinate {_cut(repr(col))}", path=path, line=lineno
                 )
             if abs(value) > _MAX_COORDINATE:
                 raise ParseError(
-                    f"coordinate {col!r} is too large to scale into the unit ball "
+                    f"coordinate {_cut(repr(col))} is too large to scale into the unit ball "
                     "(magnitude above 2**510)", path=path, line=lineno
                 )
             xyz.append(value)
@@ -115,7 +121,7 @@ def load_point_file(path) -> PointCloud:
                 labels.append(int(cols[3]))
             except ValueError:
                 raise ParseError(
-                    f"cannot parse part label {cols[3]!r}", path=path, line=lineno
+                    f"cannot parse part label {_cut(repr(cols[3]))}", path=path, line=lineno
                 ) from None
     if not coords:
         raise DataError(f"point file {path} has no points")
@@ -190,7 +196,7 @@ def load_manifest(path) -> DatasetManifest:
             key, _, raw = text.partition("=")
             key = key.strip()
             if key in header:
-                raise ParseError(f"duplicate header key {key!r}", path=path, line=lineno)
+                raise ParseError(f"duplicate header key {_cut(repr(key))}", path=path, line=lineno)
             header[key] = raw.strip()
         else:
             cols = text.split()
@@ -231,17 +237,17 @@ def load_manifest(path) -> DatasetManifest:
             part_ranges[name] = (lo, hi)
     if header:
         stray = sorted(header)[0]
-        raise DataError(f"manifest {path} has unknown header key {stray!r}")
+        raise DataError(f"manifest {path} has unknown header key {_cut(repr(stray))}")
 
     label_of = {name: i for i, name in enumerate(names)}
     kind = "class" if task == "classification" else "category"
     samples: dict[str, list[ManifestSample]] = {}
     for lineno, split, rel, name in records:
         if name not in label_of:
-            raise ParseError(f"unknown {kind} {name!r}", path=path, line=lineno)
+            raise ParseError(f"unknown {kind} {_cut(repr(name))}", path=path, line=lineno)
         full = os.path.normpath(os.path.join(base, rel))
         if not os.path.exists(full):
-            raise DataError(f"manifest {path} references missing file {full}")
+            raise DataError(f"manifest {path} references missing file {_cut(full, 4096)}")
         cloud = load_point_file(full)
         if task == "segmentation":
             if cloud.labels is None:

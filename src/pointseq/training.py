@@ -71,7 +71,8 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
     Each parameter is cut on its own, every ``_ADAM_CHUNK`` elements of its
     flat values, so no chunk spans two parameters. A chunk is one ``(name,
     values, first, second, grad)`` tuple: flat views of the parameter's
-    values and moments and of its gradient over the chunk's element range.
+    values and moments and of its gradient over the chunk's element range;
+    a parameter that fits in one chunk keeps its whole flat views, unsliced.
     Moments start at zero.
     """
     chunks = []
@@ -87,8 +88,11 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
             m = state.first[name] = np.zeros(values.shape)
             state.second[name] = np.zeros(values.shape)
         flat = (values.ravel(), m.ravel(), state.second[name].ravel(), g.ravel())
-        chunks += [(name, *(a[lo:lo + _ADAM_CHUNK] for a in flat))
-                   for lo in range(0, values.size, _ADAM_CHUNK)]
+        if values.size <= _ADAM_CHUNK:
+            chunks.append((name, *flat))
+        else:
+            chunks += [(name, *(a[lo:lo + _ADAM_CHUNK] for a in flat))
+                       for lo in range(0, values.size, _ADAM_CHUNK)]
     return chunks
 
 

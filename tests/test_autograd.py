@@ -1207,7 +1207,8 @@ class TestTrainingBackwardMemory:
     def test_backward_holds_one_full_array(self, monkeypatch, helper_pool, rows, widths, pool,
                                            tile):
         # beyond what the forward keeps, the backward of a tiled training
-        # stack on three runners allocates one [rows, widest] gradient store,
+        # stack on three runners allocates at most one [rows, widest]
+        # gradient store (a pooled one no wider than its top layer none),
         # the weight-gradient partials of one layer at a time (at most an
         # eighth of that layer's [rows, width] array), and tile- or
         # pool-output-sized change: together under 1 + 1/8 + 1/4 of a
@@ -1233,6 +1234,96 @@ class TestTrainingBackwardMemory:
         assert len(grads) == 3 * len(widths)
         full = rows * max(widths) * 8
         assert peak <= full * (1 + 1 / 8 + 1 / 4), f"{peak} bytes, {peak / full:.2f} arrays"
+
+
+    @pytest.mark.parametrize("widths", [(64, 128), (64, 128, 128)], ids=["two", "area_block"])
+    def test_pooled_constant_stack_keeps_no_gradient_buffer_or_first_layer(
+            self, monkeypatch, helper_pool, widths):
+        # the forward keeps the normalized block of every layer above the
+        # first, and forward and backward together allocate less than half
+        # of the top layer's [rows, width] block beyond those: a [rows,
+        # widest] gradient buffer (a whole block) or the first layer's
+        # [rows, 64] block (half of one) would break the bound
+        rows, pool = 16384, (128, (16, 64, 128))
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 << 14)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", 1 << 14)
+        helpers = helper_pool(2)
+        assert len(ag._row_tiles(rows, pool[0], max(widths))) >= 64
+        arrays = _stack_arrays(42, rows, widths)
+        layers = _stack_layers([ag.Tensor(a) for a in arrays[1:]])
+        weights = np.arange(rows) % 3 + 1.0
+        g = np.random.default_rng(43).uniform(-1, 1, (rows // pool[0] * 3, widths[-1]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ag.bn_mlp(arrays[0], layers, True, weights=weights, pool=pool)
+            grads = out.grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert helpers.submitted > 0
+        assert len(grads) == 3 * len(widths)
+        block = rows * widths[-1] * 8
+        kept = rows * sum(widths[1:]) * 8
+        assert peak < kept + block / 2, f"{(peak - kept) / block:.2f} blocks beyond the kept ones"
+
+
+# (widths, weights, dropout) of pooled 24-row stacks no wider than their top
+# layer, whose backward writes over the top layer's activations: weighted
+# rows, a tile of zero weight, and dropout
+SPENT_CASES = {
+    "weighted": ((4, 5), np.arange(24) % 3 + 1.0, 0.0),
+    "zero_weight_tile": ((4, 3, 5), np.where(np.arange(24) // 4 == 2, 0.0, 1.0 + np.arange(24) % 3),
+                         0.0),
+    "dropout": ((4, 5), None, 0.3),
+}
+
+
+class TestSpentActivations:
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "tensor"])
+    @pytest.mark.parametrize("case", SPENT_CASES)
+    def test_multi_tile_stack_matches_finite_differences(self, tile_pool, case, constant):
+        # 6 tiles of one pool group each; a constant input's first layer
+        # keeps no block, and the backward remakes its tiles
+        widths, weights, dropout = SPENT_CASES[case]
+        pool = (4, (2, 4))
+        tile_pool(True)
+        assert len(ag._row_tiles(24, pool[0], max(widths))) == 6
+        build, arrays = _bn_gradient_case(770, 24, None, True, widths, pool=pool,
+                                          weights=weights, dropout=dropout)
+        if constant:
+            x = arrays.pop(0)
+            check_op_gradient(lambda *params: build(x, *params), arrays)
+        else:
+            check_op_gradient(build, arrays)
+        assert ag._pool.submitted > 0
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one_tile", "tiles"])
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "tensor"])
+    def test_a_second_backward_through_a_spent_stack_raises(self, tile_pool, split, constant):
+        tile_pool(split)
+        arrays = _stack_arrays(44, 24, (4, 5))
+        layers = _stack_layers([ag.Tensor(a) for a in arrays[1:]])
+        x = arrays[0] if constant else ag.Tensor(arrays[0])
+        loss = sum_reduce(ag.bn_mlp(x, layers, True, pool=(4, (2, 4))))
+        ag.backward(loss)
+        with pytest.raises(RuntimeError, match="bn_mlp"):
+            ag.backward(loss)
+
+    @pytest.mark.parametrize("training,pool", [(True, None), (False, (4, (2, 4)))],
+                             ids=["unpooled", "eval_pooled"])
+    def test_stacks_that_keep_a_buffer_run_backward_twice(self, training, pool):
+        # an unpooled or eval-mode stack keeps its activations: a second
+        # backward adds the same gradients again
+        arrays = _stack_arrays(45, 24, (4, 5))
+        params = [ag.Tensor(a) for a in arrays[1:]]
+        loss = sum_reduce(ag.bn_mlp(arrays[0], _stack_layers(params), training, pool=pool))
+        ag.backward(loss)
+        once = [p.grad.copy() for p in params]
+        ag.backward(loss)
+        for p, first in zip(params, once):
+            assert p.grad.tobytes() == (first + first).tobytes()
 
 
 def _lstm_arrays(seed, steps, rows, saturate=False):

@@ -4,7 +4,10 @@ checkpoint, point file, manifest and config file, each run through
 
 Every case must exit 0, 2 or 3 and print no traceback; a flip can leave a
 file valid, so exit 0 is allowed. An exit of 2 or 3 must name the damaged
-file, or, for the config file, a key.
+file, or, for the checkpoint, point file and config file, a key. A second
+table puts hand-written lines into the point file and the manifest: wrong
+column counts, an overflowing number, negative zero and a number of a
+million digits.
 """
 
 import random
@@ -89,4 +92,74 @@ def test_damaged_input_exits_cleanly_naming_it(valid_tree, tmp_path, capsys,
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     if code:
-        assert str(target) in err or KEY.search(err), err
+        # the data of a damaged manifest are at fault, whatever key they fail
+        assert str(target) in err or (kind != "manifest" and KEY.search(err)), err
+
+
+# a hand-written point-file line: (line, exit code as the first line, exit
+# code as a line appended to a valid file)
+POINT_LINES = {
+    "two_columns": ("0.5 0.25", 3, 3),
+    "four_columns": ("0.5 0.25 0.125 1", 3, 3),
+    "overflow": ("1e309 0.25 0.125", 3, 3),
+    "negative_zero": ("-0 -0 -0", 0, 0),
+    "million_digits": (f"{'9' * 10**6} 0.25 0.125", 3, 3),
+}
+# a hand-written manifest line in place of a valid one: (replaced line, new
+# line, exit code)
+CUBE_RECORD = "test test_cube_000.pts cube"
+CLASSES = "classes = cube plane sphere"
+MANIFEST_LINES = {
+    "two_columns": (CUBE_RECORD, "test test_cube_000.pts", 3),
+    "four_columns": (CUBE_RECORD, f"{CUBE_RECORD} 1", 3),
+    "overflow_class": (CLASSES, f"{CLASSES} 1e309", 2),
+    "negative_zero_class": (CUBE_RECORD, "test test_cube_000.pts -0", 3),
+    "million_digit_path": (CUBE_RECORD, f"test {'9' * 10**6} cube", 3),
+    "million_digit_class": (CLASSES, f"classes = cube plane {'9' * 10**6}", 3),
+}
+
+
+def _eval_edited(valid_tree, tmp_path, kind, edit):
+    """``eval`` of a copy of the valid tree whose ``kind`` file went through
+    ``edit(text)``: (exit code, stderr, the edited file's path)."""
+    root = tmp_path / "tree"
+    shutil.copytree(valid_tree, root)
+    target = root / TARGETS[kind]
+    target.write_text(edit(target.read_text()))
+    return _eval(root), target
+
+
+def _assert_clean_exit(code, err, want, target):
+    assert code == want, err[:500]
+    assert "Traceback" not in err
+    if code:
+        assert str(target) in err, err[:500]
+    # no message repeats a field of a million characters
+    assert len(err) < 8192, err[:500]
+
+
+@pytest.mark.parametrize("place", ["first", "appended"])
+@pytest.mark.parametrize("case", POINT_LINES)
+def test_point_file_line_exits_cleanly_naming_the_file(valid_tree, tmp_path, capsys, case,
+                                                       place):
+    line, first, appended = POINT_LINES[case]
+    if place == "first":
+        code, target = _eval_edited(valid_tree, tmp_path, "point_file",
+                                    lambda text: text.replace(text.split("\n")[0], line, 1))
+    else:
+        code, target = _eval_edited(valid_tree, tmp_path, "point_file",
+                                    lambda text: f"{text}{line}\n")
+    _assert_clean_exit(code, capsys.readouterr().err, first if place == "first" else appended,
+                       target)
+
+
+@pytest.mark.parametrize("case", MANIFEST_LINES)
+def test_manifest_line_exits_cleanly_naming_the_file(valid_tree, tmp_path, capsys, case):
+    old, new, want = MANIFEST_LINES[case]
+
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    code, target = _eval_edited(valid_tree, tmp_path, "manifest", edit)
+    _assert_clean_exit(code, capsys.readouterr().err, want, target)
