@@ -982,44 +982,59 @@ def lstm(x, steps, weight, bias) -> Tensor:
     ``x`` stacks the steps' inputs by step: with r = rows/steps, rows
     [t*r, (t+1)*r) are step t's. Each step computes z = [h | x_t] @ weight +
     bias, whose four column blocks are the input, forget and output gates
-    (sigmoid) and the candidate (tanh); then c = f*c + i*g and h = o*tanh(c)
+    (sigmoid) and the candidate (tanh); then c = i*g + f*c and h = o*tanh(c)
     (Hochreiter & Schmidhuber, 1997). The result stacks every step's hidden
     state the same way: [steps*r, hidden].
 
-    Per step the node keeps the four gate activations, c_{t-1} and
-    tanh(c_t). The forward and the backward each build every step's matmul
-    input [h_{t-1} | x_t] in one buffer made once per call; the backward
-    rebuilds it from the input and the node's own output, and runs
-    backpropagation through time in closed form. Parents are ``x``,
-    ``weight`` and ``bias``. Under :func:`no_grad` nothing is kept.
+    A one-step weight, [width, 3*hidden] with a [3*hidden] bias, leaves out
+    the recurrent rows and the forget block, which a first step from the
+    zero state never uses: z = x @ weight + bias and c = i*g. It raises
+    ShapeError unless ``steps == 1``.
+
+    Per step the node keeps the gate activations, c_{t-1} and tanh(c_t).
+    The forward and the backward each build every step's matmul input
+    [h_{t-1} | x_t] in one buffer made once per call; the backward rebuilds
+    it from the input and the node's own output, and runs backpropagation
+    through time in closed form. Parents are ``x``, ``weight`` and
+    ``bias``. Under :func:`no_grad` nothing is kept.
     """
     x, weight, bias = tensor(x), tensor(weight), tensor(bias)
     if x.ndim != 2 or steps < 1 or x.shape[0] % steps:
         raise ShapeError(f"cannot split input of shape {x.shape} into {steps} steps")
     rows, width = x.shape[0] // steps, x.shape[1]
-    h = weight.shape[-1] // 4
-    if weight.shape != (h + width, 4 * h) or bias.shape != (4 * h,):
+    # a one-step weight has no recurrent rows and no forget block
+    one_step = weight.ndim == 2 and weight.shape[0] == width
+    blocks = 3 if one_step else 4
+    h = weight.shape[-1] // blocks
+    lead = 0 if one_step else h
+    if weight.shape != (lead + width, blocks * h) or bias.shape != (blocks * h,):
         raise ShapeError(f"lstm weight {weight.shape} and bias {bias.shape} do not fit "
                          f"input width {width}")
+    if one_step and steps != 1:
+        raise ShapeError(f"a one-step lstm weight {weight.shape} cannot run {steps} steps")
+    # column offsets of the output gate and the candidate
+    out_gate, cand = (blocks - 2) * h, (blocks - 1) * h
     keep = _recording
     out = np.empty((steps * rows, h))
     # [h_{t-1} | x_t], rebuilt in place every step
-    joined = np.zeros((rows, h + width))
-    z = np.empty((rows, 4 * h))
+    joined = np.zeros((rows, lead + width))
+    z = np.empty((rows, blocks * h))
     cell = np.zeros((rows, h))
     saved = []
     for t in range(steps):
-        joined[:, h:] = x.values[t * rows:(t + 1) * rows]
+        joined[:, lead:] = x.values[t * rows:(t + 1) * rows]
         np.matmul(joined, weight.values, out=z)
         z += bias.values
-        gates = _sigmoid(z[:, :3 * h])
-        candidate = np.tanh(z[:, 3 * h:])
+        gates = _sigmoid(z[:, :cand])
+        candidate = np.tanh(z[:, cand:])
         prev_cell = cell
-        cell = gates[:, h:2 * h] * prev_cell
-        cell += gates[:, :h] * candidate
+        cell = gates[:, :h] * candidate
+        if not one_step:
+            cell += gates[:, h:2 * h] * prev_cell
         tanh_cell = np.tanh(cell)
-        hidden = np.multiply(gates[:, 2 * h:], tanh_cell, out=out[t * rows:(t + 1) * rows])
-        joined[:, :h] = hidden
+        hidden = np.multiply(gates[:, out_gate:], tanh_cell, out=out[t * rows:(t + 1) * rows])
+        if t + 1 < steps:
+            joined[:, :h] = hidden
         if keep:
             saved.append((gates, candidate, prev_cell, tanh_cell))
     if not keep:
@@ -1031,32 +1046,33 @@ def lstm(x, steps, weight, bias) -> Tensor:
         gb = np.zeros_like(bias.values)
         dh = np.zeros((rows, h))
         dc = np.zeros((rows, h))
-        dz = np.empty((rows, 4 * h))
-        joined = np.empty((rows, h + width))
+        dz = np.empty((rows, blocks * h))
+        joined = np.empty((rows, lead + width))
         for t in range(steps - 1, -1, -1):
             gates, candidate, prev_cell, tanh_cell = saved[t]
             dh += g[t * rows:(t + 1) * rows]
-            dc += dh * gates[:, 2 * h:] * (1.0 - tanh_cell * tanh_cell)
-            # d/dz of each block: the input, forget and output gates'
-            # partials, then the sigmoid and tanh derivatives
+            dc += dh * gates[:, out_gate:] * (1.0 - tanh_cell * tanh_cell)
+            # d/dz of each block: the gates' partials, then the sigmoid and
+            # tanh derivatives
             np.multiply(dc, candidate, out=dz[:, :h])
-            np.multiply(dc, prev_cell, out=dz[:, h:2 * h])
-            np.multiply(dh, tanh_cell, out=dz[:, 2 * h:3 * h])
-            np.multiply(dc, gates[:, :h], out=dz[:, 3 * h:])
-            dz[:, :3 * h] *= gates
-            dz[:, :3 * h] *= 1.0 - gates
-            dz[:, 3 * h:] *= 1.0 - candidate * candidate
+            if not one_step:
+                np.multiply(dc, prev_cell, out=dz[:, h:2 * h])
+            np.multiply(dh, tanh_cell, out=dz[:, out_gate:cand])
+            np.multiply(dc, gates[:, :h], out=dz[:, cand:])
+            dz[:, :cand] *= gates
+            dz[:, :cand] *= 1.0 - gates
+            dz[:, cand:] *= 1.0 - candidate * candidate
             if t:
                 joined[:, :h] = out[(t - 1) * rows:t * rows]
+                dc *= gates[:, h:2 * h]
             else:
-                joined[:, :h] = 0.0
-            joined[:, h:] = x.values[t * rows:(t + 1) * rows]
+                joined[:, :lead] = 0.0
+            joined[:, lead:] = x.values[t * rows:(t + 1) * rows]
             gw += joined.T @ dz
             gb += dz.sum(axis=0)
             d_joined = dz @ weight.values.T
-            gx[t * rows:(t + 1) * rows] = d_joined[:, h:]
-            dh = d_joined[:, :h]
-            dc *= gates[:, h:2 * h]
+            gx[t * rows:(t + 1) * rows] = d_joined[:, lead:]
+            dh = d_joined[:, :lead]
         return gx, gw, gb
 
     return Tensor(out, (x, weight, bias), grad_fn)

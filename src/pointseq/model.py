@@ -129,9 +129,13 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
     """Create every parameter for ``cfg``.
 
     With an rng, weights draw from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-    biases start at zero and forget gates at +1; rng consumption follows the
-    fixed creation order below. Without an rng all values are zeros
-    (checkpoint loading overwrites them).
+    biases start at zero, and the forget gates of an LSTM that runs more than
+    one step at +1; rng consumption follows the fixed creation order below.
+    An LSTM that runs one step from a zero state (the decoder, and the
+    encoder over a single scale) keeps only the live part of the full
+    [hidden + width, 4*hidden] block it draws: the [width, 3*hidden] form of
+    :func:`autograd.lstm` with a zero [3*hidden] bias. Without an rng all
+    values are zeros (checkpoint loading overwrites them).
     """
     p = ModelParams()
     d, h = cfg.feature_dim, cfg.hidden_dim
@@ -149,19 +153,26 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
             in_dim = width
         return in_dim
 
-    def lstm(name, in_dim, state_dim):
-        p.add(f"{name}.weight", _uniform(rng, (state_dim + in_dim, 4 * state_dim), state_dim + in_dim))
+    def lstm(name, in_dim, state_dim, steps):
+        weight = _uniform(rng, (state_dim + in_dim, 4 * state_dim), state_dim + in_dim)
         bias = np.zeros(4 * state_dim)
         bias[state_dim : 2 * state_dim] = 1.0  # forget gate opens at init
+        if steps == 1:
+            # one step from a zero state never uses the recurrent rows or the
+            # forget block: keep autograd.lstm's one-step form, a new C-order array
+            forget = np.s_[state_dim : 2 * state_dim]
+            weight = np.delete(weight[state_dim:], forget, axis=1)
+            bias = np.delete(bias, forget)
+        p.add(f"{name}.weight", weight)
         p.add(f"{name}.bias", bias)
 
     mlp("area_mlp", 3, (*cfg.area_hidden, d))
     linear("centroid_proj", d + 3, d)
 
     if cfg.aggregator in ("attention_ed", "no_attention", "no_decoder"):
-        lstm("encoder", d, h)
+        lstm("encoder", d, h, cfg.num_scales)
         if cfg.aggregator != "no_decoder":
-            lstm("decoder", h, h)
+            lstm("decoder", h, h, 1)
         if cfg.aggregator == "no_attention":
             linear("decoder_out_proj", h, d, bias=False)
         if cfg.aggregator == "attention_ed":
@@ -415,7 +426,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
 # running mean and variance.
 
 _MAGIC = b"PSEQCKPT"
-_VERSION = 2
+_VERSION = 3
 
 
 def _config_to_dict(cfg: ModelConfig) -> dict:

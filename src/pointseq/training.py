@@ -307,29 +307,33 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
                 adam: AdamState, lr: float, where: str) -> float:
     """Forward, backward and one Adam update for one batch; returns its loss.
 
-    The step's graph is unreachable once this returns. A non-finite loss or
-    parameter gradient raises a ConfigError before any parameter moves.
-    ``labels`` are per-cloud class ids; segmentation reads the clouds' own.
+    The step's graph is freed before the Adam update, so Adam's arrays can
+    reuse its activations. A non-finite loss or parameter gradient raises a
+    ConfigError before any parameter moves. ``labels`` are per-cloud class
+    ids; segmentation reads the clouds' own.
     """
     # a diverging step overflows long before its loss is checked; the check
     # below reports it, so NumPy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if cfg.task == "classification":
-            loss = cross_entropy_loss(classify_batch(geoms, params, cfg, ctx), labels)
+            logits = classify_batch(geoms, params, cfg, ctx)
         else:
             logits, _ = segment_batch(geoms, params, cfg, ctx)
-            loss = cross_entropy_loss(logits, np.concatenate([g.labels for g in geoms]))
+            labels = np.concatenate([g.labels for g in geoms])
+        loss = cross_entropy_loss(logits, labels)
         params.clear_grads()
         ag.backward(loss)
     diverged = (f"training diverged at {where}: the loss or a parameter gradient "
                 "is not finite; lower train.lr")
     if not np.isfinite(loss.values):
         raise ConfigError(diverged)
+    value = float(loss.values)
+    del logits, loss
     try:
         adam_step(params, adam, lr)
     except FloatingPointError as exc:
         raise ConfigError(diverged) from exc
-    return float(loss.values)
+    return value
 
 
 def train(train_clouds, train_labels, test_clouds, test_labels,

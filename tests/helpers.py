@@ -369,10 +369,25 @@ def reference_lstm_step(prev_hidden, prev_cell, x, weight, bias):
     return hidden, cell
 
 
+def reference_first_step(x, weight, bias):
+    """``ag.lstm``'s one-step form as a chain of separate nodes: matmul,
+    bias, a slice and activation per gate (input, output, candidate), then
+    the cell and hidden-state products."""
+    state_dim = weight.shape[1] // 3
+    z = ag.matmul(x, weight) + bias
+    gate_in = sigmoid(ag.slice_axis(z, 1, 0, state_dim))
+    gate_out = sigmoid(ag.slice_axis(z, 1, state_dim, 2 * state_dim))
+    candidate = ag.tanh(ag.slice_axis(z, 1, 2 * state_dim, 3 * state_dim))
+    return mul(gate_out, ag.tanh(mul(gate_in, candidate)))
+
+
 def reference_lstm(x, steps, weight, bias):
-    """``ag.lstm`` unrolled into :func:`reference_lstm_step` chains; same
-    signature and stacked layout, so it can stand in for it."""
+    """``ag.lstm`` unrolled into :func:`reference_lstm_step` chains, or
+    :func:`reference_first_step` for a one-step weight; same signature and
+    stacked layout, so it can stand in for it."""
     x = ag.tensor(x)
+    if weight.shape[0] == x.shape[1]:
+        return reference_first_step(x, weight, bias)
     rows = x.shape[0] // steps
     state_dim = weight.shape[1] // 4
     hidden = ag.tensor(np.zeros((rows, state_dim)))

@@ -1326,32 +1326,37 @@ class TestSpentActivations:
             assert p.grad.tobytes() == (first + first).tobytes()
 
 
-def _lstm_arrays(seed, steps, rows, saturate=False):
-    """Input [steps*rows, 3], weight [2+3, 8] and bias [8] of a width-2 LSTM;
+def _lstm_arrays(seed, steps, rows, saturate=False, one_step=False):
+    """Input [steps*rows, 3], weight [2+3, 8] and bias [8] of a width-2 LSTM,
+    or with ``one_step`` the one-step form's weight [3, 6] and bias [6];
     ``saturate`` drives every gate and the candidate with a bias of +-30."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (steps * rows, 3))
-    weight = rng.uniform(-1, 1, (5, 8))
-    bias = 30.0 * rng.choice([-1.0, 1.0], 8) if saturate else rng.uniform(-1, 1, 8)
+    cols = 6 if one_step else 8
+    weight = rng.uniform(-1, 1, (3 if one_step else 5, cols))
+    bias = 30.0 * rng.choice([-1.0, 1.0], cols) if saturate else rng.uniform(-1, 1, cols)
     return [x, weight, bias]
 
 
-LSTM_CASES = [(steps, 3, False) for steps in range(1, 5)] + [(3, 1, False), (3, 2, True)]
-LSTM_IDS = [f"steps{steps}" for steps in range(1, 5)] + ["one_row", "saturated"]
+LSTM_CASES = ([(steps, 3, False, False) for steps in range(1, 5)]
+              + [(3, 1, False, False), (3, 2, True, False)]
+              + [(1, 3, False, True), (1, 1, False, True), (1, 2, True, True)])
+LSTM_IDS = ([f"steps{steps}" for steps in range(1, 5)] + ["one_row", "saturated"]
+            + ["one_step", "one_step_one_row", "one_step_saturated"])
 
 
 class TestLstm:
-    @pytest.mark.parametrize("steps,rows,saturate", LSTM_CASES, ids=LSTM_IDS)
-    def test_gradients_match_finite_differences(self, steps, rows, saturate):
-        arrays = _lstm_arrays(1100 + steps, steps, rows, saturate)
+    @pytest.mark.parametrize("steps,rows,saturate,one_step", LSTM_CASES, ids=LSTM_IDS)
+    def test_gradients_match_finite_differences(self, steps, rows, saturate, one_step):
+        arrays = _lstm_arrays(1100 + steps, steps, rows, saturate, one_step)
         # weight the outputs so every step's hidden state has its own gradient
         w = np.random.default_rng(1200 + steps).uniform(-1, 1, (steps * rows, 2))
         check_op_gradient(lambda x, wt, b: mul(ag.lstm(x, steps, wt, b), w), arrays)
 
-    @pytest.mark.parametrize("steps,rows,saturate", LSTM_CASES, ids=LSTM_IDS)
-    def test_matches_reference_chain(self, steps, rows, saturate):
+    @pytest.mark.parametrize("steps,rows,saturate,one_step", LSTM_CASES, ids=LSTM_IDS)
+    def test_matches_reference_chain(self, steps, rows, saturate, one_step):
         # the same values bit for bit, and every gradient within 1e-12
-        arrays = _lstm_arrays(1300 + steps, steps, rows, saturate)
+        arrays = _lstm_arrays(1300 + steps, steps, rows, saturate, one_step)
         g = np.random.default_rng(1400).uniform(-1, 1, (steps * rows, 2))
         runs = []
         for op in (ag.lstm, reference_lstm):
@@ -1369,10 +1374,37 @@ class TestLstm:
         assert out.shape == (4, 2)
         assert out.parents == (x, w, b)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_one_step_form_matches_full_weight_with_zero_recurrent_rows(self, rows):
+        # columns of the input, output and candidate blocks of the full layout
+        live = [0, 1, 4, 5, 6, 7]
+        x, full, full_bias = _lstm_arrays(1450 + rows, 1, rows)
+        full[:2] = 0.0
+        g = np.random.default_rng(1460).uniform(-1, 1, (rows, 2))
+        runs = []
+        for weight, bias in ((full, full_bias), (full[2:, live], full_bias[live])):
+            tensors = [ag.Tensor(a) for a in (x, weight, bias)]
+            out = ag.lstm(tensors[0], 1, *tensors[1:])
+            ag.backward(sum_reduce(mul(out, g)))
+            runs.append([out.values, *(t.grad for t in tensors)])
+        full_run, one_step_run = runs
+        # the recurrent rows and the forget gate get no gradient from a first step
+        assert not full_run[2][:2].any() and not full_run[2][:, 2:4].any()
+        assert not full_run[3][2:4].any()
+        full_run[2], full_run[3] = full_run[2][2:, live], full_run[3][live]
+        for got, want in zip(one_step_run, full_run):
+            assert relative_error(got, want, floor=1e-300) < 1e-12
+
     @pytest.mark.parametrize("steps,weight_shape", [(4, (5, 8)), (0, (5, 8)), (2, (4, 8))])
     def test_shapes_checked(self, steps, weight_shape):
         with pytest.raises(ShapeError):
             ag.lstm(np.ones((6, 3)), steps, np.ones(weight_shape), np.ones(8))
+
+    @pytest.mark.parametrize("steps,bias_size", [(2, 6), (1, 8)],
+                             ids=["over_two_steps", "four_block_bias"])
+    def test_one_step_shapes_checked(self, steps, bias_size):
+        with pytest.raises(ShapeError):
+            ag.lstm(np.ones((6, 3)), steps, np.ones((3, 6)), np.ones(bias_size))
 
 
 def _attend_arrays(seed, steps, rows, identical=False, peak=1.0):

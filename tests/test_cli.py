@@ -378,6 +378,17 @@ class TestEvalCommand:
         assert key is None or key in err
         assert "Traceback" not in err
 
+    def test_version_2_checkpoint_exits_3_naming_the_file_and_version(self, tmp_path, capsys,
+                                                                      tiny_checkpoint):
+        # version 2 stored every LSTM's full block, recurrent rows and forget gate included
+        blob = _with_header(tiny_checkpoint, lambda header: {**header, "format_version": 2})
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(blob[:8] + (2).to_bytes(4, "little") + blob[12:])
+        assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported checkpoint version 2" in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
         capsys.readouterr()

@@ -1,13 +1,15 @@
 """Malformed-input corpus: seeded byte flips and truncations of a valid desk
-checkpoint, point file, manifest and config file, each run through
-``pointseq eval`` in-process.
+checkpoint, point file, manifest and config file, each run in-process
+through ``pointseq eval``; the point file, manifest and config file also
+through a one-epoch ``pointseq train``, and the config file through
+``pointseq synth``.
 
 Every case must exit 0, 2 or 3 and print no traceback; a flip can leave a
 file valid, so exit 0 is allowed. An exit of 2 or 3 must name the damaged
 file, or, for the checkpoint, point file and config file, a key. A second
-table puts hand-written lines into the point file and the manifest: wrong
-column counts, an overflowing number, negative zero and a number of a
-million digits.
+table puts hand-written lines into the point file and the manifest, run
+through ``eval`` and ``train``: wrong column counts, an overflowing number,
+negative zero and a number of a million digits.
 """
 
 import random
@@ -72,6 +74,23 @@ def _eval(root):
                  "--set", f"data.manifest={root / 'data' / 'manifest.txt'}"])
 
 
+def _train(root):
+    return main(["train", "--config", str(root / "config.ini"), "--out", str(root / "retrain"),
+                 "--set", f"data.manifest={root / 'data' / 'manifest.txt'}",
+                 "--set", "train.epochs=1"])
+
+
+def _synth(root):
+    return main(["synth", "--config", str(root / "config.ini"), "--out", str(root / "resynth"),
+                 *SMALL])
+
+
+# (entry point, kind of the damaged file) beyond eval, which reads every kind
+ENTRY_CASES = [("train", "point_file"), ("train", "manifest"), ("train", "config"),
+               ("synth", "config")]
+ENTRIES = {"eval": _eval, "train": _train, "synth": _synth}
+
+
 def test_the_valid_tree_evaluates(valid_tree, capsys):
     assert _eval(valid_tree) == 0
     assert "samples=3" in capsys.readouterr().out
@@ -82,12 +101,24 @@ def test_the_valid_tree_evaluates(valid_tree, capsys):
 @pytest.mark.parametrize("kind", TARGETS)
 def test_damaged_input_exits_cleanly_naming_it(valid_tree, tmp_path, capsys,
                                                kind, mutation, seed):
+    _check_damaged(valid_tree, tmp_path, capsys, "eval", kind, mutation, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("entry,kind", ENTRY_CASES, ids=[f"{e}-{k}" for e, k in ENTRY_CASES])
+def test_damaged_input_to_train_and_synth_exits_cleanly_naming_it(valid_tree, tmp_path, capsys,
+                                                                  entry, kind, mutation, seed):
+    _check_damaged(valid_tree, tmp_path, capsys, entry, kind, mutation, seed)
+
+
+def _check_damaged(valid_tree, tmp_path, capsys, entry, kind, mutation, seed):
     root = tmp_path / "tree"
     shutil.copytree(valid_tree, root)
     target = root / TARGETS[kind]
     rng = random.Random(f"{kind}-{mutation}-{seed}")
     target.write_bytes(MUTATIONS[mutation](target.read_bytes(), rng))
-    code = _eval(root)
+    code = ENTRIES[entry](root)
     err = capsys.readouterr().err
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
@@ -119,14 +150,14 @@ MANIFEST_LINES = {
 }
 
 
-def _eval_edited(valid_tree, tmp_path, kind, edit):
-    """``eval`` of a copy of the valid tree whose ``kind`` file went through
-    ``edit(text)``: (exit code, stderr, the edited file's path)."""
+def _run_edited(valid_tree, tmp_path, entry, kind, edit):
+    """``entry`` run on a copy of the valid tree whose ``kind`` file went
+    through ``edit(text)``: (exit code, the edited file's path)."""
     root = tmp_path / "tree"
     shutil.copytree(valid_tree, root)
     target = root / TARGETS[kind]
     target.write_text(edit(target.read_text()))
-    return _eval(root), target
+    return ENTRIES[entry](root), target
 
 
 def _assert_clean_exit(code, err, want, target):
@@ -142,24 +173,45 @@ def _assert_clean_exit(code, err, want, target):
 @pytest.mark.parametrize("case", POINT_LINES)
 def test_point_file_line_exits_cleanly_naming_the_file(valid_tree, tmp_path, capsys, case,
                                                        place):
+    _check_point_line(valid_tree, tmp_path, capsys, "eval", case, place)
+
+
+@pytest.mark.parametrize("place", ["first", "appended"])
+@pytest.mark.parametrize("case", POINT_LINES)
+def test_point_file_line_to_train_exits_cleanly_naming_the_file(valid_tree, tmp_path, capsys,
+                                                                case, place):
+    _check_point_line(valid_tree, tmp_path, capsys, "train", case, place)
+
+
+def _check_point_line(valid_tree, tmp_path, capsys, entry, case, place):
     line, first, appended = POINT_LINES[case]
     if place == "first":
-        code, target = _eval_edited(valid_tree, tmp_path, "point_file",
-                                    lambda text: text.replace(text.split("\n")[0], line, 1))
+        code, target = _run_edited(valid_tree, tmp_path, entry, "point_file",
+                                   lambda text: text.replace(text.split("\n")[0], line, 1))
     else:
-        code, target = _eval_edited(valid_tree, tmp_path, "point_file",
-                                    lambda text: f"{text}{line}\n")
+        code, target = _run_edited(valid_tree, tmp_path, entry, "point_file",
+                                   lambda text: f"{text}{line}\n")
     _assert_clean_exit(code, capsys.readouterr().err, first if place == "first" else appended,
                        target)
 
 
 @pytest.mark.parametrize("case", MANIFEST_LINES)
 def test_manifest_line_exits_cleanly_naming_the_file(valid_tree, tmp_path, capsys, case):
+    _check_manifest_line(valid_tree, tmp_path, capsys, "eval", case)
+
+
+@pytest.mark.parametrize("case", MANIFEST_LINES)
+def test_manifest_line_to_train_exits_cleanly_naming_the_file(valid_tree, tmp_path, capsys,
+                                                              case):
+    _check_manifest_line(valid_tree, tmp_path, capsys, "train", case)
+
+
+def _check_manifest_line(valid_tree, tmp_path, capsys, entry, case):
     old, new, want = MANIFEST_LINES[case]
 
     def edit(text):
         assert old in text
         return text.replace(old, new, 1)
 
-    code, target = _eval_edited(valid_tree, tmp_path, "manifest", edit)
+    code, target = _run_edited(valid_tree, tmp_path, entry, "manifest", edit)
     _assert_clean_exit(code, capsys.readouterr().err, want, target)

@@ -89,6 +89,29 @@ class TestBuildParams:
         assert_array_equal(bias[:8], np.zeros(8))
         assert_array_equal(bias[16:], np.zeros(16))
 
+    @pytest.mark.parametrize("scales,one_step", [((2, 4), {"decoder"}),
+                                                 ((4,), {"encoder", "decoder"})],
+                             ids=["two_scales", "one_scale"])
+    def test_one_step_lstms_keep_only_their_live_block(self, scales, one_step, monkeypatch):
+        # an LSTM that runs one step from a zero state keeps the input rows
+        # and the input, output and candidate columns of the full block it
+        # draws, so the rng stream and every later parameter stay as they were
+        drawn = []
+        real = model._uniform
+        monkeypatch.setattr(model, "_uniform",
+                            lambda *args: drawn.append(real(*args)) or drawn[-1])
+        p = build_params(tiny_cls_config(scales=scales), np.random.default_rng(0))
+        full = dict(zip(("encoder", "decoder"), [w for w in drawn if w.shape == (16, 32)]))
+        for name, block in full.items():
+            weight, bias = p[f"{name}.weight"].values, p[f"{name}.bias"].values
+            if name in one_step:
+                assert weight.flags.c_contiguous
+                assert_array_equal(weight, np.concatenate([block[8:, :8], block[8:, 16:]], 1))
+                assert_array_equal(bias, np.zeros(24))
+            else:
+                assert_array_equal(weight, block)
+                assert bias.shape == (32,)
+
     def test_init_respects_fan_in_bound(self):
         p = build_params(tiny_cls_config(), np.random.default_rng(3))
         w = p["centroid_proj.weight"].values

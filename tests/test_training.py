@@ -471,6 +471,29 @@ class TestGradientCheck:
         worst, report = gradient_check(params, loss_fn, coords_per_tensor=4)
         assert worst < 1e-4, report
 
+    # attention_ed over one scale is left out: its softmax over a single step
+    # is always 1, so attn_score.weight gets no gradient there
+    @pytest.mark.parametrize("aggregator,scales", [
+        ("attention_ed", (2, 4)), ("no_attention", (2, 4)), ("no_decoder", (2, 4)),
+        ("no_attention", (4,)), ("no_decoder", (4,)),
+    ], ids=["attention_ed-two_scales", "no_attention-two_scales", "no_decoder-two_scales",
+            "no_attention-one_scale", "no_decoder-one_scale"])
+    def test_every_recurrent_parameter_gets_a_gradient(self, aggregator, scales):
+        # a one-step LSTM stores no recurrent rows and no forget gate, which
+        # would meet only the zero state
+        cfg = tiny_cfg(aggregator=aggregator, scales=scales)
+        rng = np.random.default_rng(72)
+        params = build_params(cfg, rng)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(24, 3))), cfg) for _ in range(4)]
+        ctx = ForwardContext(training=True, rng=np.random.default_rng(73))
+        ag.backward(cross_entropy_loss(classify_batch(geoms, params, cfg, ctx),
+                                       np.array([0, 1, 0, 1])))
+        recurrent = [name for name in params.names() if name.split(".")[0] in
+                     ("encoder", "decoder")]
+        assert len(recurrent) == (2 if aggregator == "no_decoder" else 4)
+        for name in recurrent:
+            assert params[name].grad.all(), name
+
     def test_zero_parameter_model_gives_empty_report(self):
         worst, report = gradient_check(ModelParams(), lambda: ag.tensor(1.5))
         assert worst == 0.0
@@ -714,6 +737,35 @@ class TestMemoryGuard:
             graph_logits = out[0] if isinstance(out, tuple) else out
             assert graph_logits.parents
             assert_array_equal(logits.values, graph_logits.values)
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_train_step_frees_its_graph_before_adam(self, task, monkeypatch):
+        # Adam's moment arrays can then reuse the step's activations
+        cfg = tiny_cfg() if task == "classification" else seg_cfg()
+        rng = np.random.default_rng(66)
+        params = build_params(cfg, rng)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(16, 3)),
+                                          labels=rng.integers(0, 2, size=16)), cfg)
+                 for _ in range(3)]
+        forward_name = "classify_batch" if task == "classification" else "segment_batch"
+        forward, real_adam = getattr(training, forward_name), training.adam_step
+        logits, alive = [], []
+
+        def recorded(*args):
+            out = forward(*args)
+            logits.append(weakref.ref((out[0] if isinstance(out, tuple) else out).values))
+            return out
+
+        def checking(*args):
+            alive.append(logits[0]() is not None)
+            return real_adam(*args)
+
+        monkeypatch.setattr(training, forward_name, recorded)
+        monkeypatch.setattr(training, "adam_step", checking)
+        ctx = ForwardContext(training=True, rng=np.random.default_rng(67))
+        training._train_step(geoms, np.array([0, 1, 0]), params, cfg, ctx, AdamState(),
+                             0.01, "epoch 0")
+        assert alive == [False]
 
     def test_lstm_keeps_no_copy_of_its_input_or_output(self):
         # per step the gates (3h), candidate, previous cell and tanh(cell),
