@@ -51,12 +51,12 @@ def no_grad():
 
     Tensors made inside have no parents and no ``grad_fn``, so an op's
     backward closure, and every array only it held, is freed as soon as the
-    op returns; :func:`bn_mlp` does not even compute what its backward would
-    need. An eval-mode :func:`bn_mlp` then holds no full-size intermediate at
-    all: each row tile passes through every layer and the pool in the
-    scratch buffers of the thread that works it, which that thread keeps
-    for its next call. The previous mode comes back when the block exits,
-    also by an exception.
+    op returns; a training-mode :func:`bn_mlp` does not even compute what
+    its backward would need. An eval-mode :func:`bn_mlp` holds no full-size
+    intermediate with or without a graph: each row tile passes through every
+    layer and the pool in the scratch buffers of the thread that works it,
+    which that thread keeps for its next call. The previous mode comes back
+    when the block exits, also by an exception.
     """
     global _recording
     previous, _recording = _recording, False
@@ -104,11 +104,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(values) -> Tensor:
@@ -486,10 +481,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     Prefix t extends prefix t-1's max by rows [k_{t-1}, k_t), and a later
     row wins only when strictly greater, so ties go to the lowest row.
 
-    Per layer the node keeps only the normalized activations (the matmul
-    output in eval mode), the batch-norm affine and the dropout mask; with a
-    pool it keeps the winning row of every output, not the last activations.
-    The backward recomputes each layer's output from those and repeats no
+    In training mode, per layer the node keeps only the normalized
+    activations, the batch-norm affine and the dropout mask; with a pool it
+    keeps the winning row of every output, not the last activations. The
+    backward recomputes each layer's output from those and repeats no
     matmul but a constant-fed first layer's (see below): the activation
     recomputation of Chen et al. (arXiv 1604.06174). A pooled stack reads
     its last relu's mask at each winning row from the pooled output, which
@@ -497,8 +492,8 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     last-layer activations at all. Parents are ``x``, then each layer's
     weight, gamma and beta. An ``x`` passed as a plain array, not a
     :class:`Tensor`, is a constant: it is no parent, and the backward skips
-    the first layer's input-gradient matmul. Under :func:`no_grad` nothing
-    is kept.
+    the first layer's input-gradient matmul. Under :func:`no_grad`, and in
+    eval mode, nothing is kept.
 
     The rows are worked in row tiles: a stack whose widest layer (input
     included) holds 2**18 or more elements in tiles of about 2**17 elements,
@@ -543,16 +538,15 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     its tiles spreads the winners' gradients over a zeroed block. The
     calling thread adds all partials in tile order.
 
-    Where that buffer comes from: a pooled training stack whose layers, and
-    whose input if it takes a gradient, are no wider than its top layer
-    writes every gradient over the top layer's normalized activations, which
-    a tile reads, in its own rows, only before it first writes there; it
-    spreads the winners' gradients in a scratch slot instead. In the spirit
-    of In-Place Activated BatchNorm (Rota Bulo et al., CVPR 2018), that
-    reuse spends the saved activations, so such a stack runs its backward
-    once: a second raises ``RuntimeError``. Every other stack, unpooled or
-    in eval mode, allocates a [rows, widest] buffer per backward and may
-    run it again.
+    Where that buffer comes from: a pooled stack whose layers, and whose
+    input if it takes a gradient, are no wider than its top layer writes
+    every gradient over the top layer's normalized activations, which a tile
+    reads, in its own rows, only before it first writes there. Every pooled
+    stack spreads the winners' gradients in a scratch slot. In the spirit of
+    In-Place Activated BatchNorm (Rota Bulo et al., CVPR 2018), that reuse
+    spends the saved activations, so such a stack runs its backward once: a
+    second raises ``RuntimeError``. Every other stack allocates a [rows,
+    widest] buffer per backward and can run it again.
 
     So a training result depends only on the shapes: it is the same bits for
     any number of threads and any order in which the tiles run. A stack of
@@ -562,11 +556,14 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     Eval mode needs no column reduction, so one task per tile takes the tile
     through every layer's matmul, scale and shift and relu, then the pool,
-    and writes only the output rows (plus, when a graph is recorded, each
-    layer's matmul output and the pool's winners). A layer's tile goes into
-    one of two scratch slots, alternating. The tile bounds are the ones
-    above, so the result is the same bits with or without a graph and for
-    any number of threads. An eval-mode graph's backward runs as one tile.
+    and writes only the output rows. A layer's tile goes into one of two
+    scratch slots, alternating. The tile bounds are the ones above, so the
+    result is the same bits with or without a graph and for any number of
+    threads. At inference batch norm is a fixed affine map that nothing is
+    trained through, so eval mode is forward-only: it keeps nothing for a
+    backward, with or without a graph. A recorded eval-mode node still has
+    the parents above, and its backward raises ``RuntimeError``, so a
+    backward through it cannot silently leave the stack's parameters out.
     """
     constant = not isinstance(x, Tensor)
     x_values = np.asarray(x, dtype=np.float64) if constant else x.values
@@ -602,32 +599,32 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             raise ShapeError(f"prefixes {tuple(prefixes)} must strictly increase within "
                              f"groups of {group}")
 
-    keep = _recording
+    keep = _recording and training
     tiles = _row_tiles(rows, group, widest)
     if pool is not None:
         m, d = rows // group, width
         out = np.empty((len(steps), m, d))
         winners = [np.empty((m, d), dtype=np.intp) for _ in steps] if keep else None
 
-    def pool_groups(blocks, lo, hi, free):
+    def pool_groups(blocks, lo, hi):
         # the prefix maxima of the groups in rows [lo, hi), whose last
         # outputs ``blocks`` holds as [groups, group, d]. Every output is >= +0
         # after the relu (or NaN), so its max is the winner's value bit for
-        # bit. The winners come from each window's transpose in the scratch
-        # slot ``free``: argmax over a last axis makes no temporary
+        # bit. A recorded training stack takes the winners from each window's
+        # transpose in scratch slot 1, which pass B leaves free: argmax over a
+        # last axis makes no temporary
         s = slice(lo // group, hi // group)
         for t, (k0, k1) in enumerate(steps):
             window = blocks[:, k0:k1]
             if keep:
-                moved = _scratch(free, len(blocks) * d, k1 - k0).reshape(-1, d, k1 - k0)
+                moved = _scratch(1, len(blocks) * d, k1 - k0).reshape(-1, d, k1 - k0)
                 np.copyto(moved, window.transpose(0, 2, 1))
                 np.argmax(moved, axis=2, out=winners[t][s])
             np.max(window, axis=1, out=out[t, s])
             if t:
                 np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
 
-    # one record per layer; its relu input is hat * scale + shift in either
-    # mode
+    # one record per training layer; its relu input is hat * scale + shift
     saved = []
     if training:
         counts = ([hi - lo for lo, hi in tiles] if weights is None
@@ -726,20 +723,17 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 activate(below, t, a[lo:hi])
             else:
                 rows_y = activate(below, t, _scratch(0, hi - lo, width))
-                pool_groups(rows_y.reshape(-1, group, width), lo, hi, 1)
+                pool_groups(rows_y.reshape(-1, group, width), lo, hi)
 
         _each_tile(len(tiles), pass_b)
     else:
         # batch norm is one fixed scale and shift per column, so each tile
         # runs through every layer and the pool while it is in cache
+        affine = []
         for weight, state in layers:
             inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
             scale = state.gamma.values * inv_std
-            shift = state.beta.values - state.running_mean * scale
-            saved.append(SimpleNamespace(
-                weight=weight.values, dim=state.dim,
-                hat=np.empty((rows, state.dim)) if keep else None, scale=scale, shift=shift,
-                gain=scale, inv_std=inv_std, center=state.running_mean, mask=None))
+            affine.append((weight.values, scale, state.beta.values - state.running_mean * scale))
         a = None if pool is not None else np.empty((rows, width))
         # every layer but an unpooled last one writes its tile into scratch
         # slot 0 or 1, alternating
@@ -749,36 +743,32 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             lo, hi = tiles[t]
             n = hi - lo
             rows_a = x_values[lo:hi]
-            for i, layer in enumerate(saved):
-                rows_y = _scratch(i % 2, n, layer.dim) if i < buffered else a[lo:hi]
-                rows_z = rows_y if layer.hat is None else layer.hat[lo:hi]
-                np.matmul(rows_a, layer.weight, out=rows_z)
-                np.multiply(rows_z, layer.scale, out=rows_y)
-                rows_y += layer.shift
+            for i, (weight, scale, shift) in enumerate(affine):
+                rows_y = _scratch(i % 2, n, weight.shape[1]) if i < buffered else a[lo:hi]
+                np.matmul(rows_a, weight, out=rows_y)
+                rows_y *= scale
+                rows_y += shift
                 np.maximum(rows_y, 0.0, out=rows_y)
                 rows_a = rows_y
             if pool is not None:
-                # the slot the last layer's input held is free
-                pool_groups(rows_a.reshape(n // group, group, width), lo, hi, len(saved) % 2)
+                pool_groups(rows_a.reshape(n // group, group, width), lo, hi)
 
         _each_tile(len(tiles), eval_tile)
     if pool is not None:
         a = out.reshape(len(steps) * m, d)
+    parents = [] if constant else [x]
+    for weight, state in layers:
+        parents += (weight, state.gamma, state.beta)
     if not keep:
-        return Tensor(a)
+        # a recorded eval-mode node keeps its parents, so a backward through
+        # it raises instead of skipping the stack's parameters
+        return Tensor(a, parents, _forward_only)
 
-    def beta_gamma_sums(layer, rows_g, hat, sums, buffer):
+    def beta_gamma_sums(rows_g, hat, sums, buffer):
         # the column sums of a layer's gradient and of the gradient times its
-        # normalized activations: ``hat`` itself in training mode, made from
-        # the matmul output ``hat`` in eval mode
+        # normalized activations ``hat``
         np.add.reduce(rows_g, axis=0, out=sums[0])
-        if training:
-            product = np.multiply(rows_g, hat, out=buffer)
-        else:
-            product = np.subtract(hat, layer.center, out=buffer)
-            product *= layer.inv_std
-            product *= rows_g
-        np.add.reduce(product, axis=0, out=sums[1])
+        np.add.reduce(np.multiply(rows_g, hat, out=buffer), axis=0, out=sums[1])
 
     def route(g):
         # the pooled gradient owed to each prefix's winning row, times the
@@ -811,11 +801,10 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     def grad_fn(g):
         nonlocal spent
-        passes = tiles if training else [(0, rows)]
         # weight-gradient partials: one per run of consecutive tiles, as many
         # runs as keep one layer's partials within an eighth of its
         # [rows, width] array
-        runs = [_runs(len(passes), max(1, min(len(passes), rows // (8 * layer.weight.shape[0]))))
+        runs = [_runs(len(tiles), max(1, min(len(tiles), rows // (8 * layer.weight.shape[0]))))
                 for layer in saved]
         top = saved[-1]
         widest_g = max(layer.dim for layer in saved)
@@ -824,11 +813,11 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         # the gradient of the layer at hand sits in one buffer, where tile
         # [lo, hi) owns rows [lo, hi): the tile reads the gradient there as
         # [hi - lo, width], then writes the layer below's over it. The input
-        # gradient, last, takes the buffer's first columns. A pooled training
-        # stack no wider than its top layer takes the top layer's normalized
+        # gradient, last, takes the buffer's first columns. A pooled stack no
+        # wider than its top layer takes the top layer's normalized
         # activations as that buffer: a tile reads its own rows of them once,
         # before it writes there, so they are spent
-        if training and pool is not None and widest_g == top.dim:
+        if pool is not None and widest_g == top.dim:
             if spent:
                 raise RuntimeError("bn_mlp: a pooled training stack's backward spends its saved "
                                    "activations, so it runs only once; run the forward again")
@@ -841,17 +830,17 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             return _rows(store[lo:hi].reshape(-1), hi - lo, dim)
 
         def normalized(layer, t):
-            # a layer's kept activations over pass t, or, for a layer that
-            # kept none (training only), its tile remade in scratch slot 2
-            lo, hi = passes[t]
+            # a layer's kept activations over tile t, or, for a layer that
+            # kept none, the tile remade in scratch slot 2
+            lo, hi = tiles[t]
             return remake(layer, t, 2) if layer.hat is None else layer.hat[lo:hi]
 
         if pool is None:
-            sums = np.empty((len(passes), 2, top.dim))
+            sums = np.empty((len(tiles), 2, top.dim))
 
             def gate_top(t):
                 # the last relu's and dropout's masks on the gradient handed in
-                lo, hi = passes[t]
+                lo, hi = tiles[t]
                 relu_in = _scratch(0, hi - lo, top.dim)
                 positive = _scratch(0, hi - lo, top.dim, bool)
                 np.multiply(top.hat[lo:hi], top.scale, out=relu_in)
@@ -860,9 +849,9 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 rows_g = np.multiply(g[lo:hi], positive, out=stored(lo, hi, top.dim))
                 if top.mask is not None:
                     rows_g *= top.mask[lo:hi]
-                beta_gamma_sums(top, rows_g, top.hat[lo:hi], sums[t], relu_in)
+                beta_gamma_sums(rows_g, top.hat[lo:hi], sums[t], relu_in)
 
-            _each_tile(len(passes), gate_top)
+            _each_tile(len(tiles), gate_top)
         else:
             owed, columns = route(g.reshape(out.shape)), np.arange(d)
             hats = np.empty_like(owed)
@@ -873,7 +862,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 hats[:, t] = top.hat[found, columns]
             sums = np.empty((1, 2, d))
             hats = hats.reshape(-1, d)
-            beta_gamma_sums(top, owed.reshape(-1, d), hats, sums[0], hats)
+            beta_gamma_sums(owed.reshape(-1, d), hats, sums[0], hats)
             del hats
         dbeta, dgamma = _tile_sum(sums)
 
@@ -883,43 +872,39 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             layer = saved[i]
             lower = saved[i - 1] if i else None
             fan_in = layer.weight.shape[0]
-            if training:
-                gamma_share, beta_share = dgamma / total, dbeta / total
+            gamma_share, beta_share = dgamma / total, dbeta / total
             partials = np.empty((len(runs[i]), *layer.weight.shape))
             if lower is not None:
-                sums = np.empty((len(passes), 2, lower.dim))
+                sums = np.empty((len(tiles), 2, lower.dim))
             elif not constant:
                 gx = store[:, :fan_in]
 
             def layer_pass(k):
                 first, stop = runs[i][k]
                 for t in range(first, stop):
-                    lo, hi = passes[t]
+                    lo, hi = tiles[t]
                     n = hi - lo
                     if layer is top and pool is not None:
-                        # each owed gradient at its winning row, zero elsewhere:
-                        # in training, in scratch slot 1, as the buffer may be
-                        # the activations read below
-                        rows_g = _scratch(1, n, d) if training else stored(lo, hi, d)
+                        # each owed gradient at its winning row, zero elsewhere,
+                        # in scratch slot 1, as the buffer may be the
+                        # activations read below
+                        rows_g = _scratch(1, n, d)
                         rows_g[...] = 0.0
                         for step in range(len(steps)):
                             found = winner_rows(step, lo // group, hi // group)
                             rows_g[found - lo, columns] = owed[lo // group:hi // group, step]
                     else:
                         rows_g = stored(lo, hi, layer.dim)
-                    dz = _scratch(0, n, layer.dim)
-                    if training:
-                        # the batch moments depend on the input as well: remove
-                        # the gradient's (weighted) column mean and its
-                        # component along the normalized column
-                        np.multiply(normalized(layer, t), gamma_share, out=dz)
-                        dz += beta_share
-                        if weights is not None:
-                            dz *= weights[lo:hi, None]
-                        np.subtract(rows_g, dz, out=dz)
-                        dz *= layer.gain
-                    else:
-                        np.multiply(rows_g, layer.gain, out=dz)
+                    # the batch moments depend on the input as well: remove the
+                    # gradient's (weighted) column mean and its component along
+                    # the normalized column
+                    dz = np.multiply(normalized(layer, t), gamma_share,
+                                     out=_scratch(0, n, layer.dim))
+                    dz += beta_share
+                    if weights is not None:
+                        dz *= weights[lo:hi, None]
+                    np.subtract(rows_g, dz, out=dz)
+                    dz *= layer.gain
                     if lower is None:
                         rows_a = x_values[lo:hi]
                     else:
@@ -945,8 +930,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                         rows_below *= positive
                         if lower.mask is not None:
                             rows_below *= lower.mask[lo:hi]
-                        beta_gamma_sums(lower, rows_below, lower_hat, sums[t],
-                                        _scratch(0, n, lower.dim))
+                        beta_gamma_sums(rows_below, lower_hat, sums[t], _scratch(0, n, lower.dim))
                     elif gx is not None:
                         np.matmul(dz, layer.weight.T, out=gx[lo:hi])
 
@@ -957,10 +941,13 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 dbeta, dgamma = _tile_sum(sums)
         return tuple(param_grads) if constant else (gx, *param_grads)
 
-    parents = [] if constant else [x]
-    for weight, state in layers:
-        parents += (weight, state.gamma, state.beta)
     return Tensor(a, parents, grad_fn)
+
+
+def _forward_only(g):
+    # the backward of a recorded eval-mode bn_mlp node
+    raise RuntimeError("bn_mlp: an eval-mode stack is forward-only and keeps nothing for a "
+                       "backward; run it in training mode to take gradients")
 
 
 def _sigmoid(v):
@@ -1180,6 +1167,8 @@ def backward(loss) -> None:
     buffers, so repeated calls without zeroing accumulate, except through a
     pooled training :func:`bn_mlp` stack that writes its gradients over its
     saved activations: a second call through one raises ``RuntimeError``.
+    An eval-mode :func:`bn_mlp` stack is forward-only: a call that reaches
+    one raises ``RuntimeError``.
     Intermediate nodes keep ``.grad`` unset: each one's gradient is dropped
     as soon as its ``grad_fn`` has used it.
     """

@@ -260,23 +260,25 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+# the [ablate] key that lists each numeric axis's values
+_AXIS_KEYS = {"M": "m_values", "T": "t_values", "rnn-hidden": "hidden_values", "lr": "lr_values"}
+
+
 def _axis_values(cfg: RunConfig, axis: str) -> list:
-    ab = cfg.ablate
-    if axis == "M":
-        return list(ab.m_values)
+    if axis not in _AXIS_KEYS:
+        return list(AGGREGATORS)
+    key = _AXIS_KEYS[axis]
+    values = list(getattr(cfg.ablate, key))
+    if not values:
+        raise ConfigError(f"ablate.{key} is empty: the {axis} ablation needs at least one value")
     if axis == "T":
         limit = len(cfg.model.scales)
-        bad = [t for t in ab.t_values if not 1 <= t <= limit]
+        bad = [t for t in values if not 1 <= t <= limit]
         if bad:
             raise ConfigError(
                 f"ablate.t_values {bad} exceed the {limit} configured scales"
             )
-        return list(ab.t_values)
-    if axis == "rnn-hidden":
-        return list(ab.hidden_values)
-    if axis == "lr":
-        return list(ab.lr_values)
-    return list(AGGREGATORS)
+    return values
 
 
 def _apply_axis(run_cfg: RunConfig, axis: str, value) -> None:

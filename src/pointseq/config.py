@@ -308,6 +308,9 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError("train.epochs must be at least 1")
     if tc.decay_every < 0:
         raise ConfigError("train.decay_every must be 0 (off) or positive")
+    if cfg.ablate.epochs < 0:
+        raise ConfigError(f"ablate.epochs must be 0 (keep train.epochs) or positive, "
+                          f"got {cfg.ablate.epochs}")
     if not 0.0 < tc.bn_momentum <= 1.0:
         raise ConfigError("train.bn_momentum must be in (0, 1]")
     if not 0.0 < tc.lr_decay <= 1.0 or not 0.0 < tc.bn_momentum_decay <= 1.0:

@@ -443,30 +443,32 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
     params.clear_grads()
     ag.backward(loss_fn())
 
-    def central_difference(flat, i, h):
-        original = flat[i]
-        flat[i] = original + h
+    def central_difference(values, index, h):
+        original = values[index]
+        values[index] = original + h
         hi = float(loss_fn().values)
-        flat[i] = original - h
+        values[index] = original - h
         lo = float(loss_fn().values)
-        flat[i] = original
+        values[index] = original
         return (hi - lo) / (2 * h)
 
     worst = 0.0
     report = {}
     for name, tensor in params.items():
-        flat = tensor.values.reshape(-1)
-        grad = tensor.grad.reshape(-1)
-        if flat.size <= coords_per_tensor:
-            picks = np.arange(flat.size)
+        # coordinate i is the i-th in C order, probed in the parameter's own
+        # memory: a flattening reshape of a non-contiguous array is a copy
+        values = tensor.values
+        if values.size <= coords_per_tensor:
+            picks = np.arange(values.size)
         else:
-            picks = np.sort(rng.choice(flat.size, coords_per_tensor, replace=False))
+            picks = np.sort(rng.choice(values.size, coords_per_tensor, replace=False))
         tensor_worst = 0.0
         for i in picks:
-            analytic = grad[i]
+            index = np.unravel_index(i, values.shape)
+            analytic = tensor.grad[index]
             rel = np.inf
             for h in (step, step * 10, step / 10):
-                numeric = central_difference(flat, i, h)
+                numeric = central_difference(values, index, h)
                 if abs(analytic) < 1e-8 and abs(numeric) < 1e-8:
                     rel = 0.0
                 else:

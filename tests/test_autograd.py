@@ -21,6 +21,8 @@ from helpers import (
     reference_attend,
     reference_bn_mlp,
     reference_lstm,
+    reference_prefix_max,
+    reference_relu,
     relative_error,
     sigmoid,
     softmax,
@@ -47,12 +49,19 @@ def passthrough(width, shift=0.0):
 
 
 def relu(x):
-    """The fused op's relu alone: one pass-through layer in eval mode."""
-    return ag.bn_mlp(x, [passthrough(x.shape[1])])
+    """A relu node, as a building block of composite graphs."""
+    return reference_relu(ag.tensor(x))
 
 
 def pooled(x, group, prefixes=None):
-    """The fused op's prefix max-pool of ``x`` (exact for small integers)."""
+    """A prefix max-pool node of ``x``, as a building block of composite
+    graphs; ties route to the lowest row."""
+    return reference_prefix_max(ag.tensor(x), group, (group,) if prefixes is None else prefixes)
+
+
+def fused_pooled(x, group, prefixes=None):
+    """The fused op's prefix max-pool of ``x``, forward only: one pass-through
+    layer in eval mode (exact for small integers)."""
     x = ag.tensor(x)
     pool = (group, (group,) if prefixes is None else prefixes)
     return ag.add(ag.bn_mlp(x, [passthrough(x.shape[1], LIFT)], pool=pool), -LIFT)
@@ -229,7 +238,7 @@ class TestMaxReduce:
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            pooled(ag.Tensor(np.zeros((0, 3))), 0)
+            fused_pooled(ag.Tensor(np.zeros((0, 3))), 0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences(self, seed):
@@ -240,7 +249,7 @@ class TestMaxReduce:
     def test_pool_rows_matches_blockwise_max_reduce(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (12, 5))
-        out = pooled(ag.Tensor(x), 4)
+        out = fused_pooled(ag.Tensor(x), 4)
         routed = routed_rows(x, 4)
         for block in range(3):
             rows = x[4 * block : 4 * block + 4]
@@ -255,7 +264,7 @@ class TestMaxReduce:
 
     def test_pool_rows_rejects_ragged_groups(self):
         with pytest.raises(ShapeError):
-            pooled(ag.Tensor(np.ones((7, 2))), 2)
+            fused_pooled(ag.Tensor(np.ones((7, 2))), 2)
 
 
 class TestPrefixMaxPool:
@@ -264,7 +273,7 @@ class TestPrefixMaxPool:
     def test_each_block_is_the_max_over_its_prefix(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, (12, 5))
-        out = pooled(ag.Tensor(x), 4, self.PREFIXES)
+        out = fused_pooled(ag.Tensor(x), 4, self.PREFIXES)
         blocks = x.reshape(3, 4, 5) + LIFT
         expected = np.concatenate([blocks[:, :k].max(axis=1) for k in self.PREFIXES]) - LIFT
         np.testing.assert_array_equal(out.values, expected)
@@ -299,7 +308,7 @@ class TestPrefixMaxPool:
     @pytest.mark.parametrize("prefixes", [(), (2, 2), (3, 5), (0, 2)])
     def test_bad_prefixes_rejected(self, prefixes):
         with pytest.raises(ShapeError):
-            pooled(ag.Tensor(np.ones((8, 2))), 4, prefixes)
+            fused_pooled(ag.Tensor(np.ones((8, 2))), 4, prefixes)
 
 
 class TestConcatAndSlicing:
@@ -608,10 +617,9 @@ class TestBatchNorm:
 
     # beyond the random batches: a one-row training batch, and a column whose
     # mean sits far from zero next to its spread, where cancellation would show
-    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("seed,rows,center", BN_CASES, ids=BN_CASE_IDS)
-    def test_gradients_including_scale_and_shift(self, training, seed, rows, center):
-        check_op_gradient(*_bn_gradient_case(800 + seed, rows, center, training))
+    def test_gradients_including_scale_and_shift(self, seed, rows, center):
+        check_op_gradient(*_bn_gradient_case(800 + seed, rows, center, True))
 
     @pytest.mark.parametrize("seed,rows,center", BN_CASES, ids=BN_CASE_IDS)
     def test_weighted_gradients_including_scale_and_shift(self, seed, rows, center):
@@ -667,6 +675,9 @@ STACK_CASES = [
 ]
 STACK_IDS = ["train", "eval", "weights", "pool", "eval_pool", "weights_pool", "dropout",
              "weights_pool_dropout"]
+# the training cases alone: an eval-mode stack has no backward
+TRAIN_STACK_CASES = [case for case in STACK_CASES if case[0]]
+TRAIN_STACK_IDS = [i for case, i in zip(STACK_CASES, STACK_IDS) if case[0]]
 
 
 def _stack_kwargs(weights, pool, dropout, rows=8):
@@ -677,16 +688,19 @@ def _stack_kwargs(weights, pool, dropout, rows=8):
 
 
 def _stack_run(arrays, training, op=ag.bn_mlp, **kwargs):
-    """Output, running statistics and every gradient of an ``op`` stack
-    (``bn_mlp`` or its reference chain) over [x, weight0, gamma0, beta0, ...]
-    arrays, for a fixed output gradient."""
+    """Output, running statistics and, in training mode, every gradient of an
+    ``op`` stack (``bn_mlp`` or its reference chain) over [x, weight0, gamma0,
+    beta0, ...] arrays, for a fixed output gradient. An eval-mode stack is
+    forward-only, so its run takes no backward."""
     tensors = [ag.Tensor(a) for a in arrays]
     layers = _stack_layers(tensors[1:])
     out = op(tensors[0], layers, training, 0.3, rng=np.random.default_rng(17), **kwargs)
+    stats = [*(s.running_mean for _, s in layers), *(s.running_var for _, s in layers)]
+    if not training:
+        return [out.values, *stats]
     g = np.random.default_rng(32).uniform(-1, 1, out.shape)
     ag.backward(sum_reduce(mul(out, g)))
-    return [out.values, *(t.grad for t in tensors), *(s.running_mean for _, s in layers),
-            *(s.running_var for _, s in layers)]
+    return [out.values, *(t.grad for t in tensors), *stats]
 
 
 def _stack_layers(tensors):
@@ -726,17 +740,17 @@ def _stack_arrays(seed, rows, widths):
 
 
 class TestBnMlp:
-    @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
+    @pytest.mark.parametrize("training,weights,pool,dropout", TRAIN_STACK_CASES,
+                             ids=TRAIN_STACK_IDS)
     def test_gradients_match_finite_differences(self, training, weights, pool, dropout):
         kwargs = _stack_kwargs(weights, pool, dropout)
         check_op_gradient(*_bn_gradient_case(700, 8, None, training, (4, 3), **kwargs))
 
-    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("seed,rows,center", BN_CASES[-2:], ids=BN_CASE_IDS[-2:])
-    def test_pooled_extremes_match_finite_differences(self, training, seed, rows, center):
+    def test_pooled_extremes_match_finite_differences(self, seed, rows, center):
         # one row or a far-off column mean, through two layers and a pool
         pool = (rows, (1, rows)) if rows > 1 else (1, (1,))
-        check_op_gradient(*_bn_gradient_case(750 + seed, rows, center, training, (4, 3),
+        check_op_gradient(*_bn_gradient_case(750 + seed, rows, center, True, (4, 3),
                                              pool=pool))
 
     @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
@@ -761,8 +775,9 @@ class TestBnMlp:
 
     @pytest.mark.parametrize("training,weights,pool,dropout", STACK_CASES, ids=STACK_IDS)
     def test_plain_array_input_is_a_constant(self, training, weights, pool, dropout):
-        # the input is no parent, and every parameter gradient and running
-        # statistic is the same bits as with the input wrapped in a leaf
+        # the input is no parent, and the output, every running statistic
+        # and, in training mode, every parameter gradient is the same bits as
+        # with the input wrapped in a leaf
         arrays = _stack_arrays(35, 8, (4, 5))
         kwargs = _stack_kwargs(weights, pool, dropout)
         runs = []
@@ -771,18 +786,51 @@ class TestBnMlp:
             layers = _stack_layers(params)
             x = wrap(arrays[0])
             out = ag.bn_mlp(x, layers, training, 0.3, rng=np.random.default_rng(17), **kwargs)
-            g = np.random.default_rng(32).uniform(-1, 1, out.shape)
-            ag.backward(sum_reduce(mul(out, g)))
+            if training:
+                g = np.random.default_rng(32).uniform(-1, 1, out.shape)
+                ag.backward(sum_reduce(mul(out, g)))
             runs.append((out, x, params, layers))
         (leaf_out, leaf, leaf_params, leaf_layers), (out, _, params, layers) = runs
         assert leaf_out.parents == (leaf, *leaf_params)
         assert out.parents == tuple(params)
         assert out.values.tobytes() == leaf_out.values.tobytes()
-        for got, want in zip(params, leaf_params):
-            assert got.grad.tobytes() == want.grad.tobytes()
+        if training:
+            for got, want in zip(params, leaf_params):
+                assert got.grad.tobytes() == want.grad.tobytes()
         for (_, got), (_, want) in zip(layers, leaf_layers):
             assert got.running_mean.tobytes() == want.running_mean.tobytes()
             assert got.running_var.tobytes() == want.running_var.tobytes()
+
+    def test_relu_subgradient_is_zero_at_zero(self):
+        # a constant column normalizes to its shift exactly: with shift 0 its
+        # relu input is 0 in every row, and no gradient passes there
+        x = ag.Tensor(np.column_stack([np.full(4, 7.0), np.arange(4.0)]))
+        state = ag.BatchNormState(2)
+        state.beta.values[:] = [0.0, LIFT]
+        out = ag.bn_mlp(x, [(ag.Tensor(np.eye(2)), state)], training=True)
+        assert np.all(out.values[:, 0] == 0.0)
+        ag.backward(sum_reduce(mul(out, np.arange(1.0, 9.0).reshape(4, 2))))
+        assert state.beta.grad[0] == 0.0 and state.gamma.grad[0] == 0.0
+        np.testing.assert_array_equal(x.grad[:, 0], 0.0)
+        # the other column's relu passes every row: 2 + 4 + 6 + 8
+        assert state.beta.grad[1] == 20.0
+
+    @pytest.mark.parametrize("prefixes", [(4,), (1, 3, 4), (1, 2, 4)],
+                             ids=["4", "1_3_4", "1_2_4"])
+    def test_pool_ties_and_prefix_carry_match_the_reference(self, prefixes):
+        # integer rows tie within and across prefix segments. Behind an
+        # identity weight and a shift that clears the relu, batch norm keeps
+        # every tie, and the reference routes each prefix's gradient to the
+        # lowest of its tied rows: a winner taken from another row, or a
+        # gradient carried to the wrong prefix, moves the input gradient by a
+        # whole share
+        rng = np.random.default_rng(8)
+        arrays = [rng.integers(0, 3, (12, 5)).astype(float), np.eye(5),
+                  rng.uniform(0.5, 1.5, 5), np.full(5, LIFT)]
+        runs = [_stack_run(arrays, True, op, pool=(4, prefixes))
+                for op in (ag.bn_mlp, reference_bn_mlp)]
+        for got, want in zip(*runs):
+            _assert_close_to_scale(got, want)
 
     def test_needs_a_layer(self):
         with pytest.raises(ShapeError):
@@ -1311,19 +1359,63 @@ class TestSpentActivations:
         with pytest.raises(RuntimeError, match="bn_mlp"):
             ag.backward(loss)
 
-    @pytest.mark.parametrize("training,pool", [(True, None), (False, (4, (2, 4)))],
-                             ids=["unpooled", "eval_pooled"])
-    def test_stacks_that_keep_a_buffer_run_backward_twice(self, training, pool):
-        # an unpooled or eval-mode stack keeps its activations: a second
-        # backward adds the same gradients again
-        arrays = _stack_arrays(45, 24, (4, 5))
+    @pytest.mark.parametrize("widths,pool", [((4, 5), None), ((5, 4), (4, (2, 4)))],
+                             ids=["unpooled", "pooled_narrower_top"])
+    def test_stacks_that_keep_a_buffer_run_backward_twice(self, widths, pool):
+        # an unpooled stack, or a pooled one with a layer wider than its top
+        # layer, keeps its activations: a second backward adds the same
+        # gradients again
+        arrays = _stack_arrays(45, 24, widths)
         params = [ag.Tensor(a) for a in arrays[1:]]
-        loss = sum_reduce(ag.bn_mlp(arrays[0], _stack_layers(params), training, pool=pool))
+        loss = sum_reduce(ag.bn_mlp(arrays[0], _stack_layers(params), True, pool=pool))
         ag.backward(loss)
         once = [p.grad.copy() for p in params]
         ag.backward(loss)
         for p, first in zip(params, once):
             assert p.grad.tobytes() == (first + first).tobytes()
+
+
+class TestEvalModeIsForwardOnly:
+    @pytest.mark.parametrize("pool", [None, (4, (2, 4))], ids=["unpooled", "pooled"])
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "tensor"])
+    def test_a_backward_through_a_recorded_eval_stack_raises(self, constant, pool):
+        # the node keeps its parents, so a backward reaches it and raises
+        # instead of leaving the stack's parameters without a gradient
+        arrays = _stack_arrays(46, 24, (4, 5))
+        params = [ag.Tensor(a) for a in arrays[1:]]
+        x = arrays[0] if constant else ag.Tensor(arrays[0])
+        out = ag.bn_mlp(x, _stack_layers(params), False, pool=pool)
+        assert out.parents == ((() if constant else (x,)) + tuple(params))
+        with pytest.raises(RuntimeError, match="bn_mlp"):
+            ag.backward(sum_reduce(out))
+        assert all(p.grad is None for p in params)
+
+    def test_a_recorded_tiled_forward_keeps_no_block_or_winners(self, monkeypatch, helper_pool):
+        # the area block's widths in 128 tiles: beyond its output, a recorded
+        # eval-mode forward allocates less than half an output more (NumPy's
+        # in-place broadcasts take a 64 KiB buffer per running thread). A kept
+        # [rows, width] block per layer (8 and 16 MiB), or the pool winners
+        # (as large as the output, 1.5 MiB), would break the bound
+        rows, widths, pool = 16384, (64, 128), (32, (8, 16, 32))
+        monkeypatch.setattr(ag, "_POOL_MIN_ELEMENTS", 1 << 14)
+        monkeypatch.setattr(ag, "_TILE_ELEMENTS", 1 << 14)
+        helpers = helper_pool(2)
+        assert len(ag._row_tiles(rows, pool[0], max(widths))) >= 64
+        arrays = _stack_arrays(47, rows, widths)
+        layers = _stack_layers([ag.Tensor(a) for a in arrays[1:]])
+        x = ag.Tensor(arrays[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ag.bn_mlp(x, layers, False, pool=pool)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert helpers.submitted > 0
+        assert out.parents and out.shape == (rows // pool[0] * 3, widths[-1])
+        size = out.values.nbytes
+        assert peak < 1.5 * size, f"{peak} bytes, {peak / size:.2f} outputs"
 
 
 def _lstm_arrays(seed, steps, rows, saturate=False, one_step=False):

@@ -300,6 +300,23 @@ class TestSizeLimits:
         assert "ablate T=3: model.scales needs 32 points" in captured.err
         assert "# T=" not in captured.out
 
+    @pytest.mark.parametrize("axis,key", [("M", "m_values"), ("T", "t_values"),
+                                          ("rnn-hidden", "hidden_values"), ("lr", "lr_values")])
+    def test_ablate_empty_value_list_exits_2_naming_the_key(self, capsys, axis, key):
+        assert main(["ablate", axis, *DESK_CLS, "--set", f"ablate.{key}="]) == 2
+        captured = capsys.readouterr()
+        assert f"ablate.{key} is empty" in captured.err
+        assert "Traceback" not in captured.err
+        assert f"# {axis}=" not in captured.out
+
+    def test_ablate_negative_epochs_exits_2_naming_the_key(self, capsys):
+        code = main(["ablate", "T", *TINY_CLS, "--set", "ablate.t_values=1 2",
+                     "--set", "ablate.epochs=-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "ablate.epochs must be 0 (keep train.epochs) or positive, got -3" in captured.err
+        assert "# T=" not in captured.out
+
     def test_small_manifest_cloud_exits_3_naming_the_file(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert main(["synth", "--out", str(data_dir), *TINY_CLS]) == 0

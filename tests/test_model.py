@@ -1,7 +1,9 @@
 """Oracle and invariance tests for the network blocks."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,12 +439,14 @@ class TestNestedAreaPass:
         else:
             logits, _ = segment_batch(geoms, params, cfg, ctx)
             labels = np.concatenate([g.labels for g in geoms])
-        params.clear_grads()
-        ag.backward(ag.cross_entropy_mean(logits, labels))
         per_scale = np.split(sequences[0].values, cfg.num_scales)
         tensors = {f"sequence.{t}": s for t, s in enumerate(per_scale)}
         tensors["logits"] = logits.values
-        tensors.update({f"{name}.grad": t.grad for name, t in params.items()})
+        # an eval-mode forward is forward-only: its dense stacks have no backward
+        if training:
+            params.clear_grads()
+            ag.backward(ag.cross_entropy_mean(logits, labels))
+            tensors.update({f"{name}.grad": t.grad for name, t in params.items()})
         for name, state in params.batch_norms.items():
             tensors[f"{name}.running_mean"] = state.running_mean
             tensors[f"{name}.running_var"] = state.running_var
@@ -727,6 +731,32 @@ class TestClassifyForward:
             ag.backward(ag.cross_entropy_mean(logits, np.array([0, 1])))
             grads = sum(np.abs(t.grad).sum() for _, t in p.items())
             assert grads > 0
+
+    def test_a_backward_through_an_eval_forward_raises(self):
+        cfg = tiny_cls_config()
+        p = build_params(cfg, np.random.default_rng(87))
+        geom = prepare_cloud(PointCloud(np.random.default_rng(88).normal(size=(16, 3))), cfg)
+        logits = classify_batch([geom], p, cfg, ForwardContext(training=False))
+        with pytest.raises(RuntimeError, match="bn_mlp"):
+            ag.backward(ag.cross_entropy_mean(logits, np.array([0])))
+
+    def test_a_recorded_eval_forward_keeps_no_stack_activations(self):
+        # reference widths at m=128 over one 1024-point cloud: the recorded
+        # graph holds about 7.4 MiB, and no dense stack's activations or pool
+        # winners (50.3 MiB in all when it kept them)
+        cfg = ModelConfig(num_classes=3, m=128)
+        p = build_params(cfg, np.random.default_rng(89))
+        geom = prepare_cloud(PointCloud(np.random.default_rng(90).normal(size=(1024, 3))), cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logits = classify_batch([geom], p, cfg, ForwardContext(training=False))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert logits.parents
+        assert held < 10 * 2**20, f"{held / 2**20:.1f} MiB"
 
 
 def _segment_one(cloud, params, cfg):

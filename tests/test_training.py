@@ -28,6 +28,7 @@ from pointseq.model import (
 )
 from pointseq.training import (
     AdamState,
+    _gradcheck_cls_setup,
     adam_step,
     apply_schedules,
     classification_gradient_check,
@@ -410,6 +411,22 @@ class TestEvaluate:
 class TestGradientCheck:
     def test_network_gradients_match(self):
         worst, report = classification_gradient_check(coords_per_tensor=4)
+        assert worst < 1e-4, report
+
+    def test_probes_a_non_contiguous_parameter_in_place(self):
+        # a Fortran-order weight: a probe of a flattened copy would read no
+        # change in the loss and blame the backward with error 1.0
+        cfg, params, geoms, labels = _gradcheck_cls_setup(0)
+        weight = params["head.out.weight"]
+        weight.values = np.asfortranarray(weight.values)
+        assert not weight.values.flags.c_contiguous
+
+        def loss_fn():
+            ctx = ForwardContext(training=True, rng=np.random.default_rng(123))
+            return ag.cross_entropy_mean(classify_batch(geoms, params, cfg, ctx), labels)
+
+        worst, report = gradient_check(params, loss_fn, coords_per_tensor=4)
+        assert report["head.out.weight"] < 1e-4, report
         assert worst < 1e-4, report
 
     def test_detects_corrupted_backward(self):
