@@ -434,19 +434,18 @@ def _scratch(slot, n, d=1, dtype=np.float64):
 
 
 def _merge_moments(counts, stats):
-    """The (weighted) row count, mean and population variance of row tiles,
-    from each tile's count and ``stats[t] = (mean, sum of squared deviations
-    about that mean)``.
+    """The row count, mean and population variance of row tiles, from each
+    tile's positive (counted) row count and ``stats[t] = (mean, sum of
+    squared deviations about that mean)``.
 
     The tiles merge in order by the pairwise update of Chan, Golub & LeVeque
     ("Algorithms for computing the sample variance", 1983), which loses no
-    precision to a mean far from zero. A tile of zero count adds nothing, and
-    a single tile's moments come back as they are.
+    precision to a mean far from zero. A single tile's moments come back as
+    they are.
     """
-    live = [t for t, n in enumerate(counts) if n] or [0]
-    n = counts[live[0]]
-    mean, m2 = stats[live[0]]
-    for t in live[1:]:
+    n = counts[0]
+    mean, m2 = stats[0]
+    for t in range(1, len(counts)):
         total = n + counts[t]
         share = counts[t] / total
         delta = stats[t, 0] - mean
@@ -456,8 +455,7 @@ def _merge_moments(counts, stats):
     return n, mean, m2 / n
 
 
-def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, rng=None,
-           pool=None) -> Tensor:
+def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=None) -> Tensor:
     """A stack of dense layers as one graph node.
 
     Each ``(weight, state)`` pair in ``layers`` is a layer: a matmul by
@@ -470,29 +468,30 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     normalizes by the batch moments and folds them into the running
     statistics with weight ``momentum``; eval mode uses the running
     statistics. A constant batch normalizes to the shift parameter exactly.
-    ``weights`` (one non-negative count per row) make training mode treat
-    row j as ``weights[j]`` identical rows, so moments, outputs and gradients
-    equal those of the batch with every row repeated; eval mode ignores them.
 
-    ``pool=(group, prefixes)`` max-pools the last layer's output over groups
-    of ``group`` consecutive rows: for each ``k`` in ``prefixes`` (strictly
-    increasing, at most ``group``), the max over every group's first ``k``
-    rows. The result stacks one [rows/group, d] block per prefix, in order.
-    Prefix t extends prefix t-1's max by rows [k_{t-1}, k_t), and a later
-    row wins only when strictly greater, so ties go to the lowest row.
+    ``pool=(k_1, ..., k_T)``, strictly increasing, max-pools the last layer's
+    output over groups of k_T consecutive rows (k_T must divide the rows):
+    for each k_t, the max over every group's first k_t rows. The result
+    stacks one [rows/k_T, d] block per prefix, in order. Prefix t extends
+    prefix t-1's max by rows [k_{t-1}, k_t), and a later row wins only when
+    strictly greater, so ties go to the lowest row. The prefixes are nested
+    areas, so training mode counts row j of a group once per prefix that
+    holds it: moments, outputs and gradients are those of every prefix's
+    rows stacked, run unpooled, then max-pooled per prefix. A single prefix,
+    like no pool, counts every row once.
 
     In training mode, per layer the node keeps only the normalized
     activations, the batch-norm affine and the dropout mask; with a pool it
     keeps the winning row of every output, not the last activations. The
     backward recomputes each layer's output from those and repeats no
     matmul but a constant-fed first layer's (see below): the activation
-    recomputation of Chen et al. (arXiv 1604.06174). A pooled stack reads
-    its last relu's mask at each winning row from the pooled output, which
-    is positive exactly where that relu's input was, so it recomputes no
-    last-layer activations at all. Parents are ``x``, then each layer's
-    weight, gamma and beta. An ``x`` passed as a plain array, not a
-    :class:`Tensor`, is a constant: it is no parent, and the backward skips
-    the first layer's input-gradient matmul. Under :func:`no_grad`, and in
+    recomputation of Chen et al. (arXiv 1604.06174). The stack reads where
+    its last relu passed from its output (a pooled one at each winning row),
+    which is positive exactly where that relu's input was and dropout kept
+    the element, so it recomputes no last-layer activations at all. Parents
+    are ``x``, then each layer's weight, gamma and beta. An ``x`` passed as a
+    plain array, not a :class:`Tensor`, is a constant: it is no parent, and
+    the backward skips the first layer's input-gradient matmul. Under :func:`no_grad`, and in
     eval mode, nothing is kept.
 
     The rows are worked in row tiles: a stack whose widest layer (input
@@ -506,7 +505,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
     In training mode a layer takes two passes over the tiles. Pass A
     multiplies the tile by the weight and, while the tile is in cache, takes
-    its (weighted) mean, leaves the deviations from that mean in place of
+    its (counted) mean, leaves the deviations from that mean in place of
     the product, and sums their squares. The calling thread merges the tiles'
     moments in tile order by the update of Chan, Golub & LeVeque (1983),
     which stays exact for a mean far from zero, then updates the running
@@ -579,9 +578,6 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                              f"{width} to batch norm width {state.dim}")
         width = state.dim
         widest = max(widest, width)
-    if weights is not None and np.shape(weights) != (rows,):
-        raise ShapeError(f"batch norm weights of shape {np.shape(weights)} do not match "
-                         f"{rows} rows")
     if not 0.0 <= dropout < 1.0:
         raise ConfigError(f"dropout ratio must be in [0, 1), got {dropout}")
     drop = training and dropout > 0.0
@@ -589,15 +585,14 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
         raise ValueError("dropout in training mode needs an rng")
     group = 1
     if pool is not None:
-        group, prefixes = pool
-        if group < 1 or rows % group != 0:
-            raise ShapeError(f"cannot pool {rows} rows in groups of {group}")
         # prefix t extends prefix t-1's max by rows [k_{t-1}, k_t)
-        bounds = (0, *prefixes)
+        bounds = (0, *pool)
         steps = list(zip(bounds, bounds[1:]))
-        if not steps or any(b <= a for a, b in steps) or bounds[-1] > group:
-            raise ShapeError(f"prefixes {tuple(prefixes)} must strictly increase within "
-                             f"groups of {group}")
+        if not steps or any(b <= a for a, b in steps):
+            raise ShapeError(f"pool prefixes {tuple(pool)} must strictly increase from 1")
+        group = bounds[-1]
+        if rows % group != 0:
+            raise ShapeError(f"cannot pool {rows} rows in groups of {group}")
 
     keep = _recording and training
     tiles = _row_tiles(rows, group, widest)
@@ -627,8 +622,13 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
     # one record per training layer; its relu input is hat * scale + shift
     saved = []
     if training:
-        counts = ([hi - lo for lo, hi in tiles] if weights is None
-                  else [weights[lo:hi].sum() for lo, hi in tiles])
+        row_counts = None
+        if pool is not None and len(steps) > 1:
+            # row j of a group counts once per prefix that holds it
+            nested = (np.arange(group)[:, None] < np.asarray(pool)).sum(axis=1)
+            row_counts = np.tile(nested.astype(np.float64), rows // group)
+        counts = ([hi - lo for lo, hi in tiles] if row_counts is None
+                  else [row_counts[lo:hi].sum() for lo, hi in tiles])
 
         def normalize(layer, t, hat):
             # tile t's deviations from its own mean, shifted to the stack's
@@ -644,8 +644,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             # normalizing again, on the same rows
             lo, hi = tiles[t]
             hat = np.matmul(x_values[lo:hi], layer.weight, out=_scratch(slot, hi - lo, layer.dim))
-            if counts[t]:
-                hat -= layer.means[t]
+            hat -= layer.means[t]
             return normalize(layer, t, hat)
 
         def activate(layer, t, rows_y):
@@ -673,7 +672,7 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
 
             def pass_a(t):
                 # the layer below's pass B, the matmul, and the tile's
-                # (weighted) mean and squared deviations about it; the
+                # (counted) mean and squared deviations about it; the
                 # deviations stay in place of the matmul output (in scratch
                 # slot 1 for a layer that keeps no block)
                 lo, hi = tiles[t]
@@ -684,19 +683,18 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                 rows_z = np.matmul(rows_a, weight.values,
                                    out=_scratch(1, hi - lo, state.dim) if z is None else z[lo:hi])
                 mean, m2 = stats[t]
-                if weights is None:
+                if row_counts is None:
                     np.add.reduce(rows_z, axis=0, out=mean)
                 else:
-                    np.matmul(weights[lo:hi], rows_z, out=mean)
-                if counts[t]:
-                    mean /= counts[t]
-                    rows_z -= mean
+                    np.matmul(row_counts[lo:hi], rows_z, out=mean)
+                mean /= counts[t]
+                rows_z -= mean
                 # the layer below's output is used up: its slot takes the squares
                 squares = np.multiply(rows_z, rows_z, out=_scratch(0, hi - lo, state.dim))
-                if weights is None:
+                if row_counts is None:
                     np.add.reduce(squares, axis=0, out=m2)
                 else:
-                    np.matmul(weights[lo:hi], squares, out=m2)
+                    np.matmul(row_counts[lo:hi], squares, out=m2)
 
             _each_tile(len(tiles), pass_a)
             total, mean, var = _merge_moments(counts, stats)
@@ -839,17 +837,14 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
             sums = np.empty((len(tiles), 2, top.dim))
 
             def gate_top(t):
-                # the last relu's and dropout's masks on the gradient handed in
+                # the last relu's and dropout's masks on the gradient handed
+                # in; the output is positive exactly where both passed
                 lo, hi = tiles[t]
-                relu_in = _scratch(0, hi - lo, top.dim)
-                positive = _scratch(0, hi - lo, top.dim, bool)
-                np.multiply(top.hat[lo:hi], top.scale, out=relu_in)
-                relu_in += top.shift
-                np.greater(relu_in, 0.0, out=positive)
+                positive = np.greater(a[lo:hi], 0.0, out=_scratch(0, hi - lo, top.dim, bool))
                 rows_g = np.multiply(g[lo:hi], positive, out=stored(lo, hi, top.dim))
                 if top.mask is not None:
                     rows_g *= top.mask[lo:hi]
-                beta_gamma_sums(rows_g, top.hat[lo:hi], sums[t], relu_in)
+                beta_gamma_sums(rows_g, top.hat[lo:hi], sums[t], _scratch(0, hi - lo, top.dim))
 
             _each_tile(len(tiles), gate_top)
         else:
@@ -896,13 +891,13 @@ def bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0, r
                     else:
                         rows_g = stored(lo, hi, layer.dim)
                     # the batch moments depend on the input as well: remove the
-                    # gradient's (weighted) column mean and its component along
+                    # gradient's (counted) column mean and its component along
                     # the normalized column
                     dz = np.multiply(normalized(layer, t), gamma_share,
                                      out=_scratch(0, n, layer.dim))
                     dz += beta_share
-                    if weights is not None:
-                        dz *= weights[lo:hi, None]
+                    if row_counts is not None:
+                        dz *= row_counts[lo:hi, None]
                     np.subtract(rows_g, dz, out=dz)
                     dz *= layer.gain
                     if lower is None:
@@ -1065,14 +1060,15 @@ def lstm(x, steps, weight, bias) -> Tensor:
     return Tensor(out, (x, weight, bias), grad_fn)
 
 
-def attend(query, states, steps, score_weight):
+def attend(query, states, score_weight):
     """Content attention of each query row over its encoder states.
 
-    ``states`` stacks ``steps`` blocks of one row per query row, as
-    :func:`lstm` returns them. Row i scores step t with the bilinear
-    "general" form (query_i @ score_weight) . state_{t,i} of Luong et al.
-    (arXiv 1508.04025), takes a max-shifted softmax over steps, and averages
-    its states with those weights.
+    ``states`` stacks one block of one row per query row for each step, as
+    :func:`lstm` returns them, so the steps are its rows over the query's;
+    states that do not split into whole steps raise ``ShapeError``. Row i
+    scores step t with the bilinear "general" form (query_i @ score_weight)
+    . state_{t,i} of Luong et al. (arXiv 1508.04025), takes a max-shifted
+    softmax over steps, and averages its states with those weights.
 
     Returns ``(context, alpha)``: the [rows, hidden] context as one graph
     node with parents ``query``, ``states`` and ``score_weight``, and the
@@ -1083,10 +1079,11 @@ def attend(query, states, steps, score_weight):
     if query.ndim != 2 or states.ndim != 2 or score_weight.ndim != 2:
         raise ShapeError("attention expects 2-d query, states and score weight")
     rows, width = query.shape
+    steps = states.shape[0] // max(rows, 1)
     if (steps < 1 or states.shape[0] != steps * rows
             or score_weight.shape != (width, states.shape[1])):
         raise ShapeError(f"cannot attend from query {query.shape} through score weight "
-                         f"{score_weight.shape} over {steps} steps of states {states.shape}")
+                         f"{score_weight.shape} over whole steps of states {states.shape}")
     blocks = states.values.reshape(steps, rows, -1)
     projected = query.values @ score_weight.values
     scores = (blocks * projected).sum(axis=2).T

@@ -311,8 +311,9 @@ def validate_run_config(cfg: RunConfig) -> None:
     if cfg.ablate.epochs < 0:
         raise ConfigError(f"ablate.epochs must be 0 (keep train.epochs) or positive, "
                           f"got {cfg.ablate.epochs}")
-    if not 0.0 < tc.bn_momentum <= 1.0:
-        raise ConfigError("train.bn_momentum must be in (0, 1]")
+    for key in ("bn_momentum", "bn_momentum_floor"):
+        if not 0.0 < getattr(tc, key) <= 1.0:
+            raise ConfigError(f"train.{key} must be in (0, 1], got {getattr(tc, key)}")
     if not 0.0 < tc.lr_decay <= 1.0 or not 0.0 < tc.bn_momentum_decay <= 1.0:
         raise ConfigError("decay factors must be in (0, 1]")
     dc = cfg.data

@@ -134,8 +134,10 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
     An LSTM that runs one step from a zero state (the decoder, and the
     encoder over a single scale) keeps only the live part of the full
     [hidden + width, 4*hidden] block it draws: the [width, 3*hidden] form of
-    :func:`autograd.lstm` with a zero [3*hidden] bias. Without an rng all
-    values are zeros (checkpoint loading overwrites them).
+    :func:`autograd.lstm` with a zero [3*hidden] bias. ``attention_ed`` over
+    one scale draws its score weight but keeps none: attention over one step
+    weighs it by 1 whatever the scores. Without an rng all values are zeros
+    (checkpoint loading overwrites them).
     """
     p = ModelParams()
     d, h = cfg.feature_dim, cfg.hidden_dim
@@ -176,7 +178,9 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
         if cfg.aggregator == "no_attention":
             linear("decoder_out_proj", h, d, bias=False)
         if cfg.aggregator == "attention_ed":
-            linear("attn_score", h, h, bias=False)
+            score = _uniform(rng, (h, h), h)  # drawn at one scale too, for the rng stream
+            if cfg.num_scales > 1:
+                p.add("attn_score.weight", score)
             linear("attn_combine", 2 * h, h, bias=False)
             linear("region_out_proj", h, d, bias=False)
     elif cfg.aggregator == "concat":
@@ -223,12 +227,12 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
 
 
 def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardContext,
-            dropout: float = 0.0, weights=None, pool=None):
+            dropout: float = 0.0, pool=None):
     """``n_layers`` of matmul, batch norm, relu and dropout (none at ratio 0),
-    as one :func:`autograd.bn_mlp` node; ``weights`` and ``pool`` pass through."""
+    as one :func:`autograd.bn_mlp` node; ``pool`` passes through."""
     layers = [(params[f"{prefix}.{i}.weight"], params.batch_norms[f"{prefix}.{i}"])
               for i in range(n_layers)]
-    return ag.bn_mlp(x, layers, ctx.training, ctx.bn_momentum, weights, dropout, ctx.rng, pool)
+    return ag.bn_mlp(x, layers, ctx.training, ctx.bn_momentum, dropout, ctx.rng, pool)
 
 
 def _area_sequences(geoms, params, cfg, ctx):
@@ -236,20 +240,14 @@ def _area_sequences(geoms, params, cfg, ctx):
     stacked by scale (scale t's b*m rows follow scale t-1's).
 
     The scales are nested (each smaller area is a prefix of the largest), so
-    only the largest area's points go through the shared point MLP. Its batch
-    norms count row j once per scale whose area holds it, which gives the
-    statistics of stacking every scale's copy; its prefix max pool then
-    collapses each scale's neighborhood, and a linear layer folds the
-    centroid coordinates back in.
+    only the largest area's points go through the shared point MLP, with the
+    scales as its pool prefixes: :func:`autograd.bn_mlp` then takes the batch
+    statistics of stacking every scale's copy and max-pools each scale's
+    neighborhood. A linear layer folds the centroid coordinates back in.
     """
-    largest = cfg.scales[-1]
-    regions = len(geoms) * cfg.m
     # a plain array: the coordinates are a constant of the dense stack
     points = np.concatenate([g.relative[-1].reshape(-1, 3) for g in geoms], axis=0)
-    multiplicity = (np.arange(largest)[:, None] < np.asarray(cfg.scales)).sum(axis=1)
-    weights = np.tile(multiplicity.astype(np.float64), regions)
-    pooled = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx,
-                     weights=weights, pool=(largest, cfg.scales))
+    pooled = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx, pool=cfg.scales)
     centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
     x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)
     return ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
@@ -263,9 +261,8 @@ def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, 
         raise ShapeError(
             f"an area needs at least one relative [k, 3] point row, got {relative_points.shape}"
         )
-    k = len(relative_points)
     pooled = _bn_mlp(relative_points, params, "area_mlp", len(cfg.area_hidden) + 1,
-                     ctx, pool=(k, (k,)))
+                     ctx, pool=(len(relative_points),))
     return ag.reshape(pooled, (cfg.feature_dim,))
 
 
@@ -282,13 +279,11 @@ def attention_scores(decoder_hidden, states, score_weight) -> Tensor:
     """Attention over encoder steps: softmax of bilinear alignment scores.
 
     ``decoder_hidden`` is [rows, hidden]; ``states`` stacks one [rows, hidden]
-    block per step, as :func:`encode_sequence` returns them, so the steps
-    are ``len(states) // rows``. States that do not split into whole steps
-    raise a ShapeError. The result is a [rows, steps] leaf.
+    block per step, as :func:`encode_sequence` returns them, and
+    :func:`autograd.attend` works out the steps from the two shapes. The
+    result is a [rows, steps] leaf.
     """
-    decoder_hidden, states = ag.tensor(decoder_hidden), ag.tensor(states)
-    steps = states.shape[0] // decoder_hidden.shape[0]
-    _, alpha = ag.attend(decoder_hidden, states, steps, score_weight)
+    _, alpha = ag.attend(decoder_hidden, states, score_weight)
     return ag.tensor(alpha)
 
 
@@ -321,7 +316,9 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
     dec_hidden = ag.lstm(last, 1, params["decoder.weight"], params["decoder.bias"])
     if cfg.aggregator == "no_attention":
         return ag.matmul(dec_hidden, params["decoder_out_proj.weight"])
-    context, _alpha = ag.attend(dec_hidden, states, steps, params["attn_score.weight"])
+    # the softmax over one step is 1: the context is that step's state
+    context = (states if steps == 1
+               else ag.attend(dec_hidden, states, params["attn_score.weight"])[0])
     combined = ag.tanh(ag.matmul(ag.concat([context, dec_hidden], axis=1),
                                  params["attn_combine.weight"]))
     return ag.matmul(combined, params["region_out_proj.weight"])
@@ -330,7 +327,7 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
 def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
     centroids = ag.tensor(np.concatenate([g.centroid_coords for g in geoms], axis=0))
     x = ag.concat([region_feats, centroids], axis=1)
-    return _bn_mlp(x, params, "agg_mlp", len(cfg.agg_widths), ctx, pool=(cfg.m, (cfg.m,)))
+    return _bn_mlp(x, params, "agg_mlp", len(cfg.agg_widths), ctx, pool=(cfg.m,))
 
 
 def _trunk(geoms, params, cfg, ctx):

@@ -289,10 +289,12 @@ def reference_dropout(x, ratio, rng):
     return ag.Tensor(x.values * mask, (x,), grad_fn)
 
 
-def reference_prefix_max(x, group, prefixes):
-    """Per prefix k, the max over each group's first k rows, written as one
-    independent pool per prefix; ties route to the lowest row."""
+def reference_prefix_max(x, prefixes):
+    """Per prefix k, the max over the first k rows of each group of
+    ``prefixes[-1]`` rows, written as one independent pool per prefix; ties
+    route to the lowest row."""
     rows, d = x.shape
+    group = prefixes[-1]
     blocks = x.values.reshape(rows // group, group, d)
     args = [np.argmax(blocks[:, :k], axis=1) for k in prefixes]
     out = np.concatenate([np.take_along_axis(blocks, a[:, None, :], axis=1)[:, 0]
@@ -308,20 +310,26 @@ def reference_prefix_max(x, group, prefixes):
     return ag.Tensor(out, (x,), grad_fn)
 
 
-def reference_bn_mlp(x, layers, training=False, momentum=0.5, weights=None, dropout=0.0,
-                     rng=None, pool=None):
+def reference_bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None,
+                     pool=None):
     """The dense stack as a chain of separate nodes: matmul, batch norm,
     relu and dropout per layer, then the prefix max-pool.
 
-    Same signature and semantics as ``ag.bn_mlp``, so it can stand in for it.
+    Same signature and semantics as ``ag.bn_mlp``, so it can stand in for it:
+    in training mode, several pool prefixes weight row j of a group by the
+    number of prefixes that hold it.
     """
     x = ag.tensor(x)
+    weights = None
+    if training and pool is not None and len(pool) > 1:
+        nested = [sum(j < k for k in pool) for j in range(pool[-1])]
+        weights = np.tile(np.array(nested, dtype=np.float64), x.shape[0] // pool[-1])
     for weight, state in layers:
         x = reference_batch_norm(ag.matmul(x, weight), state, training, momentum, weights)
         x = reference_relu(x)
         if training and dropout > 0.0:
             x = reference_dropout(x, dropout, rng)
-    return x if pool is None else reference_prefix_max(x, *pool)
+    return x if pool is None else reference_prefix_max(x, pool)
 
 
 def area_sequences_per_scale(geoms, params, cfg, ctx):
@@ -345,7 +353,7 @@ def area_sequences_per_scale(geoms, params, cfg, ctx):
     offset = 0
     for k in cfg.scales:
         rows = len(geoms) * cfg.m * k
-        pooled = reference_prefix_max(ag.slice_axis(feats, 0, offset, offset + rows), k, (k,))
+        pooled = reference_prefix_max(ag.slice_axis(feats, 0, offset, offset + rows), (k,))
         offset += rows
         with_centroid = ag.concat([pooled, centroids], axis=1)
         out.append(ag.matmul(with_centroid, params["centroid_proj.weight"])
@@ -410,11 +418,12 @@ def reference_attention(query, hidden, score_weight):
     return softmax(scores, axis=1)
 
 
-def reference_attend(query, states, steps, score_weight):
+def reference_attend(query, states, score_weight):
     """``ag.attend`` as a chain of separate nodes: per-step slices,
     :func:`reference_attention`, and one product and sum per step."""
     query, states = ag.tensor(query), ag.tensor(states)
     rows = query.shape[0]
+    steps = states.shape[0] // rows
     hidden = [ag.slice_axis(states, 0, t * rows, (t + 1) * rows) for t in range(steps)]
     alpha = reference_attention(query, hidden, score_weight)
     context = None

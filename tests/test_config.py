@@ -195,6 +195,10 @@ class TestValidation:
         self._reject("epochs", **{"train.epochs": 0})
         self._reject("decay_every", **{"train.decay_every": -1})
         self._reject("bn_momentum", **{"train.bn_momentum": 0.0})
+        # a momentum floor above 1 extrapolates the running statistics, and
+        # one of 0 or below freezes or inverts them
+        for floor in (5.0, 0.0, -0.5):
+            self._reject("train.bn_momentum_floor", **{"train.bn_momentum_floor": floor})
         self._reject("decay factors", **{"train.lr_decay": 1.5})
 
     def test_seeds_non_negative(self):

@@ -114,6 +114,18 @@ class TestBuildParams:
                 assert_array_equal(weight, block)
                 assert bias.shape == (32,)
 
+    def test_one_scale_attention_keeps_no_score_weight(self):
+        # attention over one step weighs it by 1 whatever the scores, so a
+        # score weight would get no gradient; it is still drawn, so every
+        # later parameter is the one a two-scale model draws
+        one = build_params(tiny_cls_config(scales=(4,)), np.random.default_rng(0))
+        two = build_params(tiny_cls_config(scales=(2, 4)), np.random.default_rng(0))
+        assert "attn_score.weight" not in one and "attn_score.weight" in two
+        assert [name for name in two.names() if name != "attn_score.weight"] == one.names()
+        later = one.names()[one.names().index("attn_combine.weight"):]
+        for name in later:
+            assert_array_equal(one[name].values, two[name].values, err_msg=name)
+
     def test_init_respects_fan_in_bound(self):
         p = build_params(tiny_cls_config(), np.random.default_rng(3))
         w = p["centroid_proj.weight"].values
@@ -480,8 +492,9 @@ class TestFusedStacks:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("task", ["classification", "segmentation"])
     def test_matches_reference_chain(self, monkeypatch, task, training):
-        # the area block brings row weights and a prefix pool, the aggregation
-        # MLP a plain pool, and the heads dropout (ratio 0.4) in training
+        # the area block brings a pool over nested prefixes, which count its
+        # rows, the aggregation MLP a one-prefix pool, and the heads dropout
+        # (ratio 0.4) in training
         make = tiny_cls_config if task == "classification" else tiny_seg_config
         cfg = make(scales=(2, 3, 4))
         rng = np.random.default_rng(12)

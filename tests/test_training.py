@@ -488,16 +488,15 @@ class TestGradientCheck:
         worst, report = gradient_check(params, loss_fn, coords_per_tensor=4)
         assert worst < 1e-4, report
 
-    # attention_ed over one scale is left out: its softmax over a single step
-    # is always 1, so attn_score.weight gets no gradient there
     @pytest.mark.parametrize("aggregator,scales", [
         ("attention_ed", (2, 4)), ("no_attention", (2, 4)), ("no_decoder", (2, 4)),
-        ("no_attention", (4,)), ("no_decoder", (4,)),
+        ("attention_ed", (4,)), ("no_attention", (4,)), ("no_decoder", (4,)),
     ], ids=["attention_ed-two_scales", "no_attention-two_scales", "no_decoder-two_scales",
-            "no_attention-one_scale", "no_decoder-one_scale"])
+            "attention_ed-one_scale", "no_attention-one_scale", "no_decoder-one_scale"])
     def test_every_recurrent_parameter_gets_a_gradient(self, aggregator, scales):
         # a one-step LSTM stores no recurrent rows and no forget gate, which
-        # would meet only the zero state
+        # would meet only the zero state, and attention over one scale stores
+        # no score weight, as its softmax over one step is always 1
         cfg = tiny_cfg(aggregator=aggregator, scales=scales)
         rng = np.random.default_rng(72)
         params = build_params(cfg, rng)
@@ -508,7 +507,10 @@ class TestGradientCheck:
         recurrent = [name for name in params.names() if name.split(".")[0] in
                      ("encoder", "decoder")]
         assert len(recurrent) == (2 if aggregator == "no_decoder" else 4)
-        for name in recurrent:
+        attention = [name for name in params.names() if name.startswith("attn_")]
+        if aggregator == "attention_ed":
+            assert attention == ["attn_score.weight"] * (len(scales) > 1) + ["attn_combine.weight"]
+        for name in recurrent + attention:
             assert params[name].grad.all(), name
 
     def test_zero_parameter_model_gives_empty_report(self):
