@@ -275,9 +275,8 @@ def _axis_values(cfg: RunConfig, axis: str) -> list:
         limit = len(cfg.model.scales)
         bad = [t for t in values if not 1 <= t <= limit]
         if bad:
-            raise ConfigError(
-                f"ablate.t_values {bad} exceed the {limit} configured scales"
-            )
+            raise ConfigError(f"ablate.t_values {bad} lie outside [1, {limit}]: "
+                              f"model.scales lists {limit} scales")
     return values
 
 

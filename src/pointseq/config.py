@@ -152,14 +152,18 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def section_text(obj) -> dict[str, str]:
+    """Each field of a config section as the text a config file holds for it."""
+    return {f.name: _format_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
 def dump_run_config(cfg: RunConfig) -> str:
     """Render the configuration in the file format it is read from."""
     out = io.StringIO()
     for section in _SECTIONS:
-        obj = getattr(cfg, section)
         out.write(f"[{section}]\n")
-        for f in fields(obj):
-            out.write(f"{f.name} = {_format_value(getattr(obj, f.name))}\n")
+        for name, text in section_text(getattr(cfg, section)).items():
+            out.write(f"{name} = {text}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -233,35 +237,17 @@ def _synthetic_bytes(cfg: RunConfig) -> int:
     return dc.points * (clouds * per_point + 16 * cfg.model.m)
 
 
-def _json_value(default, value):
-    """A JSON ``value`` in the type of the field ``default``, or None where it
-    has another: a bool is no number, an int may stand for a float, a float
-    must be finite, and a tuple field lists ints."""
-    if isinstance(default, tuple):
-        items = [_json_value(0, v) for v in value] if isinstance(value, list) else [None]
-        return None if None in items else tuple(items)
-    if isinstance(default, float):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return float(value) if number and math.isfinite(value) else None
-    return value if type(value) is type(default) else None
-
-
 def model_config_from_dict(raw) -> ModelConfig:
-    """The model config a JSON object holds, checked as the [model] section
-    of a config file is: a known key, a value of its field's type, then
+    """The model config a JSON object of ``{field: text}`` holds, each text
+    read as the [model] section of a config file reads it, then checked by
     :func:`validate_model_config`. A missing key keeps its default."""
     if not isinstance(raw, dict):
         raise ConfigError(f"the model config must be a JSON object, got {raw!r}")
     cfg = ModelConfig()
-    known = {f.name for f in fields(cfg)}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown configuration key model.{key}")
-        typed = _json_value(getattr(cfg, key), value)
-        if typed is None:
-            raise ConfigError(f"model.{key}: {value!r} is not of the type of "
-                              f"its default {getattr(cfg, key)!r}")
-        setattr(cfg, key, typed)
+    for key, text in raw.items():
+        if not isinstance(text, str):
+            raise ConfigError(f"model.{key}: {text!r} is not config-file text")
+        _assign(cfg, key, text, f"model.{key}")
     validate_model_config(cfg)
     return cfg
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import BatchNormState, Tensor
-from .config import ModelConfig, model_config_from_dict
+from .config import ModelConfig, model_config_from_dict, section_text
 from .errors import ConfigError, DataError, ShapeError
 from .geometry import (
     PointCloud,
@@ -416,19 +416,15 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
 #
 # Layout (all integers little-endian, documented byte-exactly in
 # docs/FORMATS.md):
-#   magic "PSEQCKPT" | u32 version | u32 header_len | header JSON (utf-8)
+#   magic "PSEQCKPT" | u32 version | u32 header_len | header JSON (utf-8,
+#   the model config as {field: config-file text})
 #   u64 record_count | records
 # record: u32 name_len | name utf-8 | u8 ndim | u64 dims... | f64le values
 # Records hold every parameter in registry order, then every batch-norm
 # running mean and variance.
 
 _MAGIC = b"PSEQCKPT"
-_VERSION = 3
-
-
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {f.name: list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v
-            for f in fields(cfg)}
+_VERSION = 4
 
 
 def _records(params: ModelParams):
@@ -442,7 +438,7 @@ def _records(params: ModelParams):
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
     """Write parameters and running stats; loading restores them bit-exactly."""
     header = json.dumps(
-        {"format_version": _VERSION, "config": _config_to_dict(cfg)},
+        {"format_version": _VERSION, "config": section_text(cfg)},
         sort_keys=True,
     ).encode("utf-8")
     records = list(_records(params))

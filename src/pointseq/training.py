@@ -64,6 +64,9 @@ class AdamState:
 # sized to stay in cache
 _ADAM_CHUNK = 1 << 15
 
+# Adam's moment decay rates and the offset of its denominator
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _adam_chunks(params: ModelParams, state: AdamState) -> list:
     """The parameters cut into chunks of at most ``_ADAM_CHUNK`` elements.
@@ -96,8 +99,7 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
     return chunks
 
 
-def adam_step(params: ModelParams, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: ModelParams, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update from the accumulated gradients.
 
     Every gradient is checked first: a non-finite one raises
@@ -131,15 +133,15 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
 
     state.step += 1
     t = state.step
-    first_share, second_share = 1 - beta1, 1 - beta2
-    first_unbias, second_unbias = 1 - beta1**t, 1 - beta2**t
+    first_share, second_share = 1 - _BETA1, 1 - _BETA2
+    first_unbias, second_unbias = 1 - _BETA1**t, 1 - _BETA2**t
 
     def update(r):
         for _, values, m, v, g in chunks[slice(*runs[r])]:
             step, root = ag._scratch(0, len(g))[:, 0], ag._scratch(1, len(g))[:, 0]
-            m *= beta1
+            m *= _BETA1
             m += np.multiply(g, first_share, out=step)
-            v *= beta2
+            v *= _BETA2
             np.multiply(g, second_share, out=step)
             step *= g
             v += step
@@ -148,7 +150,7 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
             step *= lr
             np.divide(v, second_unbias, out=root)
             np.sqrt(root, out=root)
-            root += eps
+            root += _ADAM_EPS
             step /= root
             values -= step
 
@@ -418,9 +420,12 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
 # ---------------------------------------------------------------------------
 # finite-difference gradient verification
 
+# the central difference's first step
+_FD_STEP = 1e-5
+
 
 def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
-                   step: float = 1e-5, seed: int = 0) -> tuple[float, dict]:
+                   seed: int = 0) -> tuple[float, dict]:
     """Compare backward gradients against central differences.
 
     ``loss_fn`` must rebuild the loss from the current parameter values and be
@@ -428,12 +433,12 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
     ``coords_per_tensor`` coordinates are probed per tensor; returns the worst
     relative error and a per-tensor breakdown.
 
-    A coordinate that fails at ``step`` is probed again at ``step * 10`` and
-    then at ``step / 10``, and keeps its best reading. Each retry answers one
-    artifact of the central difference: on small gradients the roundoff in
-    the loss difference grows as 1/h and passes at the larger step, and a
-    probe interval that straddles a max-pool or relu kink passes at the
-    smaller one. A genuine backward error is step-independent and fails at
+    A coordinate that fails at ``_FD_STEP`` is probed again at ten times that
+    step and then at a tenth of it, and keeps its best reading. Each retry
+    answers one artifact of the central difference: on small gradients the
+    roundoff in the loss difference grows as 1/h and passes at the larger
+    step, and a probe interval that straddles a max-pool or relu kink passes
+    at the smaller one. A genuine backward error is step-independent and fails at
     all three. When both readings of a probe sit below 1e-8 the coordinate
     counts as a matching zero: batch norm cancels some shift parameters
     exactly, and the ratio of finite-difference noise to the 1e-6 floor would
@@ -467,7 +472,7 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
             index = np.unravel_index(i, values.shape)
             analytic = tensor.grad[index]
             rel = np.inf
-            for h in (step, step * 10, step / 10):
+            for h in (_FD_STEP, _FD_STEP * 10, _FD_STEP / 10):
                 numeric = central_difference(values, index, h)
                 if abs(analytic) < 1e-8 and abs(numeric) < 1e-8:
                     rel = 0.0

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pointseq.cli import main
-from pointseq.config import AGGREGATORS
+from pointseq.config import AGGREGATORS, ModelConfig
 from pointseq.data import load_manifest
 from pointseq.model import load_checkpoint, save_checkpoint
 
@@ -92,6 +93,10 @@ BAD_HEADERS = {
     "m_a_string": (_set_config("m", "eight"), "model.m"),
     "m_a_bool": (_set_config("m", True), "model.m"),
     "m_zero": (_set_config("m", 0), "model.m"),
+    "m_text_fraction": (_set_config("m", "1.5"), "model.m"),
+    "m_text_zero": (_set_config("m", "0"), "model.m"),
+    "scales_text_not_increasing": (_set_config("scales", "4, 4"), "model.scales"),
+    "dropout_text_nan": (_set_config("dropout", "nan"), "model.dropout"),
     "header_a_list": (lambda header: [], None),
     "config_a_list": (lambda header: {**header, "config": [1]}, None),
 }
@@ -121,6 +126,18 @@ class TestTrainCommand:
         capsys.readouterr()
         assert (one / "metrics.log").read_bytes() == (two / "metrics.log").read_bytes()
         assert (one / "checkpoint.bin").read_bytes() == (two / "checkpoint.bin").read_bytes()
+
+    def test_checkpoint_header_holds_the_effective_config_model_lines(self, tmp_path, capsys):
+        assert _train(tmp_path / "run") == 0
+        capsys.readouterr()
+        blob = (tmp_path / "run" / "checkpoint.bin").read_bytes()
+        header = json.loads(blob[16:16 + int.from_bytes(blob[12:16], "little")])["config"]
+        ini = (tmp_path / "run" / "effective_config.ini").read_text(encoding="utf-8")
+        lines = ini.split("\n\n")[0].splitlines()
+        names = [f.name for f in fields(ModelConfig)]
+        assert lines[0] == "[model]" and sorted(header) == sorted(names)
+        assert [f"{name} = {header[name]}" for name in names] == lines[1:]
+        assert header["scales"] == "2, 4" and header["dropout"] == "0.2"
 
     def test_missing_out_rejected(self, capsys):
         assert main(["train", *TINY_CLS]) == 2
@@ -397,14 +414,17 @@ class TestEvalCommand:
 
     def test_version_2_checkpoint_exits_3_naming_the_file_and_version(self, tmp_path, capsys,
                                                                       tiny_checkpoint):
-        # version 2 stored every LSTM's full block, recurrent rows and forget gate included
-        blob = _with_header(tiny_checkpoint, lambda header: {**header, "format_version": 2})
+        # version 2 stored every LSTM's full block, recurrent rows and forget gate
+        # included; version 3 stored the header config as typed JSON values
         path = tmp_path / "checkpoint.bin"
-        path.write_bytes(blob[:8] + (2).to_bytes(4, "little") + blob[12:])
-        assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
-        err = capsys.readouterr().err
-        assert f"{path}: unsupported checkpoint version 2" in err
-        assert "Traceback" not in err
+        for version in (2, 3):
+            blob = _with_header(tiny_checkpoint,
+                                lambda header: {**header, "format_version": version})
+            path.write_bytes(blob[:8] + version.to_bytes(4, "little") + blob[12:])
+            assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
+            err = capsys.readouterr().err
+            assert f"{path}: unsupported checkpoint version {version}" in err
+            assert "Traceback" not in err
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
@@ -501,7 +521,11 @@ class TestAblateCommand:
     def test_t_values_beyond_configured_scales_rejected(self, capsys):
         # default t_values reach 4 but the tiny model configures two scales
         assert main(["ablate", "T", *TINY_CLS]) == 2
-        assert "exceed" in capsys.readouterr().err
+        assert "lie outside [1, 2]" in capsys.readouterr().err
+
+    def test_t_values_below_one_rejected(self, capsys):
+        assert main(["ablate", "T", *TINY_CLS, "--set", "ablate.t_values=0"]) == 2
+        assert "ablate.t_values [0] lie outside [1, 2]" in capsys.readouterr().err
 
     def test_unknown_axis_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -11,6 +11,7 @@ from pointseq.config import (
     load_run_config,
     model_config_from_dict,
     parse_set_flag,
+    section_text,
     validate_run_config,
 )
 from pointseq.errors import ConfigError
@@ -230,13 +231,11 @@ class TestValidation:
 class TestModelConfigFromDict:
     def test_a_saved_config_comes_back_equal(self):
         cfg = ModelConfig(task="segmentation", m=8, scales=(2, 4), dropout=0.25)
-        raw = {name: list(value) if isinstance(value, tuple) else value
-               for name, value in vars(cfg).items()}
-        assert model_config_from_dict(raw) == cfg
+        assert model_config_from_dict(section_text(cfg)) == cfg
         assert model_config_from_dict({}) == ModelConfig()
 
     def test_an_int_stands_for_a_float(self):
-        cfg = model_config_from_dict({"dropout": 0})
+        cfg = model_config_from_dict({"dropout": "0"})
         assert cfg.dropout == 0.0 and isinstance(cfg.dropout, float)
 
     @pytest.mark.parametrize("key,value", [
@@ -249,4 +248,4 @@ class TestModelConfigFromDict:
 
     def test_the_model_rules_apply(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
-            model_config_from_dict({"scales": [4, 4]})
+            model_config_from_dict({"scales": "4, 4"})

@@ -103,8 +103,9 @@ class TestPointFiles:
         np.testing.assert_allclose(np.linalg.norm(cloud.points, axis=1), [1.0, 1.0, 0.0],
                                    atol=1e-15)
 
-    def test_fractional_label_rejected(self, tmp_path):
-        path = _write(tmp_path / "bad.pts", "0 0 0 1.5\n")
+    @pytest.mark.parametrize("label", ["1.5", "2.0"])
+    def test_fractional_label_rejected(self, tmp_path, label):
+        path = _write(tmp_path / "bad.pts", f"0 0 0 {label}\n")
         with pytest.raises(ParseError, match="part label"):
             load_point_file(path)
 
