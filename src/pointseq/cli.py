@@ -24,6 +24,7 @@ from .config import (
     RunConfig,
     dump_run_config,
     load_run_config,
+    parse_number,
     parse_set_flag,
     validate_run_config,
 )
@@ -47,12 +48,20 @@ def _tolerance(text: str) -> float:
     """A positive finite number: nan, inf or a bound of 0 or less would make
     every gradient pass or every one fail."""
     try:
-        value = float(text)
+        value = parse_number(text, float)
     except ValueError:
         value = math.nan
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """An integer in ASCII decimal text, as a config file's ``train.seed``."""
+    try:
+        return parse_number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -86,7 +95,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="override one configuration value (repeatable)",
         )
         cmd.add_argument("--out", metavar="DIR", help="output directory (run.out)")
-        cmd.add_argument("--seed", type=int, metavar="N", help="train and data seed")
+        cmd.add_argument("--seed", type=_seed, metavar="N", help="train and data seed")
     return parser
 
 

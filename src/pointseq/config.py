@@ -111,17 +111,25 @@ class RunConfig:
 _SECTIONS = ("model", "train", "data", "run", "ablate")
 
 
+def parse_number(text: str, kind):
+    """``kind(text)`` for ``kind`` int or float, on ASCII text only.
+
+    ``int`` and ``float`` also read digit-group underscores (``3_84``) and
+    non-ASCII digits and spaces; such text raises ValueError here, like any
+    other text they reject.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not ASCII decimal text")
+    return kind(text)
+
+
 def _parse_scalar(raw: str, kind, where: str):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is not float:
-            return raw
-        value = float(raw)
+        value = parse_number(raw, kind)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}") from None
     # nan compares False with everything, so it would slip past the range checks
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{where}: must be a finite number, got {raw!r}")
     return value
 
@@ -227,14 +235,18 @@ def _physical_memory():
 
 def _synthetic_bytes(cfg: RunConfig) -> int:
     """About the most memory the synthetic set takes: every cloud's float64
-    points (and int64 part labels), plus the largest temporaries of one
-    cloud's neighborhood search, its [m, points] float64 distances and
-    [m, points] argpartition indices."""
-    dc, classification = cfg.data, cfg.model.task == "classification"
+    points (and int64 part labels) and the geometry ``train`` keeps for it,
+    [m, K] int32 neighbor indices and [m, 3] float64 centroids (and [points,
+    interp_k] int32 interpolation indices and float64 weights), plus the
+    largest temporaries of one cloud's neighborhood search, its [m, points]
+    float64 distances and [m, points] argpartition indices."""
+    dc, mc = cfg.data, cfg.model
+    classification = mc.task == "classification"
     # a classification set draws each count once per class, of three
     clouds = (dc.train_count + dc.test_count) * (3 if classification else 1)
-    per_point = 24 if classification else 32
-    return dc.points * (clouds * per_point + 16 * cfg.model.m)
+    per_point = 24 if classification else 32 + 12 * mc.interp_k
+    per_cloud = dc.points * per_point + mc.m * (4 * mc.scales[-1] + 24)
+    return clouds * per_cloud + dc.points * 16 * mc.m
 
 
 def model_config_from_dict(raw) -> ModelConfig:

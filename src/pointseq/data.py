@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DataConfig, TASKS
+from .config import DataConfig, TASKS, parse_number
 from .errors import ConfigError, DataError, ParseError
 from .geometry import PointCloud, normalize_unit_ball
 
@@ -100,7 +100,7 @@ def load_point_file(path) -> PointCloud:
         xyz = []
         for col in cols[:3]:
             try:
-                value = float(col)
+                value = parse_number(col, float)
             except ValueError:
                 raise ParseError(
                     f"cannot parse coordinate {_cut(repr(col))}", path=path, line=lineno
@@ -118,7 +118,7 @@ def load_point_file(path) -> PointCloud:
         coords.append(xyz)
         if width == 4:
             try:
-                labels.append(int(cols[3]))
+                labels.append(parse_number(cols[3], int))
             except ValueError:
                 raise ParseError(
                     f"cannot parse part label {_cut(repr(cols[3]))}", path=path, line=lineno
@@ -187,6 +187,7 @@ def load_manifest(path) -> DatasetManifest:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     base = os.path.dirname(os.path.abspath(path))
     header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
     records: list[tuple[int, str, str, str]] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -198,6 +199,7 @@ def load_manifest(path) -> DatasetManifest:
             if key in header:
                 raise ParseError(f"duplicate header key {_cut(repr(key))}", path=path, line=lineno)
             header[key] = raw.strip()
+            header_line[key] = lineno
         else:
             cols = text.split()
             if len(cols) != 3:
@@ -221,19 +223,18 @@ def load_manifest(path) -> DatasetManifest:
     part_ranges: dict[str, tuple[int, int]] = {}
     if task == "segmentation":
         for name in names:
-            raw = header.pop(f"parts.{name}", None)
+            key = f"parts.{name}"
+            raw = header.pop(key, None)
             if raw is None:
-                raise DataError(f"manifest {path} is missing parts.{name}")
+                raise DataError(f"manifest {path} is missing {key}")
             try:
-                lo, hi = (int(c) for c in raw.split())
+                lo, hi = (parse_number(c, int) for c in raw.split())
             except ValueError:
-                raise DataError(
-                    f"manifest {path}: parts.{name} must be two integers"
-                ) from None
+                raise ParseError(f"{key} must be two integers", path=path,
+                                 line=header_line[key]) from None
             if lo < 0 or hi <= lo:
-                raise DataError(
-                    f"manifest {path}: parts.{name} range [{lo}, {hi}) is empty or negative"
-                )
+                raise ParseError(f"{key} range [{lo}, {hi}) is empty or negative",
+                                 path=path, line=header_line[key])
             part_ranges[name] = (lo, hi)
     if header:
         stray = sorted(header)[0]

@@ -37,6 +37,7 @@ __all__ = [
     "attention_scores",
     "classify_batch",
     "classify_forward",
+    "interpolation_neighbors",
     "interpolation_weights",
     "interpolate_features",
     "segment_batch",
@@ -201,29 +202,55 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
 
 @dataclass
 class CloudGeometry:
-    """Geometry of one cloud, precomputed once; it has no parameters."""
+    """Geometry of one cloud, precomputed once; it has no parameters.
+
+    Besides the points and labels it keeps only the centroid coordinates and
+    int32 indices: ``neighbors`` holds each region's largest area as [m, K]
+    point indices in ascending distance order (scale k_t's area is the first
+    k_t of a row), and for segmentation ``interp_index`` and
+    ``interp_weight`` hold each point's k interpolation sources among the
+    centroids and their weights, [n, k] each. The dense blocks the forward
+    multiplies are rebuilt per batch; :attr:`relative` and
+    :attr:`interp_weights` derive the same values for one cloud.
+    """
 
     points: np.ndarray
     labels: np.ndarray | None
     centroid_coords: np.ndarray
-    relative: list  # per scale: [m, k_t, 3] views of one centroid-relative [m, K, 3] block
-    interp_weights: np.ndarray | None = None
+    neighbors: np.ndarray
+    scales: tuple[int, ...]
+    interp_index: np.ndarray | None = None
+    interp_weight: np.ndarray | None = None
+
+    @property
+    def relative(self) -> list:
+        """Per scale: [m, k_t, 3] centroid-relative area coordinates, views
+        of one [m, K, 3] block gathered afresh on each read."""
+        areas = self.points[self.neighbors] - self.centroid_coords[:, None, :]
+        return [areas[:, :k] for k in self.scales]
+
+    @property
+    def interp_weights(self) -> np.ndarray:
+        """The dense [n, m] interpolation matrix, built afresh on each read."""
+        return _dense_weights(self.interp_index, self.interp_weight, len(self.centroid_coords))
 
 
 def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
-    """Sample centroids, group multi-scale areas, and cache relative coords.
+    """Sample centroids, group multi-scale areas, and cache their indices.
 
-    The scales are nested, so one [m, K, 3] block of the largest areas holds
-    every scale; scale t's areas are its first k_t points per region.
+    The scales are nested, so one [m, K] int32 index block of the largest
+    areas holds every scale. A segmentation cloud also caches its
+    :func:`interpolation_neighbors`. Nothing of [m, K, 3] or [n, m] size is
+    kept: :func:`classify_batch` and :func:`segment_batch` rebuild those per
+    batch.
     """
     centroids = farthest_point_sample(cloud, cfg.m)
-    idx = group_areas(cloud, centroids, cfg.scales[-1])
-    areas = cloud.points[idx] - centroids.coords[:, None, :]
-    relative = [areas[:, :k] for k in cfg.scales]
-    interp = None
+    neighbors = group_areas(cloud, centroids, cfg.scales[-1]).astype(np.int32)
+    index = weight = None
     if cfg.task == "segmentation":
-        interp = interpolation_weights(cloud.points, centroids.coords, cfg.interp_k)
-    return CloudGeometry(cloud.points, cloud.labels, centroids.coords, relative, interp)
+        index, weight = interpolation_neighbors(cloud.points, centroids.coords, cfg.interp_k)
+    return CloudGeometry(cloud.points, cloud.labels, centroids.coords, neighbors,
+                         cfg.scales, index, weight)
 
 
 def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardContext,
@@ -245,10 +272,16 @@ def _area_sequences(geoms, params, cfg, ctx):
     statistics of stacking every scale's copy and max-pools each scale's
     neighborhood. A linear layer folds the centroid coordinates back in.
     """
-    # a plain array: the coordinates are a constant of the dense stack
-    points = np.concatenate([g.relative[-1].reshape(-1, 3) for g in geoms], axis=0)
-    pooled = _bn_mlp(points, params, "area_mlp", len(cfg.area_hidden) + 1, ctx, pool=cfg.scales)
+    # the batch's areas, gathered by one take from the cached indices, as a
+    # plain array: the coordinates are a constant of the dense stack
+    points = np.concatenate([g.points for g in geoms], axis=0)
     centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
+    index = np.concatenate([g.neighbors for g in geoms], axis=0)
+    index += np.repeat(np.cumsum([0] + [len(g.points) for g in geoms[:-1]]), cfg.m)[:, None]
+    areas = np.take(points, index, axis=0)
+    areas -= centroids[:, None, :]
+    pooled = _bn_mlp(areas.reshape(-1, 3), params, "area_mlp", len(cfg.area_hidden) + 1, ctx,
+                     pool=cfg.scales)
     x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)
     return ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
 
@@ -351,20 +384,22 @@ def classify_forward(cloud: PointCloud, params: ModelParams, cfg: ModelConfig, c
     return ag.reshape(logits, (cfg.num_classes,))
 
 
-def interpolation_weights(targets, sources, k: int) -> np.ndarray:
-    """Inverse-square-distance weights over each target's k nearest sources.
+def interpolation_neighbors(targets, sources, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each target's k interpolation sources and their inverse-square-distance
+    weights: [n, k] int32 indices, distinct within a row, and [n, k] weights.
 
-    Rows are convex: non-negative and summing to one. A target within
-    1e-10 of a source copies that source exactly. The k nearest are the
-    first k in (distance, index) order, the order a stable sort of the whole
-    row gives, and their weights are summed in that order: a partial
-    selection (:func:`geometry.nearest_candidates`) keeps the k candidates, or
-    every candidate tied with the k-th distance, and only those are sorted
-    by (distance, index). Coordinates must be finite.
+    Rows of weights are convex: non-negative and summing to one. A target
+    within 1e-10 of a source copies that source exactly: its row holds the
+    first such source with weight 1 and other sources with weight 0. The k
+    nearest are the first k in (distance, index) order, the order a stable
+    sort of the whole row gives, and their weights are summed in that order:
+    a partial selection (:func:`geometry.nearest_candidates`) keeps the k
+    candidates, or every candidate tied with the k-th distance, and only
+    those are sorted by (distance, index). Coordinates must be finite.
     """
     targets = np.asarray(targets, dtype=np.float64)
     sources = np.asarray(sources, dtype=np.float64)
-    n, s = len(targets), len(sources)
+    s = len(sources)
     if not 1 <= k <= s:
         raise ValueError(f"cannot interpolate from {k} of {s} sources")
     if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
@@ -372,17 +407,35 @@ def interpolation_weights(targets, sources, k: int) -> np.ndarray:
     d2 = square_distances(targets, np.asfortranarray(sources))
     exact = d2 < _EXACT_MATCH_DIST * _EXACT_MATCH_DIST
     snapped = exact.any(axis=1)
-    rows = np.arange(n)[:, None]
+    rows = np.arange(len(targets))[:, None]
     cand = nearest_candidates(d2, k)
     nearest = cand[rows, np.lexsort((cand, d2[rows, cand]), axis=1)[:, :k]]
     # snapped rows get placeholder distances so no division by zero happens
     inv = 1.0 / np.where(snapped[:, None], 1.0, d2[rows, nearest])
-    weights = np.zeros((n, s))
-    weights[rows, nearest] = inv / inv.sum(axis=1, keepdims=True)
+    weights = inv / inv.sum(axis=1, keepdims=True)
     if snapped.any():
-        weights[snapped] = 0.0
-        weights[snapped, exact[snapped].argmax(axis=1)] = 1.0
-    return weights
+        # the first exact source takes the place of the k-th nearest in a
+        # row that does not hold it already
+        first = exact[snapped].argmax(axis=1)[:, None]
+        index = nearest[snapped]
+        absent = (index != first).all(axis=1)
+        index[absent, -1] = first[absent, 0]
+        nearest[snapped] = index
+        weights[snapped] = index == first
+    return nearest.astype(np.int32), weights
+
+
+def _dense_weights(index, weights, sources: int) -> np.ndarray:
+    """The [n, sources] matrix holding each row's ``weights`` at its ``index``
+    columns and zero elsewhere; a row's indices must be distinct."""
+    dense = np.zeros((len(index), sources))
+    dense[np.arange(len(index))[:, None], index] = weights
+    return dense
+
+
+def interpolation_weights(targets, sources, k: int) -> np.ndarray:
+    """The dense [targets, sources] form of :func:`interpolation_neighbors`."""
+    return _dense_weights(*interpolation_neighbors(targets, sources, k), len(sources))
 
 
 def interpolate_features(targets, sources, features, k: int) -> np.ndarray:
@@ -400,6 +453,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
     x = ag.concat([spread, regions], axis=1)
     x = _bn_mlp(x, params, "seg_prop1", len(cfg.seg_prop1_widths), ctx)
 
+    # each cloud's dense [n_i, m] weights, scattered from its cached k per point
     up = ag.block_matmul([g.interp_weights for g in geoms], x)
 
     points = np.concatenate([g.points for g in geoms], axis=0)

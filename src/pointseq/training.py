@@ -344,6 +344,13 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
 
     For classification ``*_labels`` are per-cloud class ids; for segmentation
     they are ignored and per-point labels ride in the clouds themselves.
+
+    Every cloud is prepared once, before the first epoch, and kept for the
+    whole run: besides its points and labels a :class:`model.CloudGeometry`
+    holds its centroids, its [m, K] int32 area indices and, for
+    segmentation, its [n, interp_k] int32 interpolation indices and float64
+    weights (0.20 MiB for a 1024-point cloud at m=384, K=128). The dense
+    area and interpolation blocks are rebuilt for each batch.
     """
     if not train_clouds or not test_clouds:
         raise ConfigError("training requires at least one train and one test cloud")

@@ -97,6 +97,9 @@ BAD_HEADERS = {
     "m_text_zero": (_set_config("m", "0"), "model.m"),
     "scales_text_not_increasing": (_set_config("scales", "4, 4"), "model.scales"),
     "dropout_text_nan": (_set_config("dropout", "nan"), "model.dropout"),
+    "m_text_underscore": (_set_config("m", "3_84"), "model.m"),
+    "m_text_arabic_indic_digits": (_set_config("m", "\u0663\u0668\u0664"), "model.m"),
+    "dropout_text_underscore": (_set_config("dropout", "0.2_5"), "model.dropout"),
     "header_a_list": (lambda header: [], None),
     "config_a_list": (lambda header: {**header, "config": [1]}, None),
 }
@@ -460,7 +463,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--tolerance", "1e-12"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "1_0e-4", "\u0661e-4"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, value):
         with pytest.raises(SystemExit) as err:
             main(["gradcheck", f"--tolerance={value}"])
@@ -558,6 +561,13 @@ class TestSynthCommand:
         capsys.readouterr()
         name = "train_cube_000.pts"
         assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0669", "nine"])
+    def test_seed_flag_must_be_an_ascii_integer(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--out", str(tmp_path), *TINY_CLS, "--seed", value])
+        assert err.value.code == 2
+        assert f"--seed: must be an integer, got {value!r}" in capsys.readouterr().err
 
     def test_missing_out_rejected(self, capsys):
         assert main(["synth", *TINY_CLS]) == 2

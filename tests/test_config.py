@@ -1,11 +1,13 @@
 """Configuration parsing, dumping, overrides, and validation."""
 
+import numpy as np
 import pytest
 
 from pointseq.config import (
     AGGREGATORS,
     ModelConfig,
     RunConfig,
+    _synthetic_bytes,
     apply_setting,
     dump_run_config,
     load_run_config,
@@ -14,7 +16,9 @@ from pointseq.config import (
     section_text,
     validate_run_config,
 )
+from pointseq.data import synthetic_splits
 from pointseq.errors import ConfigError
+from pointseq.model import prepare_cloud
 
 
 class TestDefaults:
@@ -87,6 +91,13 @@ class TestFileLoading:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("raw", ["3_84", "\u0663\u0668\u0664"])
+    def test_int_in_file_must_be_ascii_decimal_text(self, tmp_path, raw):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[model]\nm = {raw}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"model\.m: cannot parse"):
+            load_run_config(path)
+
     def test_non_finite_float_in_file_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[data]\nnoise = nan\n", encoding="utf-8")
@@ -138,6 +149,16 @@ class TestOverrides:
     def test_non_finite_lr_values_element_rejected(self, raw):
         with pytest.raises(ConfigError, match="ablate.lr_values: must be a finite number"):
             apply_setting(RunConfig(), "ablate.lr_values", raw)
+
+    # int() and float() read digit-group underscores and non-ASCII digits
+    @pytest.mark.parametrize("key,raw", [
+        ("model.m", "3_84"), ("model.m", "\u0663\u0668\u0664"), ("train.epochs", "\uff11"),
+        ("train.lr", "0.00_1"), ("data.noise", "\u0660.5"), ("model.scales", "16, 3_2"),
+        ("ablate.lr_values", "0.001 0.00_2"),
+    ])
+    def test_numbers_must_be_ascii_decimal_text(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key}: cannot parse"):
+            apply_setting(RunConfig(), key, raw)
 
     def test_finite_extremes_still_parse(self):
         cfg = RunConfig()
@@ -221,6 +242,18 @@ class TestValidation:
         cfg = RunConfig()
         cfg.data.manifest, cfg.data.points = "data/manifest.txt", 10**12
         validate_run_config(cfg)
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_synthetic_bytes_bound_what_a_prepared_set_keeps(self, task):
+        # points, labels and the geometry train() keeps for every cloud; with
+        # this many clouds the search temporaries alone do not cover them
+        cfg = RunConfig()
+        cfg.model.task, cfg.model.m, cfg.model.scales = task, 16, (8, 16)
+        train_clouds, _, test_clouds, _ = synthetic_splits(cfg.data, task)
+        kept = sum(a.nbytes for c in train_clouds + test_clouds
+                   for a in vars(prepare_cloud(c, cfg.model)).values()
+                   if isinstance(a, np.ndarray))
+        assert kept <= _synthetic_bytes(cfg) < 1.1 * kept
 
     def test_aggregators_cover_the_five_variants(self):
         assert AGGREGATORS == (

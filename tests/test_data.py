@@ -109,6 +109,24 @@ class TestPointFiles:
         with pytest.raises(ParseError, match="part label"):
             load_point_file(path)
 
+    # a digit-group underscore, an Arabic-Indic and a fullwidth digit: int()
+    # and float() read each of them
+    @pytest.mark.parametrize("text", ["1_5", "\u0663", "\uff11"])
+    def test_coordinate_must_be_ascii_decimal_text(self, tmp_path, text):
+        path = _write(tmp_path / "bad.pts", f"0 0 0\n0 {text} 0\n")
+        with pytest.raises(ParseError, match="cannot parse coordinate") as err:
+            load_point_file(path)
+        assert err.value.line == 2
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", "\uff11"])
+    def test_label_must_be_ascii_decimal_text(self, tmp_path, text):
+        path = _write(tmp_path / "bad.pts", f"0 0 0 1\n0 1 0 {text}\n")
+        with pytest.raises(ParseError, match="cannot parse part label") as err:
+            load_point_file(path)
+        assert err.value.line == 2
+        assert str(path) in str(err.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path / "empty.pts", "")
         with pytest.raises(DataError, match="no points"):
@@ -312,6 +330,16 @@ class TestManifests:
         )
         with pytest.raises(DataError, match="empty or negative"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("bounds", ["0 1_0", "\u0660 2", "0 2 3", "0"])
+    def test_part_range_must_be_two_ascii_integers(self, tmp_path, bounds):
+        path = self._segmentation(tmp_path)
+        path.write_text(path.read_text().replace("parts.dome = 0 2", f"parts.dome = {bounds}"),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="parts.dome must be two integers") as err:
+            load_manifest(path)
+        assert err.value.line == 3
+        assert str(path) in str(err.value)
 
     def test_part_ranges_checked_per_category(self, tmp_path):
         # label 1 is fine for wing [0, 2) but out of range for fin [2, 4)

@@ -9,7 +9,9 @@ file valid, so exit 0 is allowed. An exit of 2 or 3 must name the damaged
 file, or, for the checkpoint, point file and config file, a key. A second
 table puts hand-written lines into the point file and the manifest, run
 through ``eval`` and ``train``: wrong column counts, an overflowing number,
-negative zero and a number of a million digits.
+negative zero, a number of a million digits, and numbers that are not ASCII
+decimal text. A third puts such numbers into the config file, run through
+every entry point.
 """
 
 import random
@@ -135,6 +137,8 @@ POINT_LINES = {
     "overflow": ("1e309 0.25 0.125", 3, 3),
     "negative_zero": ("-0 -0 -0", 0, 0),
     "million_digits": (f"{'9' * 10**6} 0.25 0.125", 3, 3),
+    "underscore_digits": ("1_5 0.25 0.125", 3, 3),
+    "arabic_indic_digit": ("\u0663 0.25 0.125", 3, 3),
 }
 # a hand-written manifest line in place of a valid one: (replaced line, new
 # line, exit code)
@@ -156,7 +160,7 @@ def _run_edited(valid_tree, tmp_path, entry, kind, edit):
     root = tmp_path / "tree"
     shutil.copytree(valid_tree, root)
     target = root / TARGETS[kind]
-    target.write_text(edit(target.read_text()))
+    target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
     return ENTRIES[entry](root), target
 
 
@@ -215,3 +219,28 @@ def _check_manifest_line(valid_tree, tmp_path, capsys, entry, case):
 
     code, target = _run_edited(valid_tree, tmp_path, entry, "manifest", edit)
     _assert_clean_exit(code, capsys.readouterr().err, want, target)
+
+
+# a hand-written config line in place of a valid one: (replaced line, new
+# line, the key the exit-2 error names)
+CONFIG_LINES = {
+    "underscore_int": ("\nm = 8\n", "\nm = 0_8\n", "model.m"),
+    "arabic_indic_int": ("\nm = 8\n", "\nm = \u0668\n", "model.m"),
+    "underscore_float": ("\nlr = 0.003\n", "\nlr = 0.00_3\n", "train.lr"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("case", CONFIG_LINES)
+def test_config_line_exits_2_naming_the_key(valid_tree, tmp_path, capsys, case, entry):
+    old, new, key = CONFIG_LINES[case]
+
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    code, _ = _run_edited(valid_tree, tmp_path, entry, "config", edit)
+    err = capsys.readouterr().err
+    assert code == 2, err[:500]
+    assert f"{key}: cannot parse" in err
+    assert "Traceback" not in err

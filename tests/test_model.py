@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pointseq import autograd as ag
 from pointseq.config import ModelConfig
 from pointseq.errors import DataError, ShapeError
-from pointseq.geometry import PointCloud
+from pointseq.geometry import PointCloud, farthest_point_sample, group_areas
 from pointseq.model import (
     ForwardContext,
     ModelParams,
@@ -24,6 +24,7 @@ from pointseq.model import (
     classify_forward,
     encode_sequence,
     interpolate_features,
+    interpolation_neighbors,
     interpolation_weights,
     load_checkpoint,
     prepare_cloud,
@@ -382,14 +383,18 @@ class TestAreaFeature:
             assert_array_equal(area_pooled_feature(pts[perm], p, cfg).values, base)
 
     def test_centroid_shifts_feature(self):
-        # same centroid-relative areas, different centroid coordinates
+        # the same centroid-relative areas up to rounding, different centroid
+        # coordinates
         cfg = tiny_cls_config()
         p = build_params(cfg, np.random.default_rng(45))
         geom = prepare_cloud(PointCloud(np.random.default_rng(46).normal(size=(16, 3))), cfg)
-        moved = dataclasses.replace(geom, centroid_coords=geom.centroid_coords + 1.0)
+        moved = dataclasses.replace(geom, points=geom.points + 1.0,
+                                    centroid_coords=geom.centroid_coords + 1.0)
+        for a, b in zip(geom.relative, moved.relative):
+            assert_allclose(a, b, atol=1e-15)
         a = classify_batch([geom], p, cfg).values
         b = classify_batch([moved], p, cfg).values
-        assert not np.array_equal(a, b)
+        assert not np.allclose(a, b)
 
     def test_single_point_pool_is_identity(self):
         cfg = tiny_cls_config()
@@ -670,6 +675,102 @@ class TestInterpolation:
             interpolation_weights(s, t, k=2)
 
 
+class TestCachedGeometry:
+    """A prepared cloud keeps int32 indices; the forward rebuilds the dense
+    blocks from them per batch, with the values it used to cache."""
+
+    @staticmethod
+    def _owned_bytes(geom):
+        arrays = [v for k, v in vars(geom).items()
+                  if isinstance(v, np.ndarray) and k not in ("points", "labels")]
+        assert all(a.base is None for a in arrays)
+        return sum(a.nbytes for a in arrays)
+
+    @pytest.mark.parametrize("task,points,limit", [
+        ("classification", 1024, 0.2), ("segmentation", 2048, 0.3)])
+    def test_a_reference_cloud_keeps_a_fraction_of_a_mebibyte(self, task, points, limit):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 50, points) if task == "segmentation" else None
+        geom = prepare_cloud(PointCloud(rng.normal(size=(points, 3)), labels),
+                             ModelConfig(task=task))
+        assert geom.neighbors.dtype == np.int32
+        assert self._owned_bytes(geom) <= limit * 2**20
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relative_is_the_gathered_areas_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(40, 3))
+        points[::4] = points[1::4]  # duplicate points tie every distance to them
+        cloud, cfg = PointCloud(points), tiny_cls_config(m=6, scales=(3, 7, 12))
+        geom = prepare_cloud(cloud, cfg)
+        centroids = farthest_point_sample(cloud, cfg.m)
+        want = points[group_areas(cloud, centroids, 12)] - centroids.coords[:, None, :]
+        assert [r.shape for r in geom.relative] == [(6, 3, 3), (6, 7, 3), (6, 12, 3)]
+        for area, k in zip(geom.relative, cfg.scales):
+            assert area.tobytes() == np.ascontiguousarray(want[:, :k]).tobytes()
+
+    def test_the_batch_area_block_stacks_each_clouds_relative_areas(self, monkeypatch):
+        cfg = tiny_cls_config(m=5, scales=(2, 6))
+        rng = np.random.default_rng(8)
+        geoms = [prepare_cloud(PointCloud(rng.normal(size=(n, 3))), cfg) for n in (9, 14, 6)]
+        blocks = []
+        real = model._bn_mlp
+
+        def recorded(x, params, prefix, *args, **kwargs):
+            if prefix == "area_mlp":
+                blocks.append(x)
+            return real(x, params, prefix, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_bn_mlp", recorded)
+        classify_batch(geoms, build_params(cfg, np.random.default_rng(9)), cfg)
+        want = np.concatenate([g.relative[-1].reshape(-1, 3) for g in geoms])
+        assert blocks[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["gaussian", "duplicates", "every_point_a_centroid"])
+    def test_each_rebuilt_interpolation_block_equals_the_dense_weights(self, monkeypatch, case):
+        rng = np.random.default_rng(12)
+        m = 10 if case == "every_point_a_centroid" else 4
+        cfg = tiny_seg_config(m=m, scales=(2, 4))
+        clouds = []
+        for n in ((10, 10) if case == "every_point_a_centroid" else (12, 17)):
+            points = rng.normal(size=(n, 3))
+            if case == "duplicates":
+                # points on a centroid or within 1e-10 of one snap to it
+                points[5::5] = points[0]
+                points[1] = points[0] + 1e-11
+            clouds.append(PointCloud(points, rng.integers(0, cfg.num_parts, n)))
+        geoms = [prepare_cloud(c, cfg) for c in clouds]
+        blocks = []
+        real = ag.block_matmul
+
+        def recorded(matrices, x):
+            blocks.extend(matrices)
+            return real(matrices, x)
+
+        monkeypatch.setattr(ag, "block_matmul", recorded)
+        segment_batch(geoms, build_params(cfg, np.random.default_rng(13)), cfg)
+        assert len(blocks) == len(geoms)
+        for block, g in zip(blocks, geoms):
+            want = interpolation_weights(g.points, g.centroid_coords, cfg.interp_k)
+            assert block.tobytes() == want.tobytes()
+            assert (g.interp_index.dtype, g.interp_index.shape) == (np.int32, (len(g.points), 3))
+            snapped = (want == 1.0).sum(axis=1) == 1
+            assert snapped.sum() >= m
+            if case == "every_point_a_centroid":
+                assert snapped.all()
+
+    def test_a_first_exact_source_beyond_the_k_nearest_is_kept(self):
+        # three sources lie closer than source 0, all within 1e-10 of the
+        # target: the target copies source 0, the lowest-index exact one
+        sources = np.array([[5e-11, 0, 0], [1e-11, 0, 0], [2e-11, 0, 0], [3e-11, 0, 0],
+                            [1.0, 0, 0]])
+        targets = np.array([[0.0, 0, 0], [0.9, 0, 0]])
+        index, weights = interpolation_neighbors(targets, sources, 3)
+        assert index[0].tolist() == [1, 2, 0] and weights[0].tolist() == [0.0, 0.0, 1.0]
+        dense = interpolation_weights(targets, sources, 3)
+        assert dense.tobytes() == reference_interpolation_weights(targets, sources, 3).tobytes()
+
+
 class TestAggregateGlobal:
     def test_shape(self):
         # one global vector per cloud: changing cloud 1 leaves cloud 0 alone
@@ -691,10 +792,8 @@ class TestAggregateGlobal:
         base = classify_batch([geom], p, cfg).values
         for _ in range(5):
             perm = rng.permutation(cfg.m)
-            areas = geom.relative[-1][perm]
-            relative = [areas[:, :k] for k in cfg.scales]
             shuffled = dataclasses.replace(
-                geom, centroid_coords=geom.centroid_coords[perm], relative=relative
+                geom, centroid_coords=geom.centroid_coords[perm], neighbors=geom.neighbors[perm]
             )
             assert_array_equal(classify_batch([shuffled], p, cfg).values, base)
 
