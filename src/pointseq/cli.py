@@ -15,12 +15,10 @@ import copy
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .config import (
     AGGREGATORS,
+    TASKS,
     RunConfig,
     dump_run_config,
     load_run_config,
@@ -28,14 +26,13 @@ from .config import (
     parse_set_flag,
     validate_run_config,
 )
-from .data import CLASS_KINDS, SEG_PARTS, load_manifest, synthetic_splits, write_synthetic_dataset
+from .data import DatasetManifest, load_manifest, synthetic_manifest, write_synthetic_dataset
 from .errors import ConfigError, DataError
 from .model import load_checkpoint, prepare_cloud, save_checkpoint
 from .training import (
-    classification_gradient_check,
     evaluate_classification,
     evaluate_segmentation,
-    segmentation_gradient_check,
+    network_gradient_check,
     train,
 )
 
@@ -117,40 +114,20 @@ def _require_out(cfg: RunConfig) -> str:
     return cfg.run.out
 
 
-@dataclass
-class _Dataset:
-    train_clouds: list
-    train_labels: np.ndarray
-    test_clouds: list
-    test_labels: np.ndarray
-    names: tuple[str, ...]
-    part_ranges: dict | None
-    files: list  # (path, cloud) per manifest sample; empty for synthetic data
-
-
-def _load_dataset(cfg: RunConfig, task: str) -> _Dataset:
-    """The configured manifest if one is set, else the synthetic splits."""
-    if cfg.data.manifest:
-        manifest = load_manifest(cfg.data.manifest)
-        if manifest.task != task:
-            raise ConfigError(
-                f"manifest {cfg.data.manifest} task {manifest.task!r} does not match the "
-                f"model task {task!r}"
-            )
-        train_clouds, train_labels = manifest.split("train")
-        test_clouds, test_labels = manifest.split("test")
-        ranges = manifest.part_ranges if task == "segmentation" else None
-        files = [(s.path, s.cloud) for split in manifest.samples.values() for s in split]
-        return _Dataset(
-            train_clouds, train_labels, test_clouds, test_labels, manifest.names, ranges, files
+def _load_dataset(cfg: RunConfig, task: str) -> DatasetManifest:
+    """The configured manifest if one is set, else the synthetic set."""
+    if not cfg.data.manifest:
+        return synthetic_manifest(cfg.data, task)
+    manifest = load_manifest(cfg.data.manifest)
+    if manifest.task != task:
+        raise ConfigError(
+            f"manifest {cfg.data.manifest} task {manifest.task!r} does not match the "
+            f"model task {task!r}"
         )
-    splits = synthetic_splits(cfg.data, task)
-    if task == "classification":
-        return _Dataset(*splits, CLASS_KINDS, None, [])
-    return _Dataset(*splits, ("composite",), {"composite": SEG_PARTS}, [])
+    return manifest
 
 
-def _check_cloud_sizes(model_cfg, cfg: RunConfig, ds: _Dataset) -> None:
+def _check_cloud_sizes(model_cfg, cfg: RunConfig, ds: DatasetManifest) -> None:
     """Every cloud must hold ``m`` centroids and the largest neighborhood."""
     needs = (("model.m", model_cfg.m), ("model.scales", model_cfg.scales[-1]))
     for key, need in needs:
@@ -158,21 +135,20 @@ def _check_cloud_sizes(model_cfg, cfg: RunConfig, ds: _Dataset) -> None:
             raise ConfigError(
                 f"{key} needs {need} points per cloud but data.points is {cfg.data.points}"
             )
-        for path, cloud in ds.files:
-            if len(cloud) < need:
-                raise DataError(f"{path} has {len(cloud)} points but {key} needs {need}")
+        for sample in (s for split in ds.samples.values() for s in split):
+            if len(sample.cloud) < need:
+                raise DataError(f"{sample.path} has {len(sample.cloud)} points but {key} needs {need}")
 
 
-def _check_splits(cfg: RunConfig, ds: _Dataset, splits) -> None:
+def _check_splits(cfg: RunConfig, ds: DatasetManifest, splits) -> None:
     """Each of ``splits`` must hold a cloud. Synthetic counts are validated
     as at least 1, so only a manifest can leave a split empty."""
     for split in splits:
-        clouds = ds.train_clouds if split == "train" else ds.test_clouds
-        if not clouds:
+        if not ds.samples.get(split):
             raise DataError(f"manifest {cfg.data.manifest} has no {split} records")
 
 
-def _check_dims(model_cfg, cfg: RunConfig, ds: _Dataset, task: str) -> None:
+def _check_dims(model_cfg, cfg: RunConfig, ds: DatasetManifest, task: str) -> None:
     """The model's class or part count must match the data's; a mismatch
     names the manifest the data come from, if any, as well as the key."""
     source = f"manifest {cfg.data.manifest}" if cfg.data.manifest else "the dataset"
@@ -199,10 +175,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     _check_splits(cfg, ds, ("train", "test"))
     _check_dims(cfg.model, cfg, ds, task)
     _check_cloud_sizes(cfg.model, cfg, ds)
-    result = train(
-        ds.train_clouds, ds.train_labels, ds.test_clouds, ds.test_labels,
-        cfg.model, cfg.train, log=print,
-    )
+    result = train(*ds.split("train"), *ds.split("test"), cfg.model, cfg.train, log=print)
     log_path = os.path.join(out, "metrics.log")
     with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(result.log_lines) + "\n")
@@ -223,10 +196,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     _check_dims(model_cfg, cfg, ds, model_cfg.task)
     _check_splits(cfg, ds, ("test",))
     _check_cloud_sizes(model_cfg, cfg, ds)
-    geoms = [prepare_cloud(c, model_cfg) for c in ds.test_clouds]
+    test_clouds, test_labels = ds.split("test")
+    geoms = [prepare_cloud(c, model_cfg) for c in test_clouds]
     if model_cfg.task == "classification":
         stats = evaluate_classification(
-            geoms, ds.test_labels, params, model_cfg, cfg.train.batch_size
+            geoms, test_labels, params, model_cfg, cfg.train.batch_size
         )
         print(
             f"samples={len(geoms)} loss={stats['loss']:.12g} "
@@ -234,7 +208,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             f"class_acc={stats['class_acc']:.12g}"
         )
         return 0
-    cats = [ds.names[int(i)] for i in ds.test_labels]
+    cats = [s.name for s in ds.samples["test"]]
     ranges = [ds.part_ranges[c] for c in cats]
     stats = evaluate_segmentation(
         geoms, params, model_cfg, cfg.train.batch_size,
@@ -251,18 +225,14 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
     _echo_config(cfg)
-    checks = (
-        ("classification", classification_gradient_check),
-        ("segmentation", segmentation_gradient_check),
-    )
     worst_overall = 0.0
-    for label, check in checks:
-        worst, report = check(seed=cfg.train.seed)
-        print(f"{label} tiny config: max relative gradient error per tensor")
+    for task in TASKS:
+        worst, report = network_gradient_check(task, seed=cfg.train.seed)
+        print(f"{task} tiny config: max relative gradient error per tensor")
         width = max(len(name) for name in report)
         for name in sorted(report):
             print(f"  {name:<{width}}  {report[name]:.3e}")
-        print(f"{label} worst: {worst:.3e}")
+        print(f"{task} worst: {worst:.3e}")
         worst_overall = max(worst_overall, worst)
     ok = worst_overall < args.tolerance
     print(f"tolerance {args.tolerance:g}: {'PASS' if ok else 'FAIL'}")
@@ -324,10 +294,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         runs.append((value, run_cfg))
     rows = []
     for value, run_cfg in runs:
-        result = train(
-            ds.train_clouds, ds.train_labels, ds.test_clouds, ds.test_labels,
-            run_cfg.model, run_cfg.train,
-        )
+        result = train(*ds.split("train"), *ds.split("test"), run_cfg.model, run_cfg.train)
         print(f"# {args.axis}={value} best_epoch={result.best_epoch} "
               f"best={result.best_metric:.12g}", flush=True)
         rows.append((str(value), result.best_metric))

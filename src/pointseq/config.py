@@ -19,6 +19,17 @@ from .errors import ConfigError
 TASKS = ("classification", "segmentation")
 AGGREGATORS = ("attention_ed", "no_attention", "no_decoder", "concat", "max_pool")
 
+# The largest count, width or scale a model config may hold, about 1000 times
+# the reference widths. No parameter block then holds more than about 2**44
+# elements, far below what NumPy's int64 index type counts.
+MAX_SIZE = 2**20
+
+# the model config's single counts and widths, and its lists of layer widths
+_SIZES = ("num_classes", "num_parts", "m", "feature_dim", "hidden_dim", "seg_point_width",
+          "interp_k")
+_WIDTH_LISTS = ("area_hidden", "agg_widths", "head_widths", "seg_prop1_widths",
+                "seg_prop2_widths", "seg_head_widths")
+
 
 @dataclass
 class ModelConfig:
@@ -275,15 +286,19 @@ def validate_model_config(mc: ModelConfig) -> None:
         b <= a for a, b in zip(mc.scales, mc.scales[1:])
     ):
         raise ConfigError(f"model.scales must be strictly increasing and positive, got {mc.scales}")
-    for name in ("num_classes", "num_parts", "m", "feature_dim", "hidden_dim",
-                 "seg_point_width", "interp_k"):
+    for name in _SIZES:
         if getattr(mc, name) < 1:
             raise ConfigError(f"model.{name} must be positive")
-    for name in ("area_hidden", "agg_widths", "head_widths",
-                 "seg_prop1_widths", "seg_prop2_widths", "seg_head_widths"):
+    for name in _WIDTH_LISTS:
         widths = getattr(mc, name)
         if not widths or any(w < 1 for w in widths):
             raise ConfigError(f"model.{name} must list positive widths")
+    for name in _SIZES + ("scales",) + _WIDTH_LISTS:
+        value = getattr(mc, name)
+        largest = value if name in _SIZES else max(value)
+        if largest > MAX_SIZE:
+            raise ConfigError(f"model.{name} holds {largest}, above the largest size "
+                              f"2**20 = {MAX_SIZE}")
     if mc.task == "segmentation" and mc.interp_k > mc.m:
         raise ConfigError(
             f"model.interp_k={mc.interp_k} exceeds model.m={mc.m}: "

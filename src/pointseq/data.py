@@ -45,6 +45,7 @@ __all__ = [
     "synthetic_classification",
     "synthetic_segmentation",
     "synthetic_splits",
+    "synthetic_manifest",
     "write_synthetic_dataset",
 ]
 
@@ -71,7 +72,8 @@ def load_point_file(path) -> PointCloud:
     Blank lines are skipped; the column count of the first data line fixes
     the format for the rest of the file. A coordinate that is not finite, or
     whose magnitude exceeds 2**510 (whose square could overflow the radius),
-    is rejected with the file and line.
+    and a part label outside the int64 range are rejected with the file and
+    line.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -118,11 +120,17 @@ def load_point_file(path) -> PointCloud:
         coords.append(xyz)
         if width == 4:
             try:
-                labels.append(parse_number(cols[3], int))
+                label = parse_number(cols[3], int)
             except ValueError:
                 raise ParseError(
                     f"cannot parse part label {_cut(repr(cols[3]))}", path=path, line=lineno
                 ) from None
+            if not -2**63 <= label < 2**63:
+                raise ParseError(
+                    f"part label {_cut(repr(cols[3]))} is outside the int64 range",
+                    path=path, line=lineno
+                )
+            labels.append(label)
     if not coords:
         raise DataError(f"point file {path} has no points")
     cloud = PointCloud(
@@ -151,7 +159,9 @@ def write_point_file(path, cloud: PointCloud) -> None:
 
 @dataclass
 class ManifestSample:
-    """One record: a loaded point file plus its class or category id."""
+    """One record: a point file's path and cloud plus its class or category
+    name and id. A synthetic sample's path is the file name
+    :func:`write_synthetic_dataset` gives it."""
 
     path: str
     name: str
@@ -161,7 +171,8 @@ class ManifestSample:
 
 @dataclass
 class DatasetManifest:
-    """A validated dataset: every referenced file loaded, labels checked."""
+    """A dataset, from a manifest file (every referenced file loaded, labels
+    checked) or from the synthetic generator (:func:`synthetic_manifest`)."""
 
     task: str
     names: tuple[str, ...]
@@ -429,16 +440,14 @@ def synthetic_splits(data_cfg: DataConfig, task: str):
     return train_clouds, train_labels, test_clouds, test_labels
 
 
-def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> str:
-    """Materialize the synthetic splits as point files plus a manifest.
-
-    Names and contents are deterministic, so re-running with the same seed
-    reproduces every byte. Returns the manifest path.
-    """
-    os.makedirs(out_dir, exist_ok=True)
+def synthetic_manifest(data_cfg: DataConfig, task: str) -> DatasetManifest:
+    """The clouds of :func:`synthetic_splits` as a manifest, each sample named
+    ``<split>_<name>_<index>.pts`` after its split, its class or category
+    and its place among that split's samples of the name."""
     names = CLASS_KINDS if task == "classification" else ("composite",)
+    part_ranges = {"composite": SEG_PARTS} if task == "segmentation" else {}
     train_clouds, train_labels, test_clouds, test_labels = synthetic_splits(data_cfg, task)
-    records = []
+    samples: dict[str, list[ManifestSample]] = {}
     counters: dict[tuple[str, str], int] = {}
     for split, clouds, labels in (
         ("train", train_clouds, train_labels),
@@ -448,10 +457,25 @@ def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> str:
             name = names[int(label)]
             i = counters.get((split, name), 0)
             counters[(split, name)] = i + 1
-            rel = f"{split}_{name}_{i:03d}.pts"
-            write_point_file(os.path.join(out_dir, rel), cloud)
-            records.append((split, rel, name))
+            samples.setdefault(split, []).append(
+                ManifestSample(f"{split}_{name}_{i:03d}.pts", name, int(label), cloud)
+            )
+    return DatasetManifest(task, names, part_ranges, samples)
+
+
+def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> str:
+    """Materialize :func:`synthetic_manifest` as point files plus a manifest.
+
+    Names and contents are deterministic, so re-running with the same seed
+    reproduces every byte. Returns the manifest path.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = synthetic_manifest(data_cfg, task)
+    records = []
+    for split, samples in manifest.samples.items():
+        for sample in samples:
+            write_point_file(os.path.join(out_dir, sample.path), sample.cloud)
+            records.append((split, sample.path, sample.name))
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    part_ranges = {"composite": SEG_PARTS} if task == "segmentation" else None
-    write_manifest(manifest_path, task, names, records, part_ranges)
+    write_manifest(manifest_path, task, manifest.names, records, manifest.part_ranges)
     return manifest_path

@@ -37,8 +37,7 @@ __all__ = [
     "TrainResult",
     "train",
     "gradient_check",
-    "classification_gradient_check",
-    "segmentation_gradient_check",
+    "network_gradient_check",
 ]
 
 
@@ -305,6 +304,16 @@ def _format_line(epoch: int, stats: dict) -> str:
     return " ".join(parts)
 
 
+def _batch_logits(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: ForwardContext):
+    """A batch's logits and the targets of its loss: ``labels``, one class id
+    per cloud, for classification; the clouds' own per-point labels for
+    segmentation."""
+    if cfg.task == "classification":
+        return classify_batch(geoms, params, cfg, ctx), labels
+    logits, _ = segment_batch(geoms, params, cfg, ctx)
+    return logits, np.concatenate([g.labels for g in geoms])
+
+
 def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: ForwardContext,
                 adam: AdamState, lr: float, where: str) -> float:
     """Forward, backward and one Adam update for one batch; returns its loss.
@@ -317,12 +326,8 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
     # a diverging step overflows long before its loss is checked; the check
     # below reports it, so NumPy's floating-point warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if cfg.task == "classification":
-            logits = classify_batch(geoms, params, cfg, ctx)
-        else:
-            logits, _ = segment_batch(geoms, params, cfg, ctx)
-            labels = np.concatenate([g.labels for g in geoms])
-        loss = cross_entropy_loss(logits, labels)
+        logits, targets = _batch_logits(geoms, labels, params, cfg, ctx)
+        loss = cross_entropy_loss(logits, targets)
         params.clear_grads()
         ag.backward(loss)
     diverged = (f"training diverged at {where}: the loss or a parameter gradient "
@@ -493,56 +498,37 @@ def gradient_check(params: ModelParams, loss_fn, coords_per_tensor: int = 20,
     return worst, report
 
 
-def _gradcheck_cls_setup(seed: int = 0):
-    cfg = ModelConfig(
-        task="classification", num_classes=3, m=4, scales=(2, 4),
-        feature_dim=8, hidden_dim=8, area_hidden=(8, 8),
-        agg_widths=(16, 16), head_widths=(16, 8),
-    )
-    rng = np.random.default_rng(seed)
-    params = build_params(cfg, rng)
-    geoms = [prepare_cloud(PointCloud(rng.normal(size=(16, 3))), cfg) for _ in range(3)]
-    labels = np.array([0, 1, 2])
-    return cfg, params, geoms, labels
-
-
-def classification_gradient_check(coords_per_tensor: int = 20, seed: int = 0):
-    """Worst relative gradient error of the classification network."""
-    cfg, params, geoms, labels = _gradcheck_cls_setup(seed)
-
-    def loss_fn():
-        ctx = ForwardContext(training=True, rng=np.random.default_rng(seed + 123))
-        return ag.cross_entropy_mean(classify_batch(geoms, params, cfg, ctx), labels)
-
-    return gradient_check(params, loss_fn, coords_per_tensor, seed=seed)
-
-
-def _gradcheck_seg_setup(seed: int = 0):
-    cfg = ModelConfig(
-        task="segmentation", num_parts=2, m=4, scales=(2, 4),
-        feature_dim=8, hidden_dim=8, area_hidden=(8, 8),
-        agg_widths=(16, 16), seg_point_width=8,
-        seg_prop1_widths=(16, 8), seg_prop2_widths=(16, 8), seg_head_widths=(8,),
-    )
+def _gradcheck_setup(task: str, seed: int = 0):
+    """A tiny ``task`` model, its parameters and a batch to check them on:
+    ``(cfg, params, geoms, labels)``, with ``labels`` None for segmentation,
+    which reads the clouds' own. One generator draws the parameters, then
+    each cloud's points (and part labels)."""
+    shared = dict(task=task, m=4, scales=(2, 4), feature_dim=8, hidden_dim=8,
+                  area_hidden=(8, 8), agg_widths=(16, 16))
+    segmentation = task == "segmentation"
+    if segmentation:
+        cfg = ModelConfig(num_parts=2, seg_point_width=8, seg_prop1_widths=(16, 8),
+                          seg_prop2_widths=(16, 8), seg_head_widths=(8,), **shared)
+    else:
+        cfg = ModelConfig(num_classes=3, head_widths=(16, 8), **shared)
     rng = np.random.default_rng(seed)
     params = build_params(cfg, rng)
     geoms = [
-        prepare_cloud(
-            PointCloud(rng.normal(size=(16, 3)), labels=rng.integers(0, 2, size=16)), cfg
-        )
-        for _ in range(2)
+        prepare_cloud(PointCloud(rng.normal(size=(16, 3)),
+                                 labels=rng.integers(0, 2, size=16) if segmentation else None),
+                      cfg)
+        for _ in range(2 if segmentation else 3)
     ]
-    return cfg, params, geoms
+    return cfg, params, geoms, None if segmentation else np.array([0, 1, 2])
 
 
-def segmentation_gradient_check(coords_per_tensor: int = 20, seed: int = 0):
-    """Worst relative gradient error of the segmentation network."""
-    cfg, params, geoms = _gradcheck_seg_setup(seed)
-    labels = np.concatenate([g.labels for g in geoms])
+def network_gradient_check(task: str, coords_per_tensor: int = 20, seed: int = 0):
+    """Worst relative gradient error of the tiny ``task`` network, and its
+    per-tensor report (see :func:`gradient_check`)."""
+    cfg, params, geoms, labels = _gradcheck_setup(task, seed)
 
     def loss_fn():
         ctx = ForwardContext(training=True, rng=np.random.default_rng(seed + 123))
-        logits, _ = segment_batch(geoms, params, cfg, ctx)
-        return ag.cross_entropy_mean(logits, labels)
+        return cross_entropy_loss(*_batch_logits(geoms, labels, params, cfg, ctx))
 
     return gradient_check(params, loss_fn, coords_per_tensor, seed=seed)

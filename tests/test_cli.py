@@ -100,6 +100,7 @@ BAD_HEADERS = {
     "m_text_underscore": (_set_config("m", "3_84"), "model.m"),
     "m_text_arabic_indic_digits": (_set_config("m", "\u0663\u0668\u0664"), "model.m"),
     "dropout_text_underscore": (_set_config("dropout", "0.2_5"), "model.dropout"),
+    "hidden_dim_above_the_size_bound": (_set_config("hidden_dim", "1048577"), "model.hidden_dim"),
     "header_a_list": (lambda header: [], None),
     "config_a_list": (lambda header: {**header, "config": [1]}, None),
 }
@@ -336,6 +337,43 @@ class TestSizeLimits:
         captured = capsys.readouterr()
         assert "ablate.epochs must be 0 (keep train.epochs) or positive, got -3" in captured.err
         assert "# T=" not in captured.out
+
+    @pytest.mark.parametrize("key", ["hidden_dim", "feature_dim"])
+    def test_size_too_large_to_allocate_exits_2_naming_the_key(self, tmp_path, capsys, key):
+        code = main(["train", *DESK_CLS, "--out", str(tmp_path),
+                     "--set", f"model.{key}=100000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: model.{key} holds 100000000000, above the largest size 2**20" in err
+        assert "Traceback" not in err
+
+    def test_part_count_too_large_to_allocate_exits_2_naming_the_key(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), *TINY_SEG]) == 0
+        manifest = data_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("parts.composite = 0 2",
+                                                         f"parts.composite = 0 {10**23}"))
+        code = _train(tmp_path / "run", ["--set", f"data.manifest={manifest}",
+                                         "--set", f"model.num_parts={10**23}"], config=TINY_SEG)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: model.num_parts holds {10**23}, above the largest size" in err
+        assert "Traceback" not in err
+
+    def test_part_label_beyond_int64_exits_3_naming_the_file(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), *TINY_SEG]) == 0
+        bad = data_dir / "test_composite_001.pts"
+        lines = bad.read_text().splitlines()
+        lines[2] = f"{lines[2].rsplit(' ', 1)[0]} 99999999999999999999999"
+        bad.write_text("\n".join(lines) + "\n")
+        code = _train(tmp_path / "run", ["--set", f"data.manifest={data_dir / 'manifest.txt'}"],
+                      config=TINY_SEG)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert (f"error: {bad}: part label '99999999999999999999999' is outside the int64 "
+                "range (line 3)") in err
+        assert "Traceback" not in err
 
     def test_small_manifest_cloud_exits_3_naming_the_file(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -5,6 +5,7 @@ import pytest
 
 from pointseq.config import (
     AGGREGATORS,
+    MAX_SIZE,
     ModelConfig,
     RunConfig,
     _synthetic_bytes,
@@ -207,6 +208,34 @@ class TestValidation:
         self._reject("must be positive", **{"model.m": 0})
         self._reject("positive widths", **{"model.agg_widths": (64, 0)})
 
+    # every count, width and scale, with a value one above the bound
+    SIZES = {
+        "num_classes": MAX_SIZE + 1, "num_parts": MAX_SIZE + 1, "m": MAX_SIZE + 1,
+        "feature_dim": MAX_SIZE + 1, "hidden_dim": MAX_SIZE + 1,
+        "seg_point_width": MAX_SIZE + 1, "interp_k": MAX_SIZE + 1,
+        "scales": (16, MAX_SIZE + 1), "area_hidden": (64, MAX_SIZE + 1),
+        "agg_widths": (MAX_SIZE + 1, 512), "head_widths": (512, MAX_SIZE + 1),
+        "seg_prop1_widths": (MAX_SIZE + 1,), "seg_prop2_widths": (256, MAX_SIZE + 1),
+        "seg_head_widths": (10**23,),
+    }
+
+    @pytest.mark.parametrize("key", SIZES)
+    def test_size_above_the_bound_names_the_key(self, key):
+        value = self.SIZES[key]
+        largest = value if isinstance(value, int) else max(value)
+        self._reject(f"model.{key} holds {largest}, above the largest size 2\\*\\*20",
+                     **{f"model.{key}": value})
+
+    def test_sizes_at_the_bound_validate(self):
+        cfg = RunConfig()
+        # a manifest run draws no synthetic set, so memory is not checked
+        cfg.data.manifest = "data/manifest.txt"
+        for key in self.SIZES:
+            value = getattr(cfg.model, key)
+            setattr(cfg.model, key,
+                    MAX_SIZE if isinstance(value, int) else (*value[:-1], MAX_SIZE))
+        validate_run_config(cfg)
+
     def test_dropout_range(self):
         self._reject("dropout", **{"model.dropout": 1.0})
         self._reject("dropout", **{"model.dropout": -0.1})
@@ -278,6 +307,10 @@ class TestModelConfigFromDict:
     def test_a_value_of_another_type_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"model.{key}"):
             model_config_from_dict({key: value})
+
+    def test_a_size_above_the_bound_names_its_key(self):
+        with pytest.raises(ConfigError, match="model.hidden_dim holds 1048577"):
+            model_config_from_dict({"hidden_dim": "1048577"})
 
     def test_the_model_rules_apply(self):
         with pytest.raises(ConfigError, match="strictly increasing"):

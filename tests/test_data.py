@@ -18,6 +18,7 @@ from pointseq.data import (
     oriented_disc,
     sphere_surface,
     synthetic_classification,
+    synthetic_manifest,
     synthetic_segmentation,
     synthetic_splits,
     write_manifest,
@@ -25,7 +26,7 @@ from pointseq.data import (
     write_synthetic_dataset,
 )
 from pointseq.errors import ConfigError, DataError, ParseError
-from pointseq.geometry import PointCloud
+from pointseq.geometry import PointCloud, normalize_unit_ball
 from pointseq.training import _batches
 
 
@@ -126,6 +127,21 @@ class TestPointFiles:
             load_point_file(path)
         assert err.value.line == 2
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "9223372036854775808",
+                                       "-9223372036854775809"])
+    def test_label_outside_int64_rejected(self, tmp_path, label):
+        path = _write(tmp_path / "bad.pts", f"0 0 0 1\n0 1 0 {label}\n")
+        with pytest.raises(ParseError, match="outside the int64 range") as err:
+            load_point_file(path)
+        assert err.value.line == 2
+        assert str(path) in str(err.value)
+
+    def test_int64_extreme_labels_load(self, tmp_path):
+        path = _write(tmp_path / "wide.pts", "0 0 0 9223372036854775807\n"
+                                             "0 1 0 -9223372036854775808\n")
+        labels = load_point_file(path).labels
+        np.testing.assert_array_equal(labels, [2**63 - 1, -2**63])
 
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path / "empty.pts", "")
@@ -513,6 +529,27 @@ class TestSyntheticFiles:
         assert len(first_line.split()) == 4
         manifest = load_manifest(manifest_path)
         assert manifest.split("train")[0][0].labels is not None
+
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_synthetic_manifest_is_the_written_one(self, tmp_path, task):
+        cfg = DataConfig(points=16, noise=0.05, train_count=3, test_count=2, seed=5)
+        built = synthetic_manifest(cfg, task)
+        loaded = load_manifest(write_synthetic_dataset(tmp_path, cfg, task))
+        assert (built.task, built.names, built.part_ranges) == (
+            loaded.task, loaded.names, loaded.part_ranges)
+        assert list(built.samples) == list(loaded.samples) == ["train", "test"]
+        for split in built.samples:
+            np.testing.assert_array_equal(built.split(split)[1], loaded.split(split)[1])
+            for a, b in zip(built.samples[split], loaded.samples[split], strict=True):
+                assert (a.path, a.name, a.label) == (os.path.basename(b.path), b.name, b.label)
+                # a file holds the cloud's exact float64 values, and loading
+                # normalizes them once more
+                np.testing.assert_array_equal(normalize_unit_ball(a.cloud).points,
+                                              b.cloud.points)
+                if task == "segmentation":
+                    np.testing.assert_array_equal(a.cloud.labels, b.cloud.labels)
+                else:
+                    assert a.cloud.labels is None and b.cloud.labels is None
 
     def test_loaded_matches_generated(self, tmp_path):
         cfg = DataConfig(points=16, noise=0.05, train_count=2, test_count=1, seed=6)

@@ -244,3 +244,16 @@ def test_config_line_exits_2_naming_the_key(valid_tree, tmp_path, capsys, case, 
     assert code == 2, err[:500]
     assert f"{key}: cannot parse" in err
     assert "Traceback" not in err
+
+
+def test_size_too_large_to_allocate_to_train_exits_2_naming_the_key(valid_tree, tmp_path,
+                                                                    capsys):
+    def edit(text):
+        assert "\nhidden_dim = 32\n" in text
+        return text.replace("\nhidden_dim = 32\n", "\nhidden_dim = 100000000000\n", 1)
+
+    code, _ = _run_edited(valid_tree, tmp_path, "train", "config", edit)
+    err = capsys.readouterr().err
+    assert code == 2, err[:500]
+    assert "error: model.hidden_dim holds 100000000000" in err
+    assert "Traceback" not in err

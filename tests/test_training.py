@@ -28,15 +28,15 @@ from pointseq.model import (
 )
 from pointseq.training import (
     AdamState,
-    _gradcheck_cls_setup,
+    _gradcheck_setup,
     adam_step,
     apply_schedules,
-    classification_gradient_check,
     classification_metrics,
     cross_entropy_loss,
     evaluate_classification,
     evaluate_segmentation,
     gradient_check,
+    network_gradient_check,
     predict_parts,
     shape_miou,
     train,
@@ -409,14 +409,15 @@ class TestEvaluate:
 
 
 class TestGradientCheck:
-    def test_network_gradients_match(self):
-        worst, report = classification_gradient_check(coords_per_tensor=4)
+    @pytest.mark.parametrize("task", ["classification", "segmentation"])
+    def test_network_gradients_match(self, task):
+        worst, report = network_gradient_check(task, coords_per_tensor=4)
         assert worst < 1e-4, report
 
     def test_probes_a_non_contiguous_parameter_in_place(self):
         # a Fortran-order weight: a probe of a flattened copy would read no
         # change in the loss and blame the backward with error 1.0
-        cfg, params, geoms, labels = _gradcheck_cls_setup(0)
+        cfg, params, geoms, labels = _gradcheck_setup("classification", 0)
         weight = params["head.out.weight"]
         weight.values = np.asfortranarray(weight.values)
         assert not weight.values.flags.c_contiguous
@@ -468,7 +469,7 @@ class TestGradientCheck:
             return result
 
         monkeypatch.setattr(ag, op, faulty)
-        worst, _ = classification_gradient_check(coords_per_tensor=4)
+        worst, _ = network_gradient_check("classification", coords_per_tensor=4)
         assert worst > 1e-4
 
     @pytest.mark.parametrize("aggregator", ["no_attention", "no_decoder"])
