@@ -127,32 +127,16 @@ def _load_dataset(cfg: RunConfig, task: str) -> DatasetManifest:
     return manifest
 
 
-def _check_cloud_sizes(model_cfg, cfg: RunConfig, ds: DatasetManifest) -> None:
-    """Every cloud must hold ``m`` centroids and the largest neighborhood."""
-    needs = (("model.m", model_cfg.m), ("model.scales", model_cfg.scales[-1]))
-    for key, need in needs:
-        if not cfg.data.manifest and need > cfg.data.points:
-            raise ConfigError(
-                f"{key} needs {need} points per cloud but data.points is {cfg.data.points}"
-            )
-        for sample in (s for split in ds.samples.values() for s in split):
-            if len(sample.cloud) < need:
-                raise DataError(f"{sample.path} has {len(sample.cloud)} points but {key} needs {need}")
-
-
-def _check_splits(cfg: RunConfig, ds: DatasetManifest, splits) -> None:
-    """Each of ``splits`` must hold a cloud. Synthetic counts are validated
-    as at least 1, so only a manifest can leave a split empty."""
+def _check_dataset(model_cfg, cfg: RunConfig, ds: DatasetManifest, splits) -> None:
+    """In this order: each of ``splits`` must hold a cloud (only a manifest
+    can leave one empty), the model's class or part count must match the
+    data's (a mismatch names the manifest, if any, and the key), and every
+    cloud must hold ``m`` centroids and the largest neighborhood."""
     for split in splits:
         if not ds.samples.get(split):
             raise DataError(f"manifest {cfg.data.manifest} has no {split} records")
-
-
-def _check_dims(model_cfg, cfg: RunConfig, ds: DatasetManifest, task: str) -> None:
-    """The model's class or part count must match the data's; a mismatch
-    names the manifest the data come from, if any, as well as the key."""
     source = f"manifest {cfg.data.manifest}" if cfg.data.manifest else "the dataset"
-    if task == "classification":
+    if model_cfg.task == "classification":
         if model_cfg.num_classes != len(ds.names):
             raise ConfigError(
                 f"model.num_classes={model_cfg.num_classes} but {source} "
@@ -165,6 +149,15 @@ def _check_dims(model_cfg, cfg: RunConfig, ds: DatasetManifest, task: str) -> No
                 f"model.num_parts={model_cfg.num_parts} but the part ids of {source} "
                 f"reach {top}"
             )
+    needs = (("model.m", model_cfg.m), ("model.scales", model_cfg.scales[-1]))
+    for key, need in needs:
+        if not cfg.data.manifest and need > cfg.data.points:
+            raise ConfigError(
+                f"{key} needs {need} points per cloud but data.points is {cfg.data.points}"
+            )
+        for sample in (s for split in ds.samples.values() for s in split):
+            if len(sample.cloud) < need:
+                raise DataError(f"{sample.path} has {len(sample.cloud)} points but {key} needs {need}")
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -172,9 +165,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     _echo_config(cfg, out)
     task = cfg.model.task
     ds = _load_dataset(cfg, task)
-    _check_splits(cfg, ds, ("train", "test"))
-    _check_dims(cfg.model, cfg, ds, task)
-    _check_cloud_sizes(cfg.model, cfg, ds)
+    _check_dataset(cfg.model, cfg, ds, ("train", "test"))
     result = train(*ds.split("train"), *ds.split("test"), cfg.model, cfg.train, log=print)
     log_path = os.path.join(out, "metrics.log")
     with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
@@ -193,9 +184,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     _echo_config(cfg)
     params, model_cfg = load_checkpoint(os.path.join(out, "checkpoint.bin"))
     ds = _load_dataset(cfg, model_cfg.task)
-    _check_dims(model_cfg, cfg, ds, model_cfg.task)
-    _check_splits(cfg, ds, ("test",))
-    _check_cloud_sizes(model_cfg, cfg, ds)
+    _check_dataset(model_cfg, cfg, ds, ("test",))
     test_clouds, test_labels = ds.split("test")
     geoms = [prepare_cloud(c, model_cfg) for c in test_clouds]
     if model_cfg.task == "classification":
@@ -277,8 +266,6 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
     task = cfg.model.task
     values = _axis_values(cfg, args.axis)
     ds = _load_dataset(cfg, task)
-    _check_splits(cfg, ds, ("train", "test"))
-    _check_dims(cfg.model, cfg, ds, task)
     runs = []
     for value in values:
         run_cfg = copy.deepcopy(cfg)
@@ -288,7 +275,7 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         # every value is checked before the first run starts
         try:
             validate_run_config(run_cfg)
-            _check_cloud_sizes(run_cfg.model, run_cfg, ds)
+            _check_dataset(run_cfg.model, run_cfg, ds, ("train", "test"))
         except ConfigError as exc:
             raise ConfigError(f"ablate {args.axis}={value}: {exc}") from None
         runs.append((value, run_cfg))
@@ -316,9 +303,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     # echo without persisting: the output directory is a dataset, and its
     # contents must be byte-identical across re-runs with one seed
     _echo_config(cfg)
-    manifest_path = write_synthetic_dataset(out, cfg.data, cfg.model.task)
-    per_class = 3 if cfg.model.task == "classification" else 1
-    count = per_class * (cfg.data.train_count + cfg.data.test_count)
+    manifest_path, count = write_synthetic_dataset(out, cfg.data, cfg.model.task)
     print(f"wrote {count} point files and {manifest_path}")
     return 0
 

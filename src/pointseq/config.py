@@ -24,9 +24,12 @@ AGGREGATORS = ("attention_ed", "no_attention", "no_decoder", "concat", "max_pool
 # elements, far below what NumPy's int64 index type counts.
 MAX_SIZE = 2**20
 
+# segmentation carries features to each point from its INTERP_SOURCES nearest
+# centroids by inverse-distance weights, as PointNet++ does
+INTERP_SOURCES = 3
+
 # the model config's single counts and widths, and its lists of layer widths
-_SIZES = ("num_classes", "num_parts", "m", "feature_dim", "hidden_dim", "seg_point_width",
-          "interp_k")
+_SIZES = ("num_classes", "num_parts", "m", "feature_dim", "hidden_dim", "seg_point_width")
 _WIDTH_LISTS = ("area_hidden", "agg_widths", "head_widths", "seg_prop1_widths",
                 "seg_prop2_widths", "seg_head_widths")
 
@@ -49,8 +52,6 @@ class ModelConfig:
     seg_prop1_widths: tuple[int, ...] = (256, 128)
     seg_prop2_widths: tuple[int, ...] = (256, 128)
     seg_head_widths: tuple[int, ...] = (128,)
-    interp_k: int = 3
-    bn_eps: float = 1e-5
 
     @property
     def num_scales(self) -> int:
@@ -73,10 +74,6 @@ class TrainConfig:
     epochs: int = 200
     seed: int = 0
     lr_decay: float = 0.3
-    lr_floor: float = 1e-5
-    bn_momentum: float = 0.5
-    bn_momentum_decay: float = 0.5
-    bn_momentum_floor: float = 0.01
     decay_every: int = 20
 
 
@@ -248,14 +245,14 @@ def _synthetic_bytes(cfg: RunConfig) -> int:
     """About the most memory the synthetic set takes: every cloud's float64
     points (and int64 part labels) and the geometry ``train`` keeps for it,
     [m, K] int32 neighbor indices and [m, 3] float64 centroids (and [points,
-    interp_k] int32 interpolation indices and float64 weights), plus the
+    3] int32 interpolation indices and float64 weights), plus the
     largest temporaries of one cloud's neighborhood search, its [m, points]
     float64 distances and [m, points] argpartition indices."""
     dc, mc = cfg.data, cfg.model
     classification = mc.task == "classification"
     # a classification set draws each count once per class, of three
     clouds = (dc.train_count + dc.test_count) * (3 if classification else 1)
-    per_point = 24 if classification else 32 + 12 * mc.interp_k
+    per_point = 24 if classification else 32 + 12 * INTERP_SOURCES
     per_cloud = dc.points * per_point + mc.m * (4 * mc.scales[-1] + 24)
     return clouds * per_cloud + dc.points * 16 * mc.m
 
@@ -299,22 +296,20 @@ def validate_model_config(mc: ModelConfig) -> None:
         if largest > MAX_SIZE:
             raise ConfigError(f"model.{name} holds {largest}, above the largest size "
                               f"2**20 = {MAX_SIZE}")
-    if mc.task == "segmentation" and mc.interp_k > mc.m:
+    if mc.task == "segmentation" and mc.m < INTERP_SOURCES:
         raise ConfigError(
-            f"model.interp_k={mc.interp_k} exceeds model.m={mc.m}: "
-            "each point interpolates from that many of the m centroids"
+            f"model.m={mc.m} is below {INTERP_SOURCES}: segmentation interpolates "
+            f"each point from its {INTERP_SOURCES} nearest of the m centroids"
         )
     if not 0.0 <= mc.dropout < 1.0:
         raise ConfigError(f"model.dropout must be in [0, 1), got {mc.dropout}")
-    if mc.bn_eps <= 0.0:
-        raise ConfigError("model.bn_eps must be positive")
 
 
 def validate_run_config(cfg: RunConfig) -> None:
     validate_model_config(cfg.model)
     tc = cfg.train
-    if tc.lr <= 0.0 or tc.lr_floor <= 0.0:
-        raise ConfigError("train.lr and train.lr_floor must be positive")
+    if tc.lr <= 0.0:
+        raise ConfigError("train.lr must be positive")
     if tc.batch_size < 1:
         raise ConfigError("train.batch_size must be at least 1")
     if tc.epochs < 1:
@@ -324,11 +319,8 @@ def validate_run_config(cfg: RunConfig) -> None:
     if cfg.ablate.epochs < 0:
         raise ConfigError(f"ablate.epochs must be 0 (keep train.epochs) or positive, "
                           f"got {cfg.ablate.epochs}")
-    for key in ("bn_momentum", "bn_momentum_floor"):
-        if not 0.0 < getattr(tc, key) <= 1.0:
-            raise ConfigError(f"train.{key} must be in (0, 1], got {getattr(tc, key)}")
-    if not 0.0 < tc.lr_decay <= 1.0 or not 0.0 < tc.bn_momentum_decay <= 1.0:
-        raise ConfigError("decay factors must be in (0, 1]")
+    if not 0.0 < tc.lr_decay <= 1.0:
+        raise ConfigError(f"train.lr_decay must be in (0, 1], got {tc.lr_decay}")
     dc = cfg.data
     if tc.seed < 0 or dc.seed < 0:
         raise ConfigError("seeds must be non-negative")

@@ -463,11 +463,12 @@ def synthetic_manifest(data_cfg: DataConfig, task: str) -> DatasetManifest:
     return DatasetManifest(task, names, part_ranges, samples)
 
 
-def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> str:
+def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> tuple[str, int]:
     """Materialize :func:`synthetic_manifest` as point files plus a manifest.
 
     Names and contents are deterministic, so re-running with the same seed
-    reproduces every byte. Returns the manifest path.
+    reproduces every byte. Returns the manifest path and the number of point
+    files written.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = synthetic_manifest(data_cfg, task)
@@ -478,4 +479,4 @@ def write_synthetic_dataset(out_dir, data_cfg: DataConfig, task: str) -> str:
             records.append((split, sample.path, sample.name))
     manifest_path = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_path, task, manifest.names, records, manifest.part_ranges)
-    return manifest_path
+    return manifest_path, len(records)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import BatchNormState, Tensor
-from .config import ModelConfig, model_config_from_dict, section_text
+from .config import INTERP_SOURCES, ModelConfig, model_config_from_dict, section_text
 from .errors import ConfigError, DataError, ShapeError
 from .geometry import (
     PointCloud,
@@ -62,8 +62,8 @@ class ModelParams:
         self._tensors[name] = t
         return t
 
-    def add_batch_norm(self, name: str, dim: int, eps: float) -> BatchNormState:
-        state = BatchNormState(dim, eps)
+    def add_batch_norm(self, name: str, dim: int) -> BatchNormState:
+        state = BatchNormState(dim)
         self.batch_norms[name] = state
         for suffix, t in (("gamma", state.gamma), ("beta", state.beta)):
             key = f"{name}.{suffix}"
@@ -137,7 +137,9 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
     [hidden + width, 4*hidden] block it draws: the [width, 3*hidden] form of
     :func:`autograd.lstm` with a zero [3*hidden] bias. ``attention_ed`` over
     one scale draws its score weight but keeps none: attention over one step
-    weighs it by 1 whatever the scores. Without an rng all values are zeros
+    weighs it by 1 whatever the scores. ``concat_proj``, and ``centroid_proj``
+    unless an LSTM reads it, keep no bias: it would shift every region by one
+    constant, which batch norm subtracts. Without an rng all values are zeros
     (checkpoint loading overwrites them).
     """
     p = ModelParams()
@@ -152,7 +154,7 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
         for i, width in enumerate(widths):
             # batch norm supplies the shift, so these layers carry no bias
             linear(f"{prefix}.{i}", in_dim, width, bias=False)
-            p.add_batch_norm(f"{prefix}.{i}", width, cfg.bn_eps)
+            p.add_batch_norm(f"{prefix}.{i}", width)
             in_dim = width
         return in_dim
 
@@ -169,10 +171,11 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
         p.add(f"{name}.weight", weight)
         p.add(f"{name}.bias", bias)
 
+    recurrent = cfg.aggregator in ("attention_ed", "no_attention", "no_decoder")
     mlp("area_mlp", 3, (*cfg.area_hidden, d))
-    linear("centroid_proj", d + 3, d)
+    linear("centroid_proj", d + 3, d, bias=recurrent)
 
-    if cfg.aggregator in ("attention_ed", "no_attention", "no_decoder"):
+    if recurrent:
         lstm("encoder", d, h, cfg.num_scales)
         if cfg.aggregator != "no_decoder":
             lstm("decoder", h, h, 1)
@@ -185,7 +188,7 @@ def build_params(cfg: ModelConfig, rng=None) -> ModelParams:
             linear("attn_combine", 2 * h, h, bias=False)
             linear("region_out_proj", h, d, bias=False)
     elif cfg.aggregator == "concat":
-        linear("concat_proj", cfg.num_scales * d, d)
+        linear("concat_proj", cfg.num_scales * d, d, bias=False)
 
     mlp("agg_mlp", cfg.region_dim + 3, cfg.agg_widths)
 
@@ -248,7 +251,7 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> CloudGeometry:
     neighbors = group_areas(cloud, centroids, cfg.scales[-1]).astype(np.int32)
     index = weight = None
     if cfg.task == "segmentation":
-        index, weight = interpolation_neighbors(cloud.points, centroids.coords, cfg.interp_k)
+        index, weight = interpolation_neighbors(cloud.points, centroids.coords, INTERP_SOURCES)
     return CloudGeometry(cloud.points, cloud.labels, centroids.coords, neighbors,
                          cfg.scales, index, weight)
 
@@ -260,6 +263,12 @@ def _bn_mlp(x, params: ModelParams, prefix: str, n_layers: int, ctx: ForwardCont
     layers = [(params[f"{prefix}.{i}.weight"], params.batch_norms[f"{prefix}.{i}"])
               for i in range(n_layers)]
     return ag.bn_mlp(x, layers, ctx.training, ctx.bn_momentum, dropout, ctx.rng, pool)
+
+
+def _linear(x, params: ModelParams, name: str) -> Tensor:
+    """``x`` times ``name``'s weight, plus its bias where one is kept."""
+    y = ag.matmul(x, params[f"{name}.weight"])
+    return y + params[f"{name}.bias"] if f"{name}.bias" in params else y
 
 
 def _area_sequences(geoms, params, cfg, ctx):
@@ -283,7 +292,7 @@ def _area_sequences(geoms, params, cfg, ctx):
     pooled = _bn_mlp(areas.reshape(-1, 3), params, "area_mlp", len(cfg.area_hidden) + 1, ctx,
                      pool=cfg.scales)
     x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)
-    return ag.matmul(x, params["centroid_proj.weight"]) + params["centroid_proj.bias"]
+    return _linear(x, params, "centroid_proj")
 
 
 def area_pooled_feature(relative_points, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
@@ -337,7 +346,7 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
                      for t in range(steps)]
         if cfg.aggregator == "concat":
             stacked = ag.concat(per_scale, axis=1)
-            return ag.matmul(stacked, params["concat_proj.weight"]) + params["concat_proj.bias"]
+            return _linear(stacked, params, "concat_proj")
         out = per_scale[0]
         for s in per_scale[1:]:
             out = ag.maximum(out, s)
@@ -348,13 +357,12 @@ def _region_features(sequences, params: ModelParams, cfg: ModelConfig) -> Tensor
         return last
     dec_hidden = ag.lstm(last, 1, params["decoder.weight"], params["decoder.bias"])
     if cfg.aggregator == "no_attention":
-        return ag.matmul(dec_hidden, params["decoder_out_proj.weight"])
+        return _linear(dec_hidden, params, "decoder_out_proj")
     # the softmax over one step is 1: the context is that step's state
     context = (states if steps == 1
                else ag.attend(dec_hidden, states, params["attn_score.weight"])[0])
-    combined = ag.tanh(ag.matmul(ag.concat([context, dec_hidden], axis=1),
-                                 params["attn_combine.weight"]))
-    return ag.matmul(combined, params["region_out_proj.weight"])
+    combined = ag.tanh(_linear(ag.concat([context, dec_hidden], axis=1), params, "attn_combine"))
+    return _linear(combined, params, "region_out_proj")
 
 
 def _global_features(region_feats, geoms, params, cfg, ctx) -> Tensor:
@@ -375,7 +383,7 @@ def classify_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None) -> Te
     ctx = ctx or ForwardContext()
     _, globals_ = _trunk(geoms, params, cfg, ctx)
     x = _bn_mlp(globals_, params, "head", len(cfg.head_widths), ctx, cfg.dropout)
-    return ag.matmul(x, params["head.out.weight"]) + params["head.out.bias"]
+    return _linear(x, params, "head.out")
 
 
 def classify_forward(cloud: PointCloud, params: ModelParams, cfg: ModelConfig, ctx=None) -> Tensor:
@@ -461,7 +469,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
     x = ag.concat([up, skip], axis=1)
     x = _bn_mlp(x, params, "seg_prop2", len(cfg.seg_prop2_widths), ctx)
     x = _bn_mlp(x, params, "seg_head", len(cfg.seg_head_widths), ctx, cfg.dropout)
-    logits = ag.matmul(x, params["seg_head.out.weight"]) + params["seg_head.out.bias"]
+    logits = _linear(x, params, "seg_head.out")
     return logits, [len(g.points) for g in geoms]
 
 
@@ -478,7 +486,7 @@ def segment_batch(geoms, params: ModelParams, cfg: ModelConfig, ctx=None):
 # running mean and variance.
 
 _MAGIC = b"PSEQCKPT"
-_VERSION = 4
+_VERSION = 5
 
 
 def _records(params: ModelParams):

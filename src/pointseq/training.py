@@ -66,6 +66,10 @@ _ADAM_CHUNK = 1 << 15
 # Adam's moment decay rates and the offset of its denominator
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
+# the learning-rate floor; batch-norm momentum's start, factor per decay step and floor
+_LR_FLOOR = 1e-5
+_BN_MOMENTUM, _BN_MOMENTUM_DECAY, _BN_MOMENTUM_FLOOR = 0.5, 0.5, 0.01
+
 
 def _adam_chunks(params: ModelParams, state: AdamState) -> list:
     """The parameters cut into chunks of at most ``_ADAM_CHUNK`` elements.
@@ -162,8 +166,8 @@ def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:
     ``decay_every = 0`` turns both decays off.
     """
     steps = epoch // tcfg.decay_every if tcfg.decay_every else 0
-    lr = max(tcfg.lr * tcfg.lr_decay**steps, tcfg.lr_floor)
-    momentum = max(tcfg.bn_momentum * tcfg.bn_momentum_decay**steps, tcfg.bn_momentum_floor)
+    lr = max(tcfg.lr * tcfg.lr_decay**steps, _LR_FLOOR)
+    momentum = max(_BN_MOMENTUM * _BN_MOMENTUM_DECAY**steps, _BN_MOMENTUM_FLOOR)
     return lr, momentum
 
 
@@ -353,7 +357,7 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
     Every cloud is prepared once, before the first epoch, and kept for the
     whole run: besides its points and labels a :class:`model.CloudGeometry`
     holds its centroids, its [m, K] int32 area indices and, for
-    segmentation, its [n, interp_k] int32 interpolation indices and float64
+    segmentation, its [n, 3] int32 interpolation indices and float64
     weights (0.20 MiB for a 1024-point cloud at m=384, K=128). The dense
     area and interpolation blocks are rebuilt for each batch.
     """

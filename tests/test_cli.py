@@ -101,6 +101,7 @@ BAD_HEADERS = {
     "m_text_arabic_indic_digits": (_set_config("m", "\u0663\u0668\u0664"), "model.m"),
     "dropout_text_underscore": (_set_config("dropout", "0.2_5"), "model.dropout"),
     "hidden_dim_above_the_size_bound": (_set_config("hidden_dim", "1048577"), "model.hidden_dim"),
+    "bn_eps_a_removed_key": (_set_config("bn_eps", "1e-05"), "model.bn_eps"),
     "header_a_list": (lambda header: [], None),
     "config_a_list": (lambda header: {**header, "config": [1]}, None),
 }
@@ -152,12 +153,32 @@ class TestTrainCommand:
         assert "unknown configuration key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["data.noise=inf", "data.noise=nan",
-                                         "model.bn_eps=inf", "train.lr_floor=nan"])
+                                         "train.lr_decay=inf", "model.dropout=nan"])
     def test_non_finite_float_exits_2_naming_the_key(self, tmp_path, capsys, setting):
         assert _train(tmp_path / "run", ["--set", setting]) == 2
         err = capsys.readouterr().err
         assert f"{setting.split('=')[0]}: must be a finite number" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    # each held the one value every run used, and is now a constant
+    @pytest.mark.parametrize("key,text", [
+        ("model.bn_eps", "1e-05"), ("model.interp_k", "3"), ("train.lr_floor", "1e-05"),
+        ("train.bn_momentum", "0.5"), ("train.bn_momentum_decay", "0.5"),
+        ("train.bn_momentum_floor", "0.01"),
+    ])
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_a_removed_key_exits_2_as_unknown(self, tmp_path, capsys, source, key, text):
+        if source == "file":
+            section, name = key.split(".")
+            path = tmp_path / "run.ini"
+            path.write_text(f"[{section}]\n{name} = {text}\n", encoding="utf-8")
+            extra = ["--config", str(path)]
+        else:
+            extra = ["--set", f"{key}={text}"]
+        assert _train(tmp_path / "run", extra) == 2
+        err = capsys.readouterr().err
+        assert f"unknown configuration key {key}" in err
         assert not (tmp_path / "run").exists()
 
     def test_class_count_mismatch_rejected(self, tmp_path, capsys):
@@ -298,13 +319,11 @@ class TestSizeLimits:
         assert code == 2
         assert "model.scales needs 80 points per cloud" in capsys.readouterr().err
 
-    def test_interp_k_beyond_m_exits_2(self, tmp_path, capsys):
-        code = main([
-            "train", *DESK_SEG, "--out", str(tmp_path),
-            "--set", "model.m=8", "--set", "model.interp_k=20",
-        ])
+    def test_segmentation_with_fewer_than_3_centroids_exits_2(self, tmp_path, capsys):
+        # each point interpolates from its 3 nearest centroids
+        code = main(["train", *DESK_SEG, "--out", str(tmp_path), "--set", "model.m=2"])
         assert code == 2
-        assert "model.interp_k=20 exceeds model.m=8" in capsys.readouterr().err
+        assert "model.m=2 is below 3" in capsys.readouterr().err
 
     def test_ablate_m_values_checked_before_the_first_run(self, capsys):
         # the default m_values (128-512) exceed the desk clouds' 64 points
@@ -456,9 +475,10 @@ class TestEvalCommand:
     def test_version_2_checkpoint_exits_3_naming_the_file_and_version(self, tmp_path, capsys,
                                                                       tiny_checkpoint):
         # version 2 stored every LSTM's full block, recurrent rows and forget gate
-        # included; version 3 stored the header config as typed JSON values
+        # included; version 3 stored the header config as typed JSON values;
+        # version 4 held model.bn_eps and model.interp_k
         path = tmp_path / "checkpoint.bin"
-        for version in (2, 3):
+        for version in (2, 3, 4):
             blob = _with_header(tiny_checkpoint,
                                 lambda header: {**header, "format_version": version})
             path.write_bytes(blob[:8] + version.to_bytes(4, "little") + blob[12:])
@@ -466,6 +486,18 @@ class TestEvalCommand:
             err = capsys.readouterr().err
             assert f"{path}: unsupported checkpoint version {version}" in err
             assert "Traceback" not in err
+
+    def test_missing_split_is_reported_before_a_class_count_mismatch(self, tmp_path, capsys,
+                                                                     tiny_checkpoint):
+        # eval checks the data in train's order: splits, then counts, then sizes
+        manifest = _manifest_without(tmp_path, "test")
+        manifest.write_text(manifest.read_text().replace("sphere\n", "sphere cone\n", 1))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoint.bin").write_bytes(tiny_checkpoint)
+        code = main(["eval", "--out", str(out), *TINY_CLS, "--set", f"data.manifest={manifest}"])
+        assert code == 3
+        assert f"manifest {manifest} has no test records" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path), *TINY_CLS]) == 3
@@ -586,7 +618,7 @@ class TestSynthCommand:
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         for sub in ("a", "b"):
             assert main(["synth", "--out", str(tmp_path / sub), *TINY_SEG]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out.count("wrote 4 point files") == 2
         names = sorted(os.listdir(tmp_path / "a"))
         assert names == sorted(os.listdir(tmp_path / "b"))
         for name in names:

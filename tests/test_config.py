@@ -138,8 +138,8 @@ class TestOverrides:
         apply_setting(cfg, "ablate.lr_values", "0.001 0.002")
         assert cfg.ablate.lr_values == (0.001, 0.002)
 
-    @pytest.mark.parametrize("key", ["data.noise", "model.bn_eps", "model.dropout",
-                                     "train.lr", "train.lr_floor", "train.bn_momentum"])
+    @pytest.mark.parametrize("key", ["data.noise", "train.lr_decay", "model.dropout",
+                                     "train.lr"])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity", "+inf"])
     def test_non_finite_floats_rejected_naming_the_key(self, key, raw):
         # nan would pass every range check in validation, inf some of them
@@ -212,7 +212,7 @@ class TestValidation:
     SIZES = {
         "num_classes": MAX_SIZE + 1, "num_parts": MAX_SIZE + 1, "m": MAX_SIZE + 1,
         "feature_dim": MAX_SIZE + 1, "hidden_dim": MAX_SIZE + 1,
-        "seg_point_width": MAX_SIZE + 1, "interp_k": MAX_SIZE + 1,
+        "seg_point_width": MAX_SIZE + 1,
         "scales": (16, MAX_SIZE + 1), "area_hidden": (64, MAX_SIZE + 1),
         "agg_widths": (MAX_SIZE + 1, 512), "head_widths": (512, MAX_SIZE + 1),
         "seg_prop1_widths": (MAX_SIZE + 1,), "seg_prop2_widths": (256, MAX_SIZE + 1),
@@ -236,6 +236,15 @@ class TestValidation:
                     MAX_SIZE if isinstance(value, int) else (*value[:-1], MAX_SIZE))
         validate_run_config(cfg)
 
+    def test_segmentation_needs_3_centroids(self):
+        # each point interpolates from its 3 nearest centroids
+        self._reject(r"model.m=2 is below 3", **{"model.task": "segmentation", "model.m": 2})
+        cfg = RunConfig()
+        cfg.model.task, cfg.model.m = "segmentation", 3
+        validate_run_config(cfg)
+        cfg.model.task, cfg.model.m = "classification", 1
+        validate_run_config(cfg)
+
     def test_dropout_range(self):
         self._reject("dropout", **{"model.dropout": 1.0})
         self._reject("dropout", **{"model.dropout": -0.1})
@@ -245,12 +254,8 @@ class TestValidation:
         self._reject("batch_size", **{"train.batch_size": 0})
         self._reject("epochs", **{"train.epochs": 0})
         self._reject("decay_every", **{"train.decay_every": -1})
-        self._reject("bn_momentum", **{"train.bn_momentum": 0.0})
-        # a momentum floor above 1 extrapolates the running statistics, and
-        # one of 0 or below freezes or inverts them
-        for floor in (5.0, 0.0, -0.5):
-            self._reject("train.bn_momentum_floor", **{"train.bn_momentum_floor": floor})
-        self._reject("decay factors", **{"train.lr_decay": 1.5})
+        for decay in (1.5, 0.0, -0.3):
+            self._reject(r"train.lr_decay must be in \(0, 1\]", **{"train.lr_decay": decay})
 
     def test_seeds_non_negative(self):
         self._reject("non-negative", **{"train.seed": -1})
@@ -301,8 +306,8 @@ class TestModelConfigFromDict:
         assert cfg.dropout == 0.0 and isinstance(cfg.dropout, float)
 
     @pytest.mark.parametrize("key,value", [
-        ("bn_eps", float("nan")), ("dropout", float("inf")), ("dropout", True),
-        ("interp_k", 3.0), ("task", 1), ("head_widths", [64, 32.0]), ("bogus", 1),
+        ("dropout", float("nan")), ("dropout", float("inf")), ("dropout", True),
+        ("m", 3.0), ("task", 1), ("head_widths", [64, 32.0]), ("bogus", 1),
     ])
     def test_a_value_of_another_type_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"model.{key}"):

@@ -503,9 +503,9 @@ class TestSyntheticShapes:
 class TestSyntheticFiles:
     def test_classification_file_count(self, tmp_path):
         cfg = DataConfig(points=16, noise=0.02, train_count=4, test_count=2, seed=3)
-        manifest_path = write_synthetic_dataset(tmp_path, cfg, "classification")
+        manifest_path, count = write_synthetic_dataset(tmp_path, cfg, "classification")
         files = sorted(p.name for p in tmp_path.iterdir())
-        assert len([f for f in files if f.endswith(".pts")]) == 18
+        assert len([f for f in files if f.endswith(".pts")]) == count == 18
         assert "manifest.txt" in files
         manifest = load_manifest(manifest_path)
         assert len(manifest.split("train")[0]) == 12
@@ -524,7 +524,8 @@ class TestSyntheticFiles:
 
     def test_segmentation_files_carry_labels(self, tmp_path):
         cfg = DataConfig(points=16, noise=0.0, train_count=1, test_count=1, seed=0)
-        manifest_path = write_synthetic_dataset(tmp_path, cfg, "segmentation")
+        manifest_path, count = write_synthetic_dataset(tmp_path, cfg, "segmentation")
+        assert count == 2
         first_line = (tmp_path / "train_composite_000.pts").read_text().splitlines()[0]
         assert len(first_line.split()) == 4
         manifest = load_manifest(manifest_path)
@@ -534,7 +535,7 @@ class TestSyntheticFiles:
     def test_synthetic_manifest_is_the_written_one(self, tmp_path, task):
         cfg = DataConfig(points=16, noise=0.05, train_count=3, test_count=2, seed=5)
         built = synthetic_manifest(cfg, task)
-        loaded = load_manifest(write_synthetic_dataset(tmp_path, cfg, task))
+        loaded = load_manifest(write_synthetic_dataset(tmp_path, cfg, task)[0])
         assert (built.task, built.names, built.part_ranges) == (
             loaded.task, loaded.names, loaded.part_ranges)
         assert list(built.samples) == list(loaded.samples) == ["train", "test"]
@@ -553,7 +554,7 @@ class TestSyntheticFiles:
 
     def test_loaded_matches_generated(self, tmp_path):
         cfg = DataConfig(points=16, noise=0.05, train_count=2, test_count=1, seed=6)
-        manifest = load_manifest(write_synthetic_dataset(tmp_path, cfg, "classification"))
+        manifest = load_manifest(write_synthetic_dataset(tmp_path, cfg, "classification")[0])
         train_clouds, train_labels, _, _ = synthetic_splits(cfg, "classification")
         loaded, labels = manifest.split("train")
         np.testing.assert_array_equal(labels, train_labels)

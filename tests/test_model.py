@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pointseq import autograd as ag
-from pointseq.config import ModelConfig
+from pointseq.config import INTERP_SOURCES, ModelConfig
 from pointseq.errors import DataError, ShapeError
 from pointseq.geometry import PointCloud, farthest_point_sample, group_areas
 from pointseq.model import (
@@ -133,10 +133,14 @@ class TestBuildParams:
         assert np.all(np.abs(w) <= 1.0 / np.sqrt(11))
 
     def test_variant_parameter_sets(self):
+        # batch norm cancels a bias that shifts every region by one constant:
+        # concat_proj's, and centroid_proj's unless an LSTM reads it
         present = {
-            "attention_ed": {"encoder.weight", "decoder.weight", "attn_score.weight"},
-            "no_attention": {"encoder.weight", "decoder.weight", "decoder_out_proj.weight"},
-            "no_decoder": {"encoder.weight"},
+            "attention_ed": {"encoder.weight", "decoder.weight", "attn_score.weight",
+                             "centroid_proj.bias"},
+            "no_attention": {"encoder.weight", "decoder.weight", "decoder_out_proj.weight",
+                             "centroid_proj.bias"},
+            "no_decoder": {"encoder.weight", "centroid_proj.bias"},
             "concat": {"concat_proj.weight"},
             "max_pool": set(),
         }
@@ -144,8 +148,8 @@ class TestBuildParams:
             "attention_ed": {"encoder_out_proj.weight", "decoder_out_proj.weight"},
             "no_attention": {"attn_score.weight", "encoder_out_proj.weight"},
             "no_decoder": {"decoder.weight", "attn_score.weight", "decoder_out_proj.weight"},
-            "concat": {"encoder.weight"},
-            "max_pool": {"encoder.weight", "concat_proj.weight"},
+            "concat": {"encoder.weight", "concat_proj.bias", "centroid_proj.bias"},
+            "max_pool": {"encoder.weight", "concat_proj.weight", "centroid_proj.bias"},
         }
         for agg, names in present.items():
             p = build_params(tiny_cls_config(aggregator=agg), np.random.default_rng(0))
@@ -365,7 +369,7 @@ class TestAreaFeature:
         for name in ("area_mlp.0", "area_mlp.1"):
             s = p.batch_norms[name]
             z = x @ p[f"{name}.weight"].values
-            z = (z - s.running_mean) / np.sqrt(s.running_var + cfg.bn_eps)
+            z = (z - s.running_mean) / np.sqrt(s.running_var + s.eps)
             x = np.maximum(z * s.gamma.values + s.beta.values, 0.0)
         want = x.max(axis=0)
 
@@ -751,7 +755,7 @@ class TestCachedGeometry:
         segment_batch(geoms, build_params(cfg, np.random.default_rng(13)), cfg)
         assert len(blocks) == len(geoms)
         for block, g in zip(blocks, geoms):
-            want = interpolation_weights(g.points, g.centroid_coords, cfg.interp_k)
+            want = interpolation_weights(g.points, g.centroid_coords, INTERP_SOURCES)
             assert block.tobytes() == want.tobytes()
             assert (g.interp_index.dtype, g.interp_index.shape) == (np.int32, (len(g.points), 3))
             snapped = (want == 1.0).sum(axis=1) == 1

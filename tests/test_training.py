@@ -1,5 +1,6 @@
 """Optimizer, schedule, metric, and training-loop tests."""
 
+import dataclasses
 import gc
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from helpers import reference_adam_step
 from pointseq import autograd as ag
 from pointseq import model, training
 from pointseq.autograd import Tensor
-from pointseq.config import ModelConfig, TrainConfig, load_run_config
+from pointseq.config import AGGREGATORS, TASKS, ModelConfig, TrainConfig, load_run_config
 from pointseq.data import synthetic_splits
 from pointseq.errors import ConfigError, DataError
 from pointseq.geometry import PointCloud
@@ -28,6 +29,7 @@ from pointseq.model import (
 )
 from pointseq.training import (
     AdamState,
+    _batch_logits,
     _gradcheck_setup,
     adam_step,
     apply_schedules,
@@ -242,6 +244,15 @@ class TestAdamChunks:
 
 
 class TestSchedules:
+    # the schedule's constants as they were when each was a [train] key:
+    # lr_floor 1e-5, bn_momentum 0.5, bn_momentum_decay 0.5, bn_momentum_floor 0.01
+    @pytest.mark.parametrize("epoch,want", [
+        (0, (0.001, 0.5)), (19, (0.001, 0.5)), (20, (0.0003, 0.25)),
+        (40, (8.999999999999999e-05, 0.125)), (100, (1e-05, 0.015625)), (200, (1e-05, 0.01)),
+    ])
+    def test_default_schedule_keeps_its_values(self, epoch, want):
+        assert apply_schedules(TrainConfig(), epoch) == want
+
     def test_frozen_decay_table(self):
         tcfg = TrainConfig()
         assert apply_schedules(tcfg, 0) == (0.001, 0.5)
@@ -513,6 +524,20 @@ class TestGradientCheck:
             assert attention == ["attn_score.weight"] * (len(scales) > 1) + ["attn_combine.weight"]
         for name in recurrent + attention:
             assert params[name].grad.all(), name
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_stored_projection_bias_gets_a_gradient(self, task, aggregator):
+        # batch norm subtracts a shift shared by every region, so a bias that
+        # adds only such a shift would read a gradient of rounding noise
+        cfg, _, geoms, labels = _gradcheck_setup(task)
+        cfg = dataclasses.replace(cfg, aggregator=aggregator)
+        params = build_params(cfg, np.random.default_rng(74))
+        ctx = ForwardContext(training=True, rng=np.random.default_rng(75))
+        ag.backward(cross_entropy_loss(*_batch_logits(geoms, labels, params, cfg, ctx)))
+        for name in params.names():
+            if name.endswith("_proj.bias"):
+                assert np.abs(params[name].grad).max() > 1e-10, name
 
     def test_zero_parameter_model_gives_empty_report(self):
         worst, report = gradient_check(ModelParams(), lambda: ag.tensor(1.5))

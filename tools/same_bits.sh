@@ -18,6 +18,13 @@
 # hold OUTDIR (the echoed run.out, the "wrote ..." lines) are dropped before
 # hashing, so runs into different directories compare equal. Two trees keep
 # their bits when the printed lines are identical.
+#
+# So that a change to the config keys shows which parts kept their bits, two
+# kinds of output are hashed in two parts: each command's echoed config
+# (NAME.config.txt) apart from the rest of its stdout (NAME.txt), and each
+# checkpoint.bin's header (checkpoint.bin.header: magic, version, header
+# length and header JSON) apart from its records (checkpoint.bin.records:
+# the record count and every record; see docs/FORMATS.md).
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -36,14 +43,37 @@ strip() {
     mv "$1.tmp" "$1"
 }
 
-# run NAME ARGS...: `pointseq ARGS`, its stdout and exit status kept as NAME.txt
+# run NAME ARGS...: `pointseq ARGS`, its echoed config kept as NAME.config.txt
+# (empty if it echoed none) and the rest of its stdout and its exit status as
+# NAME.txt; the echoed config ends at the blank line after its [ablate] section
 run() {
     name=$1
     shift
     status=0
-    PYTHONPATH="$tree/src" python3 -m pointseq "$@" > "$out/$name.txt" || status=$?
-    echo "exit $status" >> "$out/$name.txt"
-    strip "$out/$name.txt"
+    PYTHONPATH="$tree/src" python3 -m pointseq "$@" > "$out/$name.all" || status=$?
+    echo "exit $status" >> "$out/$name.all"
+    strip "$out/$name.all"
+    : > "$out/$name.config.txt"
+    awk -v cfg="$out/$name.config.txt" -v rest="$out/$name.txt" '
+        NR == 1 && $0 == "[model]" { echo = 1 }
+        echo {
+            print > cfg
+            if ($0 == "[ablate]") last = 1
+            else if (last && $0 == "") echo = 0
+            next
+        }
+        { print > rest }' "$out/$name.all"
+    rm "$out/$name.all"
+}
+
+# split_checkpoint FILE: FILE.header holds its first 16 + H bytes, H the
+# little-endian u32 at byte 12, and FILE.records the rest; FILE goes
+split_checkpoint() {
+    set -- "$1" $(od -An -tu1 -j12 -N4 "$1")
+    start=$((16 + $2 + 256 * $3 + 65536 * $4 + 16777216 * $5))
+    dd if="$1" of="$1.header" bs="$start" count=1 2> /dev/null
+    dd if="$1" of="$1.records" bs="$start" skip=1 2> /dev/null
+    rm "$1"
 }
 
 run train_cls train --config "$cls" --out "$out/cls"
@@ -63,6 +93,12 @@ done
 
 run synth_cls synth --config "$cls" --out "$out/synth_cls"
 run synth_seg synth --config "$seg" --out "$out/synth_seg"
+
+for ckpt in "$out"/*/checkpoint.bin; do
+    if [ -f "$ckpt" ]; then
+        split_checkpoint "$ckpt"
+    fi
+done
 
 cd "$out"
 find . -type f | LC_ALL=C sort | sed 's|^\./||' | xargs sha256sum
