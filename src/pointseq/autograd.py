@@ -52,11 +52,8 @@ def no_grad():
     Tensors made inside have no parents and no ``grad_fn``, so an op's
     backward closure, and every array only it held, is freed as soon as the
     op returns; a training-mode :func:`bn_mlp` does not even compute what
-    its backward would need. An eval-mode :func:`bn_mlp` holds no full-size
-    intermediate with or without a graph: each row tile passes through every
-    layer and the pool in the scratch buffers of the thread that works it,
-    which that thread keeps for its next call. The previous mode comes back
-    when the block exits, also by an exception.
+    its backward would need. The previous mode comes back when the block
+    exits, also by an exception.
     """
     global _recording
     previous, _recording = _recording, False
@@ -282,6 +279,11 @@ class BatchNormState:
         self.running_var = np.ones(dim)
 
 
+# batch norm's running-statistic momentum, and where training's schedule of
+# it starts
+_BN_MOMENTUM = 0.5
+
+
 # A dense stack whose widest layer holds at least _POOL_MIN_ELEMENTS elements
 # runs its row-wise work in row tiles of about _TILE_ELEMENTS such elements on
 # the tile scheduler; chunked work of _POOL_MIN_ELEMENTS elements or more
@@ -393,8 +395,8 @@ def _runs(count, parts):
 
 
 def _rows(buffer, n, d):
-    """The first ``n * d`` elements of a flat buffer, as [n, d]."""
-    return buffer[:n * d].reshape(n, d)
+    """The first ``n * d`` elements of a contiguous buffer, as [n, d]."""
+    return buffer.reshape(-1)[:n * d].reshape(n, d)
 
 
 def _tile_sum(partials):
@@ -455,7 +457,178 @@ def _merge_moments(counts, stats):
     return n, mean, m2 / n
 
 
-def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=None) -> Tensor:
+def _stack_plan(rows, widths, pool, training, constant):
+    """Every shape-only fact of a :func:`bn_mlp` call over ``rows`` rows whose
+    input and layers are ``widths`` wide, worked out once, as a namespace:
+
+    - ``steps``: each pool prefix's new rows ``(k_{t-1}, k_t)`` within a
+      group, and ``group``, the groups' size k_T; no steps and groups of one
+      row without a pool. Prefixes that do not strictly increase from 1, or
+      a group size that does not divide the rows, raise ``ShapeError``.
+    - ``tiles``: the row tiles ``[(lo, hi), ...]`` of :func:`_row_tiles`. A
+      stack whose widest layer (input included) holds 2**18 or more
+      elements runs in tiles of about 2**17 elements, whole groups each; a
+      smaller one in one tile.
+
+    In training mode also:
+
+    - ``row_counts``: with two or more prefixes, how many prefixes hold each
+      row, which counts it once per prefix (else None: every row counts
+      once); ``counts``: each tile's counted rows.
+    - ``remade``: a first layer fed by a constant, below other layers, keeps
+      no [rows, width] block; each pass remakes its tiles from the input, a
+      matmul 3 columns deep in the area block.
+    - ``runs``: per layer, the runs of consecutive tiles that each own one
+      weight-gradient partial: one run per tile, or fewer, as many as keep
+      the layer's partials within an eighth of its [rows, width] block.
+    - ``spends``: the backward writes every gradient over the top layer's
+      normalized activations. That holds for a pooled stack whose layers,
+      and whose input if it takes a gradient, are no wider than its top
+      layer. Otherwise ``store`` is the width of the [rows, store] gradient
+      buffer each backward allocates, the widest of those.
+    """
+    steps = []
+    if pool is not None:
+        bounds = (0, *pool)
+        steps = list(zip(bounds, bounds[1:]))
+        if not steps or any(b <= a for a, b in steps):
+            raise ShapeError(f"pool prefixes {tuple(pool)} must strictly increase from 1")
+        if rows % bounds[-1] != 0:
+            raise ShapeError(f"cannot pool {rows} rows in groups of {bounds[-1]}")
+    group = steps[-1][1] if steps else 1
+    tiles = _row_tiles(rows, group, max(widths))
+    plan = SimpleNamespace(steps=steps, group=group, tiles=tiles)
+    if not training:
+        return plan
+    plan.row_counts = None
+    counts = [hi - lo for lo, hi in tiles]
+    if len(steps) > 1:
+        nested = (np.arange(group)[:, None] < np.asarray(pool)).sum(axis=1)
+        plan.row_counts = np.tile(nested.astype(np.float64), rows // group)
+        counts = [plan.row_counts[lo:hi].sum() for lo, hi in tiles]
+    plan.counts = counts
+    plan.remade = constant and len(widths) > 2
+    plan.runs = [_runs(len(tiles), max(1, min(len(tiles), rows // (8 * fan_in))))
+                 for fan_in in widths[:-1]]
+    plan.store = max(widths[1:] if constant else widths)
+    plan.spends = pool is not None and plan.store == widths[-1]
+    return plan
+
+
+def _column_sums(rows, counted, out):
+    """The column sums of ``rows`` into ``out``, row i counted ``counted[i]``
+    times unless ``counted`` is None."""
+    if counted is None:
+        return np.add.reduce(rows, axis=0, out=out)
+    return np.matmul(counted, rows, out=out)
+
+
+def _beta_gamma_sums(rows_g, hat, sums, buffer):
+    """A layer's beta and gamma gradients over a tile: the column sums of its
+    gradient ``rows_g`` and of that times its normalized activations ``hat``
+    (formed in ``buffer``), into ``sums[0]`` and ``sums[1]``."""
+    np.add.reduce(rows_g, axis=0, out=sums[0])
+    np.add.reduce(np.multiply(rows_g, hat, out=buffer), axis=0, out=sums[1])
+
+
+def _gate(layer, lo, hi, g, positive, hat, sums, out):
+    """The gradient ``g`` over a layer's output rows [lo, hi), where that
+    output is ``positive`` and times its dropout mask, into ``out``; then the
+    layer's beta and gamma sums over the tile."""
+    np.multiply(g, positive, out=out)
+    if layer.mask is not None:
+        out *= layer.mask[lo:hi]
+    _beta_gamma_sums(out, hat, sums, _scratch(0, hi - lo, layer.dim))
+
+
+def _normalized(layer, t, lo, hi, slot, first):
+    """Tile t's (rows [lo, hi)) normalized activations of a training layer.
+
+    A layer that keeps its block holds the tile's deviations from the tile's
+    mean there until pass B normalizes them in place (``first``), and the
+    normalized rows after. A layer that keeps none remakes the deviations in
+    scratch ``slot`` by pass A's matmul of the same input rows, minus the
+    same tile mean, and normalizes them the same way.
+    """
+    if layer.hat is None:
+        hat = np.matmul(layer.x[lo:hi], layer.weight, out=_scratch(slot, hi - lo, layer.dim))
+        hat -= layer.means[t]
+    else:
+        hat = layer.hat[lo:hi]
+        if not first:
+            return hat
+    if layer.offsets is not None:
+        hat -= layer.offsets[t]
+    hat /= layer.std
+    return hat
+
+
+def _activate(layer, hat, lo, hi, out):
+    """relu(hat * scale + shift) over rows [lo, hi) of a layer, times its
+    dropout mask there if it has one, into ``out``. Pass B, eval mode (with
+    ``hat`` the matmul's output itself) and the backward's recompute of the
+    layer below all run this one kernel."""
+    np.multiply(hat, layer.scale, out=out)
+    out += layer.shift
+    np.maximum(out, 0.0, out=out)
+    if layer.mask is not None:
+        out *= layer.mask[lo:hi]
+    return out
+
+
+def _pool_groups(blocks, first, steps, out, winners):
+    """Max-pool the groups ``first, first + 1, ...`` whose last outputs
+    ``blocks`` holds as [groups, group, d] into ``out[t]`` per prefix t and,
+    unless ``winners`` is None, each output's winning row, counted from the
+    stack's first row, into ``winners[t]``.
+
+    Every output is >= +0 after the relu (or NaN), so its max is the
+    winner's value bit for bit. The winners come from each window's
+    transpose in scratch slot 1, which pass B leaves free: argmax over a
+    last axis makes no temporary.
+    """
+    n, group, d = blocks.shape
+    s = slice(first, first + n)
+    for t, (k0, k1) in enumerate(steps):
+        window = blocks[:, k0:k1]
+        if winners is not None:
+            moved = _scratch(1, n * d, k1 - k0).reshape(n, d, k1 - k0)
+            np.copyto(moved, window.transpose(0, 2, 1))
+            found = np.argmax(moved, axis=2, out=winners[t, s])
+            found += (np.arange(first, first + n) * group + k0)[:, None]
+        np.max(window, axis=1, out=out[t, s])
+        if t:
+            np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
+
+
+def _route(g, out):
+    """The pooled gradient ``g`` owed to each prefix's winning row, times the
+    last relu's mask there, read from the pooled output ``out``: both
+    [prefixes, groups, d], the result [groups, prefixes, d].
+
+    Walking the prefixes from the longest down, ``carry`` is the gradient
+    owed to prefix t's running max, which either rows [k_{t-1}, k_t) or the
+    shorter prefix won.
+    """
+    prefixes, m, d = out.shape
+    owed = np.empty((m, prefixes, d))
+    carry = g[-1].copy()
+    for t in range(prefixes - 1, -1, -1):
+        won = owed[:, t]
+        if t:
+            took = out[t] > out[t - 1]
+            won[...] = 0.0
+            np.copyto(won, carry, where=took)
+            np.copyto(carry, 0.0, where=took)
+            carry += g[t - 1]
+        else:
+            won[...] = carry
+        won *= out[t] > 0.0
+    return owed
+
+
+def bn_mlp(x, layers, training=False, momentum=_BN_MOMENTUM, dropout=0.0, rng=None,
+           pool=None) -> Tensor:
     """A stack of dense layers as one graph node.
 
     Each ``(weight, state)`` pair in ``layers`` is a layer: a matmul by
@@ -477,92 +650,66 @@ def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=
     strictly greater, so ties go to the lowest row. The prefixes are nested
     areas, so training mode counts row j of a group once per prefix that
     holds it: moments, outputs and gradients are those of every prefix's
-    rows stacked, run unpooled, then max-pooled per prefix. A single prefix,
-    like no pool, counts every row once.
+    rows stacked, run unpooled, then max-pooled per prefix.
 
-    In training mode, per layer the node keeps only the normalized
-    activations, the batch-norm affine and the dropout mask; with a pool it
-    keeps the winning row of every output, not the last activations. The
-    backward recomputes each layer's output from those and repeats no
-    matmul but a constant-fed first layer's (see below): the activation
-    recomputation of Chen et al. (arXiv 1604.06174). The stack reads where
-    its last relu passed from its output (a pooled one at each winning row),
-    which is positive exactly where that relu's input was and dropout kept
-    the element, so it recomputes no last-layer activations at all. Parents
-    are ``x``, then each layer's weight, gamma and beta. An ``x`` passed as a
-    plain array, not a :class:`Tensor`, is a constant: it is no parent, and
-    the backward skips the first layer's input-gradient matmul. Under :func:`no_grad`, and in
-    eval mode, nothing is kept.
+    Parents are ``x``, then each layer's weight, gamma and beta. An ``x``
+    passed as a plain array, not a :class:`Tensor`, is a constant: it is no
+    parent, and the backward skips the first layer's input-gradient matmul.
 
-    The rows are worked in row tiles: a stack whose widest layer (input
-    included) holds 2**18 or more elements in tiles of about 2**17 elements,
-    whole pool groups each, on the caller-runs tile scheduler
-    (:func:`_each_tile`), where the calling thread works the tiles together
-    with one helper thread per further CPU the process may run on; a smaller
-    stack in one tile on the calling thread. A tile task writes only its own
-    rows of arrays allocated before it, its thread's :func:`_scratch`
-    buffers, and its own tile's partial results.
+    :func:`_stack_plan` decides the row tiles, the row counts, the kept
+    blocks, the weight-gradient runs and the gradient buffer from the shapes
+    alone. A tile task, on the caller-runs scheduler :func:`_each_tile`,
+    writes only its own rows of arrays allocated before it, its thread's
+    :func:`_scratch` buffers, and its own tile's partial results.
 
     In training mode a layer takes two passes over the tiles. Pass A
     multiplies the tile by the weight and, while the tile is in cache, takes
     its (counted) mean, leaves the deviations from that mean in place of
-    the product, and sums their squares. The calling thread merges the tiles'
-    moments in tile order by the update of Chan, Golub & LeVeque (1983),
-    which stays exact for a mean far from zero, then updates the running
-    statistics and draws the dropout mask. Pass B shifts each tile's
-    deviations to the stack's mean, normalizes them in place, and applies the
-    affine, relu and dropout into scratch. It runs in the same task as the
+    the product, and sums their squares. The calling thread merges the
+    tiles' moments (:func:`_merge_moments`), updates the running statistics
+    and draws the dropout mask. Pass B normalizes each tile's deviations in
+    place and runs :func:`_activate` into scratch. It shares a task with the
     next layer's pass A, and the last layer's pass B writes the output or,
     pooled, pools straight from scratch, so no layer's full output exists
-    but an unpooled stack's result.
+    but an unpooled stack's result. A layer that keeps no block remakes its
+    tiles from the input (:func:`_normalized`).
 
-    In a stack of two or more layers, a first layer fed by a constant keeps
-    no [rows, width] block at all: its pass A multiplies each tile into
-    scratch, and its pass B and the backward remake each tile's normalized
-    rows by the same matmul of the same input rows, minus the same tile mean
-    and offset, over the same std. That matmul is 3 columns deep in the area
-    block, and every value, gradient and running statistic keeps its bits.
+    Per layer the node keeps only the normalized activations, the batch-norm
+    affine and the dropout mask, and with a pool the winning row of every
+    output. The backward recomputes each layer's output from those and
+    repeats no matmul but a remade layer's: the activation recomputation of
+    Chen et al. (arXiv 1604.06174). It reads where the last relu passed from
+    the output (a pooled one at each winning row), which is positive exactly
+    where that relu's input was and dropout kept the element.
 
     The backward takes one pass per layer over one gradient buffer, in which
-    each tile owns a block of its own. A tile assembles its ``dz`` in scratch
-    from the gradient in its block, recomputes the layer below's activations
-    over that gradient, and adds their product into a weight-gradient
+    each tile owns its own rows. A tile assembles its ``dz`` in scratch from
+    the gradient there, recomputes the layer below's activations over that
+    gradient, and adds their product into its run's weight-gradient
     partial. Then it writes ``dz @ W.T``, times the lower relu and dropout
-    masks, over the activations, and takes the lower layer's partial sums of
-    that gradient and of it times the normalized activations, which give
-    that layer's beta and gamma gradients. Weight-gradient partials belong
-    to runs of consecutive tiles: one per tile, or fewer runs, so that one
-    layer's partials hold at most an eighth of its [rows, width] array. A
-    pooled top layer takes its sums from the pool winners alone, and each of
-    its tiles spreads the winners' gradients over a zeroed block. The
-    calling thread adds all partials in tile order.
+    masks, over the activations, and takes the lower layer's partial beta
+    and gamma sums. A pooled top layer takes its sums from the pool winners
+    alone, and each of its tiles spreads the winners' gradients over zeros
+    in scratch. The calling thread adds all partials in tile order. Where
+    the plan ``spends`` the top layer's activations as that buffer (a tile
+    reads its rows of them before it writes there), in the spirit of
+    In-Place Activated BatchNorm (Rota Bulo et al., CVPR 2018), the backward
+    runs once: a second raises ``RuntimeError``.
 
-    Where that buffer comes from: a pooled stack whose layers, and whose
-    input if it takes a gradient, are no wider than its top layer writes
-    every gradient over the top layer's normalized activations, which a tile
-    reads, in its own rows, only before it first writes there. Every pooled
-    stack spreads the winners' gradients in a scratch slot. In the spirit of
-    In-Place Activated BatchNorm (Rota Bulo et al., CVPR 2018), that reuse
-    spends the saved activations, so such a stack runs its backward once: a
-    second raises ``RuntimeError``. Every other stack allocates a [rows,
-    widest] buffer per backward and can run it again.
-
-    So a training result depends only on the shapes: it is the same bits for
-    any number of threads and any order in which the tiles run. A stack of
-    one tile does the arithmetic of whole-array operations, op for op; only
-    a pooled top layer's sums over the pool winners may give an exact zero
-    another sign than a sum over every row.
+    So a training result depends only on the shapes: it is the same bits
+    for any number of threads and any order in which the tiles run. A stack
+    of one tile does the arithmetic of whole-array operations, op for op;
+    only a pooled top layer's sums over the pool winners may give an exact
+    zero another sign than a sum over every row.
 
     Eval mode needs no column reduction, so one task per tile takes the tile
-    through every layer's matmul, scale and shift and relu, then the pool,
-    and writes only the output rows. A layer's tile goes into one of two
-    scratch slots, alternating. The tile bounds are the ones above, so the
-    result is the same bits with or without a graph and for any number of
-    threads. At inference batch norm is a fixed affine map that nothing is
-    trained through, so eval mode is forward-only: it keeps nothing for a
-    backward, with or without a graph. A recorded eval-mode node still has
-    the parents above, and its backward raises ``RuntimeError``, so a
-    backward through it cannot silently leave the stack's parameters out.
+    through every layer and the pool, alternating between two scratch slots,
+    and writes only the output rows: the same bits with or without a graph.
+    At inference batch norm is a fixed affine map that nothing is trained
+    through, so eval mode keeps nothing, and neither does any mode under
+    :func:`no_grad`. A recorded eval-mode node still has the parents above,
+    and its backward raises ``RuntimeError``, so a backward through it
+    cannot silently leave the stack's parameters out.
     """
     constant = not isinstance(x, Tensor)
     x_values = np.asarray(x, dtype=np.float64) if constant else x.values
@@ -571,133 +718,56 @@ def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=
     if not layers:
         raise ShapeError("a dense stack needs at least one layer")
     rows, width = x_values.shape
-    width_in = widest = width
+    widths = [width]
     for weight, state in layers:
-        if weight.ndim != 2 or weight.shape != (width, state.dim):
+        if weight.ndim != 2 or weight.shape != (widths[-1], state.dim):
             raise ShapeError(f"layer weight of shape {weight.shape} does not map width "
-                             f"{width} to batch norm width {state.dim}")
-        width = state.dim
-        widest = max(widest, width)
+                             f"{widths[-1]} to batch norm width {state.dim}")
+        widths.append(state.dim)
     if not 0.0 <= dropout < 1.0:
         raise ConfigError(f"dropout ratio must be in [0, 1), got {dropout}")
     drop = training and dropout > 0.0
     if drop and rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    group = 1
-    if pool is not None:
-        # prefix t extends prefix t-1's max by rows [k_{t-1}, k_t)
-        bounds = (0, *pool)
-        steps = list(zip(bounds, bounds[1:]))
-        if not steps or any(b <= a for a, b in steps):
-            raise ShapeError(f"pool prefixes {tuple(pool)} must strictly increase from 1")
-        group = bounds[-1]
-        if rows % group != 0:
-            raise ShapeError(f"cannot pool {rows} rows in groups of {group}")
-
+    plan = _stack_plan(rows, widths, pool, training, constant)
+    tiles, steps, group, d = plan.tiles, plan.steps, plan.group, widths[-1]
     keep = _recording and training
-    tiles = _row_tiles(rows, group, widest)
-    if pool is not None:
-        m, d = rows // group, width
-        out = np.empty((len(steps), m, d))
-        winners = [np.empty((m, d), dtype=np.intp) for _ in steps] if keep else None
+    if pool is None:
+        a = np.empty((rows, d))
+    else:
+        out = np.empty((len(steps), rows // group, d))
+        winners = np.empty(out.shape, dtype=np.intp) if keep else None
+        a = out.reshape(-1, d)
 
-    def pool_groups(blocks, lo, hi):
-        # the prefix maxima of the groups in rows [lo, hi), whose last
-        # outputs ``blocks`` holds as [groups, group, d]. Every output is >= +0
-        # after the relu (or NaN), so its max is the winner's value bit for
-        # bit. A recorded training stack takes the winners from each window's
-        # transpose in scratch slot 1, which pass B leaves free: argmax over a
-        # last axis makes no temporary
-        s = slice(lo // group, hi // group)
-        for t, (k0, k1) in enumerate(steps):
-            window = blocks[:, k0:k1]
-            if keep:
-                moved = _scratch(1, len(blocks) * d, k1 - k0).reshape(-1, d, k1 - k0)
-                np.copyto(moved, window.transpose(0, 2, 1))
-                np.argmax(moved, axis=2, out=winners[t][s])
-            np.max(window, axis=1, out=out[t, s])
-            if t:
-                np.maximum(out[t - 1, s], out[t, s], out=out[t, s])
-
-    # one record per training layer; its relu input is hat * scale + shift
-    saved = []
     if training:
-        row_counts = None
-        if pool is not None and len(steps) > 1:
-            # row j of a group counts once per prefix that holds it
-            nested = (np.arange(group)[:, None] < np.asarray(pool)).sum(axis=1)
-            row_counts = np.tile(nested.astype(np.float64), rows // group)
-        counts = ([hi - lo for lo, hi in tiles] if row_counts is None
-                  else [row_counts[lo:hi].sum() for lo, hi in tiles])
-
-        def normalize(layer, t, hat):
-            # tile t's deviations from its own mean, shifted to the stack's
-            # mean and scaled by its std, in place
-            if layer.offsets is not None:
-                hat -= layer.offsets[t]
-            hat /= layer.std
-            return hat
-
-        def remake(layer, t, slot):
-            # tile t's normalized activations of a layer that kept no block,
-            # in scratch ``slot``: pass A's matmul and centring and pass B's
-            # normalizing again, on the same rows
-            lo, hi = tiles[t]
-            hat = np.matmul(x_values[lo:hi], layer.weight, out=_scratch(slot, hi - lo, layer.dim))
-            hat -= layer.means[t]
-            return normalize(layer, t, hat)
-
-        def activate(layer, t, rows_y):
-            # pass B over tile t: normalize the layer's deviations from the
-            # tile's mean, in place (or remade in scratch slot 1), then its
-            # affine, relu and dropout into ``rows_y``
-            lo, hi = tiles[t]
-            if layer.hat is None:
-                hat = remake(layer, t, 1)
-            else:
-                hat = normalize(layer, t, layer.hat[lo:hi])
-            np.multiply(hat, layer.scale, out=rows_y)
-            rows_y += layer.shift
-            np.maximum(rows_y, 0.0, out=rows_y)
-            if layer.mask is not None:
-                rows_y *= layer.mask[lo:hi]
-            return rows_y
-
-        below = None
+        # one record per layer; its relu input is hat * scale + shift
+        saved = []
         for i, (weight, state) in enumerate(layers):
-            # a first layer fed by a constant, below other layers, keeps no
-            # block: ``remake`` redoes its tiles from the input
-            z = None if i == 0 and constant and len(layers) > 1 else np.empty((rows, state.dim))
+            below = saved[-1] if saved else None
+            z = None if i == 0 and plan.remade else np.empty((rows, state.dim))
             stats = np.empty((len(tiles), 2, state.dim))
 
             def pass_a(t):
-                # the layer below's pass B, the matmul, and the tile's
-                # (counted) mean and squared deviations about it; the
-                # deviations stay in place of the matmul output (in scratch
-                # slot 1 for a layer that keeps no block)
+                # the layer below's pass B, then this layer's pass A; a layer
+                # that keeps no block centres its tile in scratch slot 1
                 lo, hi = tiles[t]
-                if below is None:
-                    rows_a = x_values[lo:hi]
-                else:
-                    rows_a = activate(below, t, _scratch(0, hi - lo, below.dim))
+                rows_a = x_values[lo:hi]
+                if below is not None:
+                    rows_a = _activate(below, _normalized(below, t, lo, hi, 1, True), lo, hi,
+                                       _scratch(0, hi - lo, below.dim))
                 rows_z = np.matmul(rows_a, weight.values,
                                    out=_scratch(1, hi - lo, state.dim) if z is None else z[lo:hi])
+                counted = None if plan.row_counts is None else plan.row_counts[lo:hi]
                 mean, m2 = stats[t]
-                if row_counts is None:
-                    np.add.reduce(rows_z, axis=0, out=mean)
-                else:
-                    np.matmul(row_counts[lo:hi], rows_z, out=mean)
-                mean /= counts[t]
+                _column_sums(rows_z, counted, mean)
+                mean /= plan.counts[t]
                 rows_z -= mean
                 # the layer below's output is used up: its slot takes the squares
-                squares = np.multiply(rows_z, rows_z, out=_scratch(0, hi - lo, state.dim))
-                if row_counts is None:
-                    np.add.reduce(squares, axis=0, out=m2)
-                else:
-                    np.matmul(row_counts[lo:hi], squares, out=m2)
+                _column_sums(np.multiply(rows_z, rows_z, out=_scratch(0, hi - lo, state.dim)),
+                             counted, m2)
 
             _each_tile(len(tiles), pass_a)
-            total, mean, var = _merge_moments(counts, stats)
+            total, mean, var = _merge_moments(plan.counts, stats)
             state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
             state.running_var = (1.0 - momentum) * state.running_var + momentum * var
             std = np.sqrt(var + state.eps)
@@ -705,23 +775,21 @@ def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=
             mask = None
             if drop:
                 mask = (rng.random((rows, state.dim)) >= dropout) / (1.0 - dropout)
-            # what each tile's deviations lack of those from the stack's mean
-            offsets = None if len(tiles) == 1 else mean - stats[:, 0]
-            below = SimpleNamespace(weight=weight.values, dim=state.dim, hat=z, means=stats[:, 0],
-                                    offsets=offsets, std=std, scale=state.gamma.values.copy(),
-                                    shift=state.beta.values.copy(),
-                                    gain=state.gamma.values * inv_std, mask=mask)
-            saved.append(below)
-        if pool is None:
-            a = np.empty((rows, width))
+            # ``offsets``: what each tile's deviations lack of those from the
+            # stack's mean
+            saved.append(SimpleNamespace(
+                weight=weight.values, dim=state.dim, x=x_values, hat=z, means=stats[:, 0],
+                offsets=None if len(tiles) == 1 else mean - stats[:, 0], std=std,
+                scale=state.gamma.values.copy(), shift=state.beta.values.copy(),
+                gain=state.gamma.values * inv_std, mask=mask))
+        top = saved[-1]
 
         def pass_b(t):
             lo, hi = tiles[t]
-            if pool is None:
-                activate(below, t, a[lo:hi])
-            else:
-                rows_y = activate(below, t, _scratch(0, hi - lo, width))
-                pool_groups(rows_y.reshape(-1, group, width), lo, hi)
+            rows_y = _activate(top, _normalized(top, t, lo, hi, 1, True), lo, hi,
+                               a[lo:hi] if pool is None else _scratch(0, hi - lo, d))
+            if pool is not None:
+                _pool_groups(rows_y.reshape(-1, group, d), lo // group, steps, out, winners)
 
         _each_tile(len(tiles), pass_b)
     else:
@@ -729,31 +797,25 @@ def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=
         # runs through every layer and the pool while it is in cache
         affine = []
         for weight, state in layers:
-            inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-            scale = state.gamma.values * inv_std
-            affine.append((weight.values, scale, state.beta.values - state.running_mean * scale))
-        a = None if pool is not None else np.empty((rows, width))
+            scale = state.gamma.values * (1.0 / np.sqrt(state.running_var + state.eps))
+            affine.append(SimpleNamespace(weight=weight.values, dim=state.dim, scale=scale,
+                                          shift=state.beta.values - state.running_mean * scale,
+                                          mask=None))
         # every layer but an unpooled last one writes its tile into scratch
         # slot 0 or 1, alternating
         buffered = len(layers) - (pool is None)
 
         def eval_tile(t):
             lo, hi = tiles[t]
-            n = hi - lo
             rows_a = x_values[lo:hi]
-            for i, (weight, scale, shift) in enumerate(affine):
-                rows_y = _scratch(i % 2, n, weight.shape[1]) if i < buffered else a[lo:hi]
-                np.matmul(rows_a, weight, out=rows_y)
-                rows_y *= scale
-                rows_y += shift
-                np.maximum(rows_y, 0.0, out=rows_y)
-                rows_a = rows_y
+            for i, layer in enumerate(affine):
+                rows_y = _scratch(i % 2, hi - lo, layer.dim) if i < buffered else a[lo:hi]
+                rows_a = _activate(layer, np.matmul(rows_a, layer.weight, out=rows_y), lo, hi,
+                                   rows_y)
             if pool is not None:
-                pool_groups(rows_a.reshape(n // group, group, width), lo, hi)
+                _pool_groups(rows_a.reshape(-1, group, d), lo // group, steps, out, None)
 
         _each_tile(len(tiles), eval_tile)
-    if pool is not None:
-        a = out.reshape(len(steps) * m, d)
     parents = [] if constant else [x]
     for weight, state in layers:
         parents += (weight, state.gamma, state.beta)
@@ -762,120 +824,61 @@ def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=
         # it raises instead of skipping the stack's parameters
         return Tensor(a, parents, _forward_only)
 
-    def beta_gamma_sums(rows_g, hat, sums, buffer):
-        # the column sums of a layer's gradient and of the gradient times its
-        # normalized activations ``hat``
-        np.add.reduce(rows_g, axis=0, out=sums[0])
-        np.add.reduce(np.multiply(rows_g, hat, out=buffer), axis=0, out=sums[1])
-
-    def route(g):
-        # the pooled gradient owed to each prefix's winning row, times the
-        # last relu's mask there, read from the pooled output: [groups,
-        # prefixes, d], in row order within each group. Walking the prefixes
-        # from the longest down, ``carry`` is the gradient owed to prefix t's
-        # running max, which either rows [k_{t-1}, k_t) or the shorter prefix
-        # won
-        owed = np.empty((m, len(steps), d))
-        carry = g[-1].copy()
-        for t in range(len(steps) - 1, -1, -1):
-            won = owed[:, t]
-            if t:
-                took = out[t] > out[t - 1]
-                won[...] = 0.0
-                np.copyto(won, carry, where=took)
-                np.copyto(carry, 0.0, where=took)
-                carry += g[t - 1]
-            else:
-                won[...] = carry
-            won *= out[t] > 0.0
-        return owed
-
-    def winner_rows(t, first, stop):
-        # the row of prefix t's winner in every column of groups [first, stop)
-        starts = np.arange(first, stop)[:, None] * group + steps[t][0]
-        return winners[t][first:stop] + starts
-
     spent = False
 
     def grad_fn(g):
         nonlocal spent
-        # weight-gradient partials: one per run of consecutive tiles, as many
-        # runs as keep one layer's partials within an eighth of its
-        # [rows, width] array
-        runs = [_runs(len(tiles), max(1, min(len(tiles), rows // (8 * layer.weight.shape[0]))))
-                for layer in saved]
-        top = saved[-1]
-        widest_g = max(layer.dim for layer in saved)
-        if not constant:
-            widest_g = max(widest_g, width_in)
-        # the gradient of the layer at hand sits in one buffer, where tile
-        # [lo, hi) owns rows [lo, hi): the tile reads the gradient there as
-        # [hi - lo, width], then writes the layer below's over it. The input
-        # gradient, last, takes the buffer's first columns. A pooled stack no
-        # wider than its top layer takes the top layer's normalized
-        # activations as that buffer: a tile reads its own rows of them once,
-        # before it writes there, so they are spent
-        if pool is not None and widest_g == top.dim:
+        # tile [lo, hi) reads its layer's gradient in the buffer's rows [lo,
+        # hi) as [hi - lo, width], then writes the layer below's over it; the
+        # input gradient, last, takes the buffer's first columns
+        if plan.spends:
             if spent:
                 raise RuntimeError("bn_mlp: a pooled training stack's backward spends its saved "
                                    "activations, so it runs only once; run the forward again")
             spent = True
             store = top.hat
         else:
-            store = np.empty((rows, widest_g))
-
-        def stored(lo, hi, dim):
-            return _rows(store[lo:hi].reshape(-1), hi - lo, dim)
-
-        def normalized(layer, t):
-            # a layer's kept activations over tile t, or, for a layer that
-            # kept none, the tile remade in scratch slot 2
-            lo, hi = tiles[t]
-            return remake(layer, t, 2) if layer.hat is None else layer.hat[lo:hi]
+            store = np.empty((rows, plan.store))
 
         if pool is None:
-            sums = np.empty((len(tiles), 2, top.dim))
+            sums = np.empty((len(tiles), 2, d))
 
             def gate_top(t):
                 # the last relu's and dropout's masks on the gradient handed
                 # in; the output is positive exactly where both passed
                 lo, hi = tiles[t]
-                positive = np.greater(a[lo:hi], 0.0, out=_scratch(0, hi - lo, top.dim, bool))
-                rows_g = np.multiply(g[lo:hi], positive, out=stored(lo, hi, top.dim))
-                if top.mask is not None:
-                    rows_g *= top.mask[lo:hi]
-                beta_gamma_sums(rows_g, top.hat[lo:hi], sums[t], _scratch(0, hi - lo, top.dim))
+                positive = np.greater(a[lo:hi], 0.0, out=_scratch(0, hi - lo, d, bool))
+                _gate(top, lo, hi, g[lo:hi], positive, top.hat[lo:hi], sums[t],
+                      _rows(store[lo:hi], hi - lo, d))
 
             _each_tile(len(tiles), gate_top)
         else:
-            owed, columns = route(g.reshape(out.shape)), np.arange(d)
+            owed, columns = _route(g.reshape(out.shape), out), np.arange(d)
             hats = np.empty_like(owed)
             for t in range(len(steps)):
-                found = winner_rows(t, 0, m)
                 if top.mask is not None:
-                    owed[:, t] *= top.mask[found, columns]
-                hats[:, t] = top.hat[found, columns]
+                    owed[:, t] *= top.mask[winners[t], columns]
+                hats[:, t] = top.hat[winners[t], columns]
             sums = np.empty((1, 2, d))
             hats = hats.reshape(-1, d)
-            beta_gamma_sums(owed.reshape(-1, d), hats, sums[0], hats)
+            _beta_gamma_sums(owed.reshape(-1, d), hats, sums[0], hats)
             del hats
         dbeta, dgamma = _tile_sum(sums)
 
         param_grads = []
         gx = None
         for i in range(len(saved) - 1, -1, -1):
-            layer = saved[i]
+            layer, runs = saved[i], plan.runs[i]
             lower = saved[i - 1] if i else None
-            fan_in = layer.weight.shape[0]
             gamma_share, beta_share = dgamma / total, dbeta / total
-            partials = np.empty((len(runs[i]), *layer.weight.shape))
+            partials = np.empty((len(runs), widths[i], layer.dim))
             if lower is not None:
                 sums = np.empty((len(tiles), 2, lower.dim))
             elif not constant:
-                gx = store[:, :fan_in]
+                gx = store[:, :widths[0]]
 
             def layer_pass(k):
-                first, stop = runs[i][k]
+                first, stop = runs[k]
                 for t in range(first, stop):
                     lo, hi = tiles[t]
                     n = hi - lo
@@ -885,51 +888,43 @@ def bn_mlp(x, layers, training=False, momentum=0.5, dropout=0.0, rng=None, pool=
                         # activations read below
                         rows_g = _scratch(1, n, d)
                         rows_g[...] = 0.0
+                        s = slice(lo // group, hi // group)
                         for step in range(len(steps)):
-                            found = winner_rows(step, lo // group, hi // group)
-                            rows_g[found - lo, columns] = owed[lo // group:hi // group, step]
+                            rows_g[winners[step, s] - lo, columns] = owed[s, step]
                     else:
-                        rows_g = stored(lo, hi, layer.dim)
+                        rows_g = _rows(store[lo:hi], n, layer.dim)
                     # the batch moments depend on the input as well: remove the
                     # gradient's (counted) column mean and its component along
                     # the normalized column
-                    dz = np.multiply(normalized(layer, t), gamma_share,
+                    dz = np.multiply(_normalized(layer, t, lo, hi, 2, False), gamma_share,
                                      out=_scratch(0, n, layer.dim))
                     dz += beta_share
-                    if row_counts is not None:
-                        dz *= row_counts[lo:hi, None]
+                    if plan.row_counts is not None:
+                        dz *= plan.row_counts[lo:hi, None]
                     np.subtract(rows_g, dz, out=dz)
                     dz *= layer.gain
                     if lower is None:
                         rows_a = x_values[lo:hi]
                     else:
                         # the layer below's output, over the rows of the
-                        # gradient just used, and where its relu passed
-                        rows_a = stored(lo, hi, lower.dim)
-                        positive = _scratch(0, n, lower.dim, bool)
-                        lower_hat = normalized(lower, t)
-                        np.multiply(lower_hat, lower.scale, out=rows_a)
-                        rows_a += lower.shift
-                        np.greater(rows_a, 0.0, out=positive)
-                        np.maximum(rows_a, 0.0, out=rows_a)
-                        if lower.mask is not None:
-                            rows_a *= lower.mask[lo:hi]
+                        # gradient just used, and where it is positive
+                        lower_hat = _normalized(lower, t, lo, hi, 2, False)
+                        rows_a = _activate(lower, lower_hat, lo, hi,
+                                           _rows(store[lo:hi], n, lower.dim))
+                        positive = np.greater(rows_a, 0.0, out=_scratch(0, n, lower.dim, bool))
                     if t == first:
                         np.matmul(rows_a.T, dz, out=partials[k])
                     else:
                         partials[k] += np.matmul(rows_a.T, dz,
-                                                 out=_scratch(1, fan_in, layer.dim))
+                                                 out=_scratch(1, widths[i], layer.dim))
                     if lower is not None:
                         # the layer below's gradient, over its output
-                        rows_below = np.matmul(dz, layer.weight.T, out=rows_a)
-                        rows_below *= positive
-                        if lower.mask is not None:
-                            rows_below *= lower.mask[lo:hi]
-                        beta_gamma_sums(rows_below, lower_hat, sums[t], _scratch(0, n, lower.dim))
+                        _gate(lower, lo, hi, np.matmul(dz, layer.weight.T, out=rows_a), positive,
+                              lower_hat, sums[t], rows_a)
                     elif gx is not None:
                         np.matmul(dz, layer.weight.T, out=gx[lo:hi])
 
-            _each_tile(len(runs[i]), layer_pass)
+            _each_tile(len(runs), layer_pass)
             param_grads[:0] = (_tile_sum(partials), dgamma, dbeta)
             del partials
             if lower is not None:

@@ -160,13 +160,20 @@ def _check_dataset(model_cfg, cfg: RunConfig, ds: DatasetManifest, splits) -> No
                 raise DataError(f"{sample.path} has {len(sample.cloud)} points but {key} needs {need}")
 
 
+def _part_ranges(ds: DatasetManifest):
+    """Each category's part range by category id, for segmentation; else
+    None."""
+    return [ds.part_ranges[n] for n in ds.names] if ds.task == "segmentation" else None
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
     out = _require_out(cfg)
     _echo_config(cfg, out)
     task = cfg.model.task
     ds = _load_dataset(cfg, task)
     _check_dataset(cfg.model, cfg, ds, ("train", "test"))
-    result = train(*ds.split("train"), *ds.split("test"), cfg.model, cfg.train, log=print)
+    result = train(*ds.split("train"), *ds.split("test"), cfg.model, cfg.train, log=print,
+                   part_ranges=_part_ranges(ds))
     log_path = os.path.join(out, "metrics.log")
     with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(result.log_lines) + "\n")
@@ -281,7 +288,8 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         runs.append((value, run_cfg))
     rows = []
     for value, run_cfg in runs:
-        result = train(*ds.split("train"), *ds.split("test"), run_cfg.model, run_cfg.train)
+        result = train(*ds.split("train"), *ds.split("test"), run_cfg.model, run_cfg.train,
+                       part_ranges=_part_ranges(ds))
         print(f"# {args.axis}={value} best_epoch={result.best_epoch} "
               f"best={result.best_metric:.12g}", flush=True)
         rows.append((str(value), result.best_metric))

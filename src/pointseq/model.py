@@ -116,7 +116,7 @@ class ForwardContext:
 
     training: bool = False
     rng: np.random.Generator | None = None
-    bn_momentum: float = 0.5
+    bn_momentum: float = ag._BN_MOMENTUM
 
 
 def _uniform(rng, shape, fan_in):
@@ -229,7 +229,7 @@ class CloudGeometry:
     def relative(self) -> list:
         """Per scale: [m, k_t, 3] centroid-relative area coordinates, views
         of one [m, K, 3] block gathered afresh on each read."""
-        areas = self.points[self.neighbors] - self.centroid_coords[:, None, :]
+        areas, _ = _gather_areas([self])
         return [areas[:, :k] for k in self.scales]
 
     @property
@@ -271,6 +271,20 @@ def _linear(x, params: ModelParams, name: str) -> Tensor:
     return y + params[f"{name}.bias"] if f"{name}.bias" in params else y
 
 
+def _gather_areas(geoms):
+    """The batch's largest areas, [b*m, K, 3] coordinates relative to their
+    centroids, gathered by one take from the cached indices, and the
+    [b*m, 3] centroids."""
+    points = np.concatenate([g.points for g in geoms], axis=0)
+    centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
+    index = np.concatenate([g.neighbors for g in geoms], axis=0)
+    index += np.repeat(np.cumsum([0] + [len(g.points) for g in geoms[:-1]]),
+                       len(geoms[0].neighbors))[:, None]
+    areas = np.take(points, index, axis=0)
+    areas -= centroids[:, None, :]
+    return areas, centroids
+
+
 def _area_sequences(geoms, params, cfg, ctx):
     """Region features at every scale for a batch: one [scales*b*m, d] tensor,
     stacked by scale (scale t's b*m rows follow scale t-1's).
@@ -281,14 +295,9 @@ def _area_sequences(geoms, params, cfg, ctx):
     statistics of stacking every scale's copy and max-pools each scale's
     neighborhood. A linear layer folds the centroid coordinates back in.
     """
-    # the batch's areas, gathered by one take from the cached indices, as a
-    # plain array: the coordinates are a constant of the dense stack
-    points = np.concatenate([g.points for g in geoms], axis=0)
-    centroids = np.concatenate([g.centroid_coords for g in geoms], axis=0)
-    index = np.concatenate([g.neighbors for g in geoms], axis=0)
-    index += np.repeat(np.cumsum([0] + [len(g.points) for g in geoms[:-1]]), cfg.m)[:, None]
-    areas = np.take(points, index, axis=0)
-    areas -= centroids[:, None, :]
+    # the areas go in as a plain array: the coordinates are a constant of
+    # the dense stack
+    areas, centroids = _gather_areas(geoms)
     pooled = _bn_mlp(areas.reshape(-1, 3), params, "area_mlp", len(cfg.area_hidden) + 1, ctx,
                      pool=cfg.scales)
     x = ag.concat([pooled, ag.tensor(np.tile(centroids, (cfg.num_scales, 1)))], axis=1)

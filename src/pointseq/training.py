@@ -66,9 +66,10 @@ _ADAM_CHUNK = 1 << 15
 # Adam's moment decay rates and the offset of its denominator
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-# the learning-rate floor; batch-norm momentum's start, factor per decay step and floor
+# the learning-rate floor; batch-norm momentum's factor per decay step and
+# floor (its start is autograd._BN_MOMENTUM)
 _LR_FLOOR = 1e-5
-_BN_MOMENTUM, _BN_MOMENTUM_DECAY, _BN_MOMENTUM_FLOOR = 0.5, 0.5, 0.01
+_BN_MOMENTUM_DECAY, _BN_MOMENTUM_FLOOR = 0.5, 0.01
 
 
 def _adam_chunks(params: ModelParams, state: AdamState) -> list:
@@ -77,9 +78,9 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
     Each parameter is cut on its own, every ``_ADAM_CHUNK`` elements of its
     flat values, so no chunk spans two parameters. A chunk is one ``(name,
     values, first, second, grad)`` tuple: flat views of the parameter's
-    values and moments and of its gradient over the chunk's element range;
-    a parameter that fits in one chunk keeps its whole flat views, unsliced.
-    Moments start at zero.
+    values and moments and of its gradient over the chunk's element range,
+    the whole of each for a parameter that fits in one chunk. Moments start
+    at zero.
     """
     chunks = []
     for name, tensor in params.items():
@@ -94,11 +95,8 @@ def _adam_chunks(params: ModelParams, state: AdamState) -> list:
             m = state.first[name] = np.zeros(values.shape)
             state.second[name] = np.zeros(values.shape)
         flat = (values.ravel(), m.ravel(), state.second[name].ravel(), g.ravel())
-        if values.size <= _ADAM_CHUNK:
-            chunks.append((name, *flat))
-        else:
-            chunks += [(name, *(a[lo:lo + _ADAM_CHUNK] for a in flat))
-                       for lo in range(0, values.size, _ADAM_CHUNK)]
+        chunks += [(name, *(a[lo:lo + _ADAM_CHUNK] for a in flat))
+                   for lo in range(0, values.size, _ADAM_CHUNK)]
     return chunks
 
 
@@ -167,7 +165,7 @@ def apply_schedules(tcfg: TrainConfig, epoch: int) -> tuple[float, float]:
     """
     steps = epoch // tcfg.decay_every if tcfg.decay_every else 0
     lr = max(tcfg.lr * tcfg.lr_decay**steps, _LR_FLOOR)
-    momentum = max(_BN_MOMENTUM * _BN_MOMENTUM_DECAY**steps, _BN_MOMENTUM_FLOOR)
+    momentum = max(ag._BN_MOMENTUM * _BN_MOMENTUM_DECAY**steps, _BN_MOMENTUM_FLOOR)
     return lr, momentum
 
 
@@ -348,11 +346,16 @@ def _train_step(geoms, labels, params: ModelParams, cfg: ModelConfig, ctx: Forwa
 
 
 def train(train_clouds, train_labels, test_clouds, test_labels,
-          cfg: ModelConfig, tcfg: TrainConfig, log=None) -> TrainResult:
+          cfg: ModelConfig, tcfg: TrainConfig, log=None, part_ranges=None) -> TrainResult:
     """Train from scratch and return the result with per-epoch history.
 
-    For classification ``*_labels`` are per-cloud class ids; for segmentation
-    they are ignored and per-point labels ride in the clouds themselves.
+    For classification ``*_labels`` are per-cloud class ids. For
+    segmentation the per-point labels ride in the clouds themselves, and
+    ``*_labels`` are per-cloud category ids that index ``part_ranges``, each
+    category's ``(start, stop)`` part ids: every epoch scores each cloud
+    within its category's range, as :func:`evaluate_segmentation` does with
+    ``part_ranges``. Without ``part_ranges`` every part counts, and the
+    labels are ignored.
 
     Every cloud is prepared once, before the first epoch, and kept for the
     whole run: besides its points and labels a :class:`model.CloudGeometry`
@@ -373,6 +376,11 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
     if classification:
         train_labels = np.asarray(train_labels)
         test_labels = np.asarray(test_labels)
+    elif part_ranges is not None:
+        train_ranges = [part_ranges[c] for c in train_labels]
+        test_ranges = [part_ranges[c] for c in test_labels]
+    else:
+        train_ranges = test_ranges = None
 
     history = []
     lines = []
@@ -407,8 +415,8 @@ def train(train_clouds, train_labels, test_clouds, test_labels,
             }
             metric = te["instance_acc"]
         else:
-            tr = evaluate_segmentation(train_geoms, params, cfg, tcfg.batch_size)
-            te = evaluate_segmentation(test_geoms, params, cfg, tcfg.batch_size)
+            tr = evaluate_segmentation(train_geoms, params, cfg, tcfg.batch_size, train_ranges)
+            te = evaluate_segmentation(test_geoms, params, cfg, tcfg.batch_size, test_ranges)
             stats = {
                 "loss": epoch_loss / denom,
                 "train_acc": tr["point_acc"], "train_miou": tr["mean_iou"],

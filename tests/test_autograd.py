@@ -899,6 +899,30 @@ TRAIN_TILE_IDS = [i for (training, *_), i in zip(STACK_CASES, STACK_IDS) if trai
 TRAIN_TILE_IDS += ["runs_of_tiles", "area_block"]
 
 
+# every dense stack of one training step and one eval batch of each
+# benchmark workload, and the reference aggregation stack at batch 16 (the
+# one stack whose weight-gradient runs are fewer than its tiles):
+# (rows, widths, pool, constant input) and the plan's (tiles, runs per layer,
+# remade first layer, spending backward)
+PLANNED_STACKS = {
+    "desk_cls_area": ((1024, (3, 16, 32, 32), (4, 8), True), (1, (1, 1, 1), True, True)),
+    "desk_cls_agg": ((128, (35, 64, 128), (8,), False), (1, (1, 1), False, True)),
+    "desk_cls_head": ((16, (128, 64, 32), None, False), (1, (1, 1), False, False)),
+    "desk_seg_area": ((2048, (3, 16, 32, 32), (8, 16), True), (1, (1, 1, 1), True, True)),
+    "desk_seg_agg": ((128, (35, 64, 128), (16,), False), (1, (1, 1), False, True)),
+    "desk_seg_prop1": ((128, (160, 64, 32), None, False), (1, (1, 1), False, False)),
+    "desk_seg_point": ((1024, (3, 16), None, True), (1, (1,), False, False)),
+    "desk_seg_prop2": ((1024, (48, 64, 32), None, False), (1, (1, 1), False, False)),
+    "desk_seg_head": ((1024, (32, 32), None, False), (1, (1,), False, False)),
+    "ref128_cls_area": ((16384, (3, 64, 128, 128), (16, 32, 64, 128), True),
+                        (16, (16, 16, 16), True, True)),
+    "ref128_cls_agg": ((128, (131, 256, 512, 1024), (128,), False), (1, (1, 1, 1), False, True)),
+    "ref128_cls_head": ((1, (1024, 512, 256), None, False), (1, (1, 1), False, False)),
+    "reference_agg_batch16": ((6144, (131, 256, 512, 1024), (384,), False),
+                              (16, (5, 3, 1), False, True)),
+}
+
+
 def _reversed_tiles(count, fn):
     """``_each_tile`` on the calling thread alone, last task first."""
     for i in reversed(range(count)):
@@ -1032,6 +1056,40 @@ class TestTiles:
         assert len(ag._row_tiles(24, 4, 4)) >= 3
         check_op_gradient(*_bn_gradient_case(760, 24, None, True, (4, 3), pool=pool))
         assert ag._pool.submitted > 0
+
+    @pytest.mark.parametrize("case", PLANNED_STACKS)
+    def test_plan_fixes_the_tasks_of_every_pass(self, monkeypatch, case):
+        # the plan's tiles, runs per layer, remade first layer and spending
+        # backward, and the tasks the forward, the backward and an eval issue
+        (rows, widths, pool, constant), (tiles, runs, remade, spends) = PLANNED_STACKS[case]
+        plan = ag._stack_plan(rows, widths, pool, True, constant)
+        assert len(plan.tiles) == tiles
+        assert tuple(len(layer_runs) for layer_runs in plan.runs) == runs
+        assert (plan.remade, plan.spends) == (remade, spends)
+        assert ag._stack_plan(rows, widths, pool, False, constant).tiles == plan.tiles
+        issued = []
+
+        def counted(count, fn):
+            issued.append(count)
+            for i in range(count):
+                fn(i)
+
+        monkeypatch.setattr(ag, "_each_tile", counted)
+        rng = np.random.default_rng(52)
+        x = rng.uniform(-1, 1, (rows, widths[0]))
+        layers = [(ag.Tensor(rng.uniform(-1, 1, shape)), ag.BatchNormState(shape[1]))
+                  for shape in zip(widths, widths[1:])]
+        out = ag.bn_mlp(x if constant else ag.Tensor(x), layers, True, pool=pool)
+        # pass A of every layer, then the top layer's pass B
+        assert issued == [tiles] * len(widths)
+        issued.clear()
+        out.grad_fn(np.ones(out.shape))
+        # an unpooled top layer's gradient gate, then each layer's runs, top down
+        assert issued == [tiles] * (pool is None) + list(runs[::-1])
+        issued.clear()
+        with ag.no_grad():
+            ag.bn_mlp(x, layers, False, pool=pool)
+        assert issued == [tiles]
 
     def test_tiles_are_whole_groups_and_never_one_row(self):
         assert ag._row_tiles(16384, 128, 128) == [(lo, lo + 1024) for lo in range(0, 16384, 1024)]

@@ -13,7 +13,7 @@ import pytest
 
 from pointseq.cli import main
 from pointseq.config import AGGREGATORS, ModelConfig
-from pointseq.data import load_manifest
+from pointseq.data import load_manifest, write_manifest, write_point_file
 from pointseq.model import load_checkpoint, save_checkpoint
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -429,6 +429,33 @@ class TestEvalCommand:
         mean_line = [line for line in lines if line.startswith("mean")][-1]
         logged_miou = log_line.split("test_miou=")[1].split()[0]
         assert mean_line.split()[-1] == logged_miou
+
+    def test_train_scores_segmentation_as_eval_does(self, tmp_path, capsys):
+        # two categories with parts of their own: a holds parts 0-1, and b
+        # parts 2-3 (its clouds' labels shifted by 2). Each scores within its
+        # own range, so train's best test_miou, the score of the checkpoint
+        # it keeps, is the mean that eval prints for that checkpoint
+        data_dir = tmp_path / "data"
+        counts = ["--set", "data.train_count=4", "--set", "data.test_count=4"]
+        assert main(["synth", "--out", str(data_dir), *TINY_SEG, *counts]) == 0
+        records = []
+        for split, samples in load_manifest(data_dir / "manifest.txt").samples.items():
+            for i, sample in enumerate(samples):
+                if i % 2:
+                    sample.cloud.labels += 2
+                    write_point_file(sample.path, sample.cloud)
+                records.append((split, os.path.basename(sample.path), "ab"[i % 2]))
+        manifest = data_dir / "two_categories.txt"
+        write_manifest(manifest, "segmentation", ("a", "b"), records, {"a": (0, 2), "b": (2, 4)})
+        extra = [*counts, "--set", f"data.manifest={manifest}", "--set", "model.num_parts=4",
+                 "--set", "train.epochs=3"]
+        out = tmp_path / "run"
+        assert _train(out, extra, config=TINY_SEG) == 0
+        best = capsys.readouterr().out.split("best_test_miou=")[1].split()[0]
+        assert main(["eval", "--out", str(out), *TINY_SEG, *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[-3:]] == ["a", "b", "mean"]
+        assert lines[-1].split()[-1] == best
 
     def test_task_mismatch_rejected(self, tmp_path, capsys):
         out, _ = self._trained(tmp_path, capsys)

@@ -10,6 +10,9 @@
 #   - both desk trainings (metrics.log, checkpoint.bin, effective_config.ini
 #     and stdout) and a `pointseq eval` of each;
 #   - a one-scale desk classification run (model.scales=8, 10 epochs);
+#   - a one-epoch train and an eval of each task at the default (reference)
+#     widths over 1024-point clouds at model.m=64, batches of 2, whose area
+#     stack runs in 16 row tiles;
 #   - `pointseq gradcheck --seed N` for N in 0..7;
 #   - `pointseq synth` for both desk configs (every written file).
 #
@@ -86,6 +89,17 @@ strip "$out/seg/effective_config.ini"
 run train_cls_one_scale train --config "$cls" --out "$out/cls_one_scale" \
     --set model.scales=8 --set train.epochs=10
 strip "$out/cls_one_scale/effective_config.ini"
+
+ref="--set model.m=64 --set data.points=1024 --set train.batch_size=2 --set train.epochs=1"
+ref="$ref --set data.test_count=1"
+ref_cls="$ref --set data.train_count=1 --set model.num_classes=3"
+ref_seg="$ref --set model.task=segmentation --set data.train_count=2 --set model.num_parts=2"
+run train_ref_cls train $ref_cls --out "$out/ref_cls"
+run eval_ref_cls eval $ref_cls --out "$out/ref_cls"
+run train_ref_seg train $ref_seg --out "$out/ref_seg"
+run eval_ref_seg eval $ref_seg --out "$out/ref_seg"
+strip "$out/ref_cls/effective_config.ini"
+strip "$out/ref_seg/effective_config.ini"
 
 for seed in 0 1 2 3 4 5 6 7; do
     run "gradcheck_seed$seed" gradcheck --seed "$seed"
